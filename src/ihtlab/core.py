@@ -151,15 +151,20 @@ class ProblemInstance:
         return float(np.max(np.abs(self.A @ self.x_star + self.e - self.b), initial=0.0))
 
 
+def top_indices(v: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k largest-magnitude entries of a float vector.
+
+    Ties go to the lowest index: a stable sort on descending magnitude keeps
+    it first among equal magnitudes.  NaN ranks below every number.
+    """
+    if not 1 <= k <= v.shape[0]:
+        raise InvalidArgumentError(f"k must satisfy 1 <= k <= len(x), got k={k}, len={v.shape[0]}")
+    return np.sort(np.argsort(-np.abs(v), kind="stable")[:k])
+
+
 def top_support(x: np.ndarray, k: int) -> SupportSet:
     """Indices of the k largest-magnitude entries, ties broken by lowest index."""
-    x = np.asarray(x, dtype=float)
-    if not 1 <= k <= x.shape[0]:
-        raise InvalidArgumentError(f"k must satisfy 1 <= k <= len(x), got k={k}, len={x.shape[0]}")
-    # Stable sort on descending magnitude keeps the lowest original index
-    # first among equal magnitudes.
-    order = np.argsort(-np.abs(x), kind="stable")
-    return SupportSet.from_iterable(order[:k])
+    return SupportSet(tuple(top_indices(np.asarray(x, dtype=float), k).tolist()))
 
 
 def hard_threshold(x: np.ndarray, k: int) -> np.ndarray:
@@ -169,10 +174,9 @@ def hard_threshold(x: np.ndarray, k: int) -> np.ndarray:
     deterministic.
     """
     x = np.asarray(x, dtype=float)
-    supp = top_support(x, k)
     out = np.zeros_like(x)
-    idx = supp.as_array()
-    out[idx] = x[idx]
+    idx = top_indices(x, k)
+    out[idx] = x.take(idx)
     return out
 
 

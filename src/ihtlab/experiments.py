@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -269,20 +270,24 @@ def wilson_interval(successes: int, total: int, z: float = 2.5758) -> tuple[floa
 
 
 def _worker_count() -> int:
+    """Worker count from IHTLAB_WORKERS, clamped to the CPU count with a warning."""
     raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    workers = int(raw) if raw.strip().isdecimal() else 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        print(f"warning: {WORKERS_ENV_VAR}={workers} exceeds {cpus} CPUs; using {cpus}", file=sys.stderr)
+    return min(workers, cpus)
 
 
-def _pmap(fn, tasks: list):
-    """Apply ``fn`` over tasks, in parallel when IHTLAB_WORKERS > 1.
+def _pmap(fn, tasks: list, workers: int):
+    """Apply ``fn`` over tasks, in parallel when ``workers`` > 1.
 
     Results come back in task order, so the output is independent of the
-    worker count.
+    worker count.  Each experiment reads ``workers`` once, from
+    ``_worker_count``, before it starts any work.
     """
-    workers = _worker_count()
     if workers == 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
     import multiprocessing
@@ -395,8 +400,9 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
     x_diff = gen0.standard_normal(r)
     z_ray = gen0.standard_normal(k)
 
-    rows = _pmap(_distribution_trial, [(config, x_diff, t) for t in range(config.trials)])
-    ray_rows = _pmap(_rayleigh_trial, [(config, z_ray, t) for t in range(config.trials)])
+    workers = _worker_count()
+    rows = _pmap(_distribution_trial, [(config, x_diff, t) for t in range(config.trials)], workers)
+    ray_rows = _pmap(_rayleigh_trial, [(config, z_ray, t) for t in range(config.trials)], workers)
 
     f_samples = np.array([row["f_sample"] for row in rows])
     r_samples = np.array([row["r_sample"] for row in rows])
@@ -507,7 +513,7 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
             if valid:
                 tasks.extend((config, cell_id, n, N, k, t) for t in range(config.trials))
             cell_id += 1
-    rows = _pmap(_transition_trial, tasks)
+    rows = _pmap(_transition_trial, tasks, _worker_count())
     by_cell: dict[int, list[dict]] = {}
     for row in rows:
         by_cell.setdefault(row["cell"], []).append(row)
@@ -586,6 +592,7 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     """Fraction of converged runs with error within the stability bound xi*sigma."""
     if config.kind != KIND_ERROR_VS_XI:
         raise ConfigError("mc_error_vs_xi requires kind=mc_error_vs_xi")
+    workers = _worker_count()
     provider = _load_provider(config)
     delta, rho = config.delta, config.rho
     variant = (config.solver or {}).get("variant")
@@ -626,7 +633,7 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     k = max(1, round(rho * n))
     bound = stability.xi * config.sigma if config.sigma > 0 else ZERO_NOISE_ERROR_TOL
     tasks = [(config, n, N, k, solver_config, alpha_lb, t) for t in range(config.trials)]
-    rows = _pmap(_error_trial, tasks)
+    rows = _pmap(_error_trial, tasks, workers)
     for row in rows:
         row["included"] = bool(row["converged"] and row["stable"])
         row["compliant"] = bool(row["included"] and row["error"] <= bound)
@@ -686,7 +693,7 @@ def rip_scan(config: ExperimentConfig) -> ExperimentResult:
     if config.method not in ("exact", "monte_carlo"):
         raise ConfigError("rip_scan method must be 'exact' or 'monte_carlo'")
     tasks = [(config, s, t) for s in config.orders for t in range(config.trials)]
-    rows = _pmap(_rip_scan_trial, tasks)
+    rows = _pmap(_rip_scan_trial, tasks, _worker_count())
     cells = []
     for order in config.orders:
         sub = [r for r in rows if r["order"] == order]

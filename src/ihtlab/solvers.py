@@ -1,8 +1,12 @@
 """Gradient-projection solvers: constant-stepsize IHT and normalised IHT.
 
-Both variants share the iteration x+ = H_k(x - alpha * grad), differ only in
-the stepsize rule, start from x0 = 0, and record a full per-iteration trace
-used by the runtime invariant checks.
+Both variants run one iteration kernel, x+ = H_k(x - alpha * grad), from
+x0 = 0; they differ only in the stepsize rule.  The kernel works on index
+arrays, computes the residual r = A x - b once per iterate and takes both the
+gradient and the recorded objective from it.  Every trace is full: each
+iterate's x, stepsize, objective and shrinkage flag, with its support derived
+from x on demand.  ``giht_step`` and ``niht_stepsize`` are argument-checking
+entry points over the same kernel pieces.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SupportSet, ProblemInstance, hard_threshold, objective, restrict, top_support
+from .core import ProblemInstance, SupportSet, hard_threshold, restrict, top_indices
 from .errors import (
     InvalidArgumentError,
     ShapeMismatchError,
@@ -69,10 +73,13 @@ class IterateRecord:
     """
 
     x: np.ndarray
-    support: SupportSet
     alpha: float
     objective: float
     used_shrinkage: bool
+
+    @property
+    def support(self) -> SupportSet:
+        return SupportSet.support_of(self.x)
 
 
 @dataclass(eq=False)
@@ -109,6 +116,40 @@ class InequalityReport:
         return not self.violations
 
 
+def _linesearch(x, g, gamma, A_gamma, A, k, config) -> tuple[float, bool, np.ndarray]:
+    """N-IHT stepsize on the support index array ``gamma`` from the gradient g.
+
+    ``A_gamma`` must be a C-ordered copy of ``A[:, gamma]``: the F-ordered
+    result of plain indexing takes another BLAS path and moves the last bit.
+    """
+    g_gamma = g[gamma]
+    num = float(g_gamma @ g_gamma)
+    den_vec = A_gamma @ g_gamma
+    den = float(den_vec @ den_vec)
+    if num == 0.0 or den == 0.0:
+        raise StationaryPointError("restricted gradient is zero; linesearch stepsize is 0/0")
+    alpha = num / den
+    x_trial = hard_threshold(x - alpha * g, k)
+    # A non-finite trial point is returned as is; the kernel ends the run.
+    if not np.isfinite(x_trial).all() or np.array_equal(np.flatnonzero(x_trial), gamma):
+        return alpha, False, x_trial
+    shrink = config.kappa * (1.0 - config.c)
+    for _ in range(MAX_SHRINK_STEPS):
+        diff = x_trial - x
+        diff_norm2 = float(diff @ diff)
+        if diff_norm2 == 0.0:
+            # Null trial step: nothing to decrease; accept and let the
+            # caller's step tolerance terminate the run.
+            return alpha, True, x_trial
+        a_diff = A @ diff
+        bound = (1.0 - config.c) * diff_norm2 / float(a_diff @ a_diff)
+        if alpha < bound:
+            return alpha, True, x_trial
+        alpha /= shrink
+        x_trial = hard_threshold(x - alpha * g, k)
+    raise ShrinkageLoopError(f"shrinkage loop did not exit within {MAX_SHRINK_STEPS} reductions")
+
+
 def giht_step(x_m: np.ndarray, alpha_m: float, A: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """One generic iteration: hard-threshold the gradient step."""
     if alpha_m <= 0:
@@ -119,50 +160,6 @@ def giht_step(x_m: np.ndarray, alpha_m: float, A: np.ndarray, b: np.ndarray, k: 
     if x_m.shape != (A.shape[1],) or b.shape != (A.shape[0],):
         raise ShapeMismatchError(f"shapes disagree: A {A.shape}, x {x_m.shape}, b {b.shape}")
     return hard_threshold(x_m - alpha_m * (A.T @ (A @ x_m - b)), k)
-
-
-def _record(x, A, b, alpha=math.nan, used_shrinkage=False) -> IterateRecord:
-    return IterateRecord(
-        x=x,
-        support=SupportSet.support_of(x),
-        alpha=alpha,
-        objective=objective(x, A, b),
-        used_shrinkage=used_shrinkage,
-    )
-
-
-def run_iht(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
-    """Run constant-stepsize IHT from x0 = 0 until a termination criterion fires.
-
-    Divergent runs (the stepsize violates the convergence condition and the
-    iterates overflow) stop early and report ``max_iters``, the
-    non-convergence reason.
-    """
-    if config.variant != VARIANT_IHT:
-        raise InvalidArgumentError("run_iht requires an IHT config")
-    A, b, k = instance.A, instance.b, instance.k
-    trace = SolverTrace()
-    x = np.zeros(instance.N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.max_iters):
-            x_next = giht_step(x, config.alpha, A, b, k)
-            trace.iterates.append(_record(x, A, b, alpha=config.alpha))
-            if not np.all(np.isfinite(x_next)):
-                x = x_next
-                trace.termination_reason = TERMINATION_MAX_ITERS
-                break
-            step = float(np.linalg.norm(x_next - x))
-            x = x_next
-            if step <= config.step_tol:
-                trace.termination_reason = TERMINATION_STEP_TOL
-                break
-            if config.residual_tol > 0 and np.linalg.norm(A @ x - b) <= config.residual_tol:
-                trace.termination_reason = TERMINATION_RESIDUAL_TOL
-                break
-        else:
-            trace.termination_reason = TERMINATION_MAX_ITERS
-        trace.iterates.append(_record(x, A, b))
-    return trace
 
 
 def niht_stepsize(
@@ -178,7 +175,8 @@ def niht_stepsize(
     Returns ``(alpha_m, used_shrinkage, x_next)``.  The exact-linesearch value
     is the Rayleigh quotient of the restricted gradient; it is kept when the
     trial point preserves the support, otherwise it is shrunk by kappa*(1-c)
-    until the sufficient-decrease inequality admits the trial point.
+    until the sufficient-decrease inequality admits the trial point.  A
+    non-finite trial point is returned unshrunk.
 
     Raises ``StationaryPointError`` when the restricted gradient vanishes
     (the linesearch quotient is 0/0); the caller terminates with the current
@@ -187,78 +185,65 @@ def niht_stepsize(
     if len(gamma_m) == 0:
         raise InvalidArgumentError("stepsize support must be nonempty")
     A = np.asarray(A, dtype=float)
-    residual = b - A @ x_m
-    g = A.T @ residual  # negative gradient
-    g_gamma = g[gamma_m.as_array()]
-    num = float(g_gamma @ g_gamma)
-    den_vec = restrict(A, gamma_m) @ g_gamma
-    den = float(den_vec @ den_vec)
-    if num == 0.0 or den == 0.0:
-        raise StationaryPointError("restricted gradient is zero; linesearch stepsize is 0/0")
-    alpha = num / den
-    x_trial = hard_threshold(x_m + alpha * g, k)
-    if SupportSet.support_of(x_trial) == gamma_m:
-        return alpha, False, x_trial
-    shrink = config.kappa * (1.0 - config.c)
-    for _ in range(MAX_SHRINK_STEPS):
-        diff = x_trial - x_m
-        diff_norm2 = float(diff @ diff)
-        if diff_norm2 == 0.0:
-            # Null trial step: nothing to decrease; accept and let the
-            # caller's step tolerance terminate the run.
-            return alpha, True, x_trial
-        a_diff = A @ diff
-        bound = (1.0 - config.c) * diff_norm2 / float(a_diff @ a_diff)
-        if alpha < bound:
-            return alpha, True, x_trial
-        alpha /= shrink
-        x_trial = hard_threshold(x_m + alpha * g, k)
-    raise ShrinkageLoopError(
-        f"shrinkage loop did not exit within {MAX_SHRINK_STEPS} reductions"
-    )
+    g = A.T @ (A @ x_m - b)
+    return _linesearch(x_m, g, gamma_m.as_array(), restrict(A, gamma_m), A, k, config)
+
+
+def run_solver(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
+    """Run IHT or N-IHT from x0 = 0 until a termination criterion fires.
+
+    This loop is the iteration kernel of both variants.  A run whose next
+    iterate is non-finite (a divergent stepsize overflowed) stops early and
+    reports ``max_iters``, the non-convergence reason.
+    """
+    A, b, k = np.asarray(instance.A, dtype=float), instance.b, instance.k
+    trace = SolverTrace()
+    x = np.zeros(instance.N)
+    r = A @ x - b
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.max_iters):
+            g = A.T @ r
+            if config.variant == VARIANT_IHT:
+                alpha, used_shrinkage, x_next = config.alpha, False, hard_threshold(x - config.alpha * g, k)
+            else:
+                # x = 0 carries no support: use the one the next projection selects.
+                gamma = np.flatnonzero(x) if x.any() else top_indices(g, k)
+                try:
+                    alpha, used_shrinkage, x_next = _linesearch(x, g, gamma, A.take(gamma, axis=1), A, k, config)
+                except StationaryPointError:
+                    trace.termination_reason = TERMINATION_STATIONARY
+                    break
+            trace.iterates.append(IterateRecord(x, alpha, 0.5 * float(r @ r), used_shrinkage))
+            diff = x_next - x
+            step = math.sqrt(float(diff @ diff))
+            x, r = x_next, A @ x_next - b
+            if not np.isfinite(x).all():
+                trace.termination_reason = TERMINATION_MAX_ITERS
+                break
+            if step <= config.step_tol:
+                trace.termination_reason = TERMINATION_STEP_TOL
+                break
+            if config.residual_tol > 0 and np.linalg.norm(r) <= config.residual_tol:
+                trace.termination_reason = TERMINATION_RESIDUAL_TOL
+                break
+        else:
+            trace.termination_reason = TERMINATION_MAX_ITERS
+        trace.iterates.append(IterateRecord(x, math.nan, 0.5 * float(r @ r), False))
+    return trace
+
+
+def run_iht(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
+    """Run constant-stepsize IHT from x0 = 0 until a termination criterion fires."""
+    if config.variant != VARIANT_IHT:
+        raise InvalidArgumentError("run_iht requires an IHT config")
+    return run_solver(instance, config)
 
 
 def run_niht(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
     """Run normalised IHT from x0 = 0 until a termination criterion fires."""
     if config.variant != VARIANT_NIHT:
         raise InvalidArgumentError("run_niht requires an N-IHT config")
-    A, b, k = instance.A, instance.b, instance.k
-    trace = SolverTrace()
-    x = np.zeros(instance.N)
-    for _ in range(config.max_iters):
-        gamma = SupportSet.support_of(x)
-        if len(gamma) == 0:
-            # x = 0 carries no support; use the support the next projection
-            # would select, i.e. the k largest gradient magnitudes.
-            g0 = A.T @ (b - A @ x)
-            if not np.any(g0):
-                trace.termination_reason = TERMINATION_STATIONARY
-                break
-            gamma = top_support(g0, k)
-        try:
-            alpha, used_shrinkage, x_next = niht_stepsize(x, gamma, A, b, k, config)
-        except StationaryPointError:
-            trace.termination_reason = TERMINATION_STATIONARY
-            break
-        trace.iterates.append(_record(x, A, b, alpha=alpha, used_shrinkage=used_shrinkage))
-        step = float(np.linalg.norm(x_next - x))
-        x = x_next
-        if step <= config.step_tol:
-            trace.termination_reason = TERMINATION_STEP_TOL
-            break
-        if config.residual_tol > 0 and np.linalg.norm(A @ x - b) <= config.residual_tol:
-            trace.termination_reason = TERMINATION_RESIDUAL_TOL
-            break
-    else:
-        trace.termination_reason = TERMINATION_MAX_ITERS
-    trace.iterates.append(_record(x, A, b))
-    return trace
-
-
-def run_solver(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
-    if config.variant == VARIANT_IHT:
-        return run_iht(instance, config)
-    return run_niht(instance, config)
+    return run_solver(instance, config)
 
 
 def check_iterate_inequalities(

@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import SupportSet, pseudo_inverse_apply, restrict
 from .errors import BudgetExceededError, InvalidArgumentError
+from .rip import ENUMERATION_BUDGET
 
-ENUMERATION_BUDGET = 2_000_000
 DEFAULT_STABILITY_TOL = 1e-8
 
 

@@ -361,8 +361,10 @@ def test_criterion_9_noise_bound_compliance():
     )
 
 
-def test_criterion_10_reproducibility(tmp_path):
+def test_criterion_10_reproducibility(tmp_path, monkeypatch):
     start = time.time()
+    # Enough CPUs that 4 workers are not clamped on a smaller host.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     configs = [
         {"kind": "mc_distribution", "n": 60, "k": 6, "overlap": 3,
          "trials": 300, "master_seed": 77, "sigma": 1.0,

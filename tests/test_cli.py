@@ -103,6 +103,17 @@ def test_mc_dist_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_mc_dist_malformed_workers_env_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kind": "mc_distribution", "n": 40, "k": 4, "overlap": 2,
+        "trials": 10, "master_seed": 3, "sigma": 1.0,
+    }), encoding="utf-8")
+    monkeypatch.setenv("IHTLAB_WORKERS", "two")
+    assert run_cli(["mc-dist", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+    assert "IHTLAB_WORKERS" in capsys.readouterr().err
+
+
 def test_mc_error_stability_undefined_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

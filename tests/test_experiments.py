@@ -7,6 +7,7 @@ import pytest
 from ihtlab.asymptotics import chi2_cdf
 from ihtlab.core import RngSpec
 from ihtlab.errors import ConfigError
+from ihtlab import experiments
 from ihtlab.experiments import (
     ExperimentConfig,
     fifty_percent_contour,
@@ -304,7 +305,9 @@ class TestReproducibility:
                 os.environ["IHTLAB_WORKERS"] = old
         return out.read_bytes(), csv.read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+        # Enough CPUs that 3 workers are not clamped: chunking must really be uneven.
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         json1, csv1 = self.run_with_workers(1, tmp_path, "w1")
         json2, csv2 = self.run_with_workers(3, tmp_path, "w3")
         # The config echo embeds distinct output paths; compare the payloads.
@@ -333,3 +336,35 @@ def test_result_json_embeds_config_and_version(tmp_path):
     assert payload["config"]["kind"] == "rip_scan"
     assert payload["version"]
     assert payload["kind"] == "rip_scan"
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("raw", ["abc", "", "1.5", "0", "-2", "\u00b2"])
+    def test_malformed_value_raises_config_error(self, monkeypatch, raw):
+        monkeypatch.setenv("IHTLAB_WORKERS", raw)
+        with pytest.raises(ConfigError, match="IHTLAB_WORKERS"):
+            experiments._worker_count()
+
+    def test_value_above_cpu_count_is_clamped_with_warning(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("IHTLAB_WORKERS", "1000000")
+        assert experiments._worker_count() == 3
+        assert "IHTLAB_WORKERS=1000000 exceeds 3 CPUs" in capsys.readouterr().err
+
+    def test_valid_value_is_kept(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("IHTLAB_WORKERS", " 2 ")
+        assert experiments._worker_count() == 2
+        monkeypatch.delenv("IHTLAB_WORKERS")
+        assert experiments._worker_count() == 1
+        assert capsys.readouterr().err == ""
+
+    def test_experiment_reads_worker_count_once(self, monkeypatch, capsys):
+        # Clamped to one CPU, so no worker process starts; mc_distribution
+        # makes two parallel passes but warns once.
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+        monkeypatch.setenv("IHTLAB_WORKERS", "2")
+        run_experiment(ExperimentConfig.from_dict(
+            {"kind": "mc_distribution", "n": 20, "k": 3, "overlap": 2, "trials": 5, "master_seed": 3}
+        ))
+        assert capsys.readouterr().err.count("exceeds 1 CPUs") == 1

@@ -1,21 +1,28 @@
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ihtlab.core import (
     ProblemInstance,
     RngSpec,
     SupportSet,
     hard_threshold,
+    restrict,
     sample_gaussian_matrix,
     sample_instance,
+    top_indices,
+    top_support,
 )
-from ihtlab.errors import InvalidArgumentError, StationaryPointError
+from ihtlab.errors import InvalidArgumentError, ShrinkageLoopError, StationaryPointError
 from ihtlab.rip import rip_exact
 from ihtlab.solvers import (
+    MAX_SHRINK_STEPS,
     SolverConfig,
     TERMINATION_MAX_ITERS,
+    TERMINATION_RESIDUAL_TOL,
     TERMINATION_STATIONARY,
     TERMINATION_STEP_TOL,
     check_iterate_inequalities,
@@ -23,6 +30,7 @@ from ihtlab.solvers import (
     niht_stepsize,
     run_iht,
     run_niht,
+    run_solver,
 )
 
 
@@ -321,3 +329,186 @@ def test_max_iters_termination():
     trace = run_iht(inst, iht_config(alpha=0.9, max_iters=3, step_tol=0.0))
     assert trace.termination_reason in (TERMINATION_MAX_ITERS, TERMINATION_STEP_TOL)
     assert len(trace.iterates) <= 5
+
+
+def test_niht_non_finite_linesearch_ends_with_max_iters():
+    # Overflowing measurements make the linesearch quotient inf/inf; the run
+    # must stop like a divergent IHT run instead of shrinking a NaN stepsize.
+    x_star = np.zeros(40)
+    x_star[[1, 5]] = [1.0, -1.0]
+    inst = ProblemInstance.from_parts(
+        sample_gaussian_matrix(20, 40, RngSpec(1)), x_star, np.full(20, 1e307), 2
+    )
+    assert run_iht(inst, iht_config()).termination_reason == TERMINATION_STEP_TOL
+    trace = run_niht(inst, niht_config())
+    assert trace.termination_reason == TERMINATION_MAX_ITERS
+    assert trace.n_iterations == 1
+    assert not np.all(np.isfinite(trace.final))
+
+
+# ---------------------------------------------------------------------------
+# Reference loop: the step and linesearch bodies written out plainly, with a
+# full stable argsort for the projection and SupportSet bookkeeping, as the
+# oracle for the shared iteration kernel.
+
+
+def reference_top_support(v, k):
+    return SupportSet.from_iterable(np.argsort(-np.abs(v), kind="stable")[:k])
+
+
+def reference_threshold(v, k):
+    out = np.zeros_like(v)
+    idx = reference_top_support(v, k).as_array()
+    out[idx] = v[idx]
+    return out
+
+
+def reference_linesearch(x, gamma, A, b, k, config):
+    g = A.T @ (b - A @ x)  # negative gradient
+    g_gamma = g[gamma.as_array()]
+    num = float(g_gamma @ g_gamma)
+    den_vec = restrict(A, gamma) @ g_gamma
+    den = float(den_vec @ den_vec)
+    if num == 0.0 or den == 0.0:
+        raise StationaryPointError("0/0")
+    alpha = num / den
+    x_trial = reference_threshold(x + alpha * g, k)
+    if not np.all(np.isfinite(x_trial)) or SupportSet.support_of(x_trial) == gamma:
+        return alpha, False, x_trial
+    for _ in range(MAX_SHRINK_STEPS):
+        diff = x_trial - x
+        diff_norm2 = float(diff @ diff)
+        if diff_norm2 == 0.0:
+            return alpha, True, x_trial
+        a_diff = A @ diff
+        if alpha < (1.0 - config.c) * diff_norm2 / float(a_diff @ a_diff):
+            return alpha, True, x_trial
+        alpha /= config.kappa * (1.0 - config.c)
+        x_trial = reference_threshold(x + alpha * g, k)
+    raise ShrinkageLoopError("no exit")
+
+
+def reference_run(A, b, k, config):
+    """(records, termination) with records (x, alpha, objective, used_shrinkage)."""
+
+    def objective(x):
+        r = A @ x - b
+        return 0.5 * float(r @ r)
+
+    records, reason = [], TERMINATION_MAX_ITERS
+    x = np.zeros(A.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.max_iters):
+            if config.variant == "iht":
+                alpha, used = config.alpha, False
+                x_next = reference_threshold(x - alpha * (A.T @ (A @ x - b)), k)
+            else:
+                gamma = SupportSet.support_of(x)
+                if len(gamma) == 0:
+                    g0 = A.T @ (b - A @ x)
+                    if not np.any(g0):
+                        reason = TERMINATION_STATIONARY
+                        break
+                    gamma = reference_top_support(g0, k)
+                try:
+                    alpha, used, x_next = reference_linesearch(x, gamma, A, b, k, config)
+                except StationaryPointError:
+                    reason = TERMINATION_STATIONARY
+                    break
+            records.append((x, alpha, objective(x), used))
+            if not np.all(np.isfinite(x_next)):
+                x = x_next
+                break
+            step = float(np.linalg.norm(x_next - x))
+            x = x_next
+            if step <= config.step_tol:
+                reason = TERMINATION_STEP_TOL
+                break
+            if config.residual_tol > 0 and np.linalg.norm(A @ x - b) <= config.residual_tol:
+                reason = TERMINATION_RESIDUAL_TOL
+                break
+        records.append((x, math.nan, objective(x), False))
+    return records, reason
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except (ShrinkageLoopError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def small_runs(draw):
+    n = draw(st.integers(2, 8))
+    N = draw(st.integers(n, 12))
+    k = draw(st.integers(1, n // 2))
+    if draw(st.booleans()):
+        # Integer-valued A and b force tied magnitudes in the projection.
+        A = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * N, max_size=n * N)), float)
+        b = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), float)
+        A = A.reshape(n, N)
+    else:
+        gen = RngSpec(draw(st.integers(0, 2**32))).generator()
+        A = gen.standard_normal((n, N)) / math.sqrt(n)
+        b = gen.standard_normal(n)
+    x_star = np.zeros(N)
+    x_star[:k] = 1.0
+    inst = ProblemInstance(A=A, b=b, x_star=x_star, e=b - A @ x_star, k=k)
+    common = dict(
+        max_iters=draw(st.integers(1, 60)),
+        step_tol=draw(st.sampled_from([0.0, 1e-10])),
+        residual_tol=draw(st.sampled_from([0.0, 1e-3])),
+    )
+    if draw(st.booleans()):
+        config = iht_config(alpha=draw(st.sampled_from([0.01, 0.1, 0.3, 0.65, 1.0, 1e8])), **common)
+    else:
+        config = niht_config(**common)
+    return inst, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_runs())
+def test_kernel_matches_reference_loop_exactly(run):
+    inst, config = run
+    expected = outcome(reference_run, inst.A, inst.b, inst.k, config)
+    trace = outcome(run_solver, inst, config)
+    if isinstance(expected, type):
+        assert trace is expected
+        return
+    records, reason = expected
+    assert trace.termination_reason == reason
+    assert len(trace.iterates) == len(records)
+    for rec, (x, alpha, obj, used) in zip(trace.iterates, records):
+        np.testing.assert_array_equal(rec.x, x)
+        assert same_float(rec.alpha, alpha)
+        assert same_float(rec.objective, obj)
+        assert rec.used_shrinkage == used
+        assert rec.support == SupportSet.support_of(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert check_iterate_inequalities(trace, inst.A, inst.b).ok
+
+
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()), min_size=1, max_size=12),
+    st.data(),
+)
+def test_top_indices_matches_top_support(values, data):
+    v = np.array(values, dtype=float)
+    k = data.draw(st.integers(1, len(values)))
+    idx = top_indices(v, k)
+    assert idx.tolist() == list(top_support(v, k).indices)
+    # Lowest index wins ties; NaN ranks below every number.
+    order = sorted(
+        range(len(values)),
+        key=lambda i: (math.isnan(values[i]), 0.0 if math.isnan(values[i]) else -abs(values[i]), i),
+    )
+    assert idx.tolist() == sorted(order[:k])
