@@ -1,28 +1,37 @@
 """Entropy, implicit tail-bound functions, chi-square/F oracles and the
 uniform asymptotics that back the large-deviation analysis.
 
-The three tail-bound functions are defined implicitly as roots of strictly
-monotone one-dimensional equations; they are solved by bracketed bisection
-followed by a single Newton polish, which trades speed for unconditional
-convergence on the (delta, rho) grids used downstream.
+The three tail-bound functions are roots of strictly monotone equations.  They
+take scalars or arrays, and one vectorised, safeguarded Newton kernel
+(``_newton_root``) solves them all to float precision, or raises a
+``NumericalDomainError`` that names the point where it cannot.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.special as sp
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalDomainError
 
-BISECTION_WIDTH = 1e-13
 RESIDUAL_TOL = 1e-12
+# A Newton iterate is a root once its step or its bracket spans at most this
+# many float spacings; past RESIDUAL_TOL its residual must change sign within
+# as many spacings.
+ROOT_SPACINGS = 4.0
+MAX_ITERATIONS = 200
+# Powers k = 0..9 and coefficients 1/(2k+3) of the series of x - ln(1+x) in
+# z = x/(2+x), to float precision for |x| < 1/4.
+_PHI_POWERS = np.arange(10)
+_PHI_SERIES = 1.0 / (2.0 * _PHI_POWERS + 3.0)
 
 
 @dataclass(frozen=True)
 class TailInputs:
-    """Query point (delta, rho, lam) for the chi-square tail bounds.
+    """Query point (delta, rho, lam) for the chi-square tail bounds; scalars
+    or arrays that broadcast together.
 
     ``delta`` and ``lam`` lie in (0, 1]; ``rho`` lies in (0, 1] for the
     chi-square bounds and in (0, 1/2] for the F bound.
@@ -33,21 +42,36 @@ class TailInputs:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.delta <= 1:
-            raise InvalidArgumentError(f"delta must lie in (0, 1], got {self.delta}")
-        if not 0 < self.rho <= 1:
-            raise InvalidArgumentError(f"rho must lie in (0, 1], got {self.rho}")
-        if not 0 < self.lam <= 1:
-            raise InvalidArgumentError(f"lambda must lie in (0, 1], got {self.lam}")
+        for name, value in (("delta", self.delta), ("rho", self.rho), ("lambda", self.lam)):
+            _check_range(name, value, 1.0)
 
 
 @dataclass(frozen=True)
 class RootResult:
+    """A tail-bound root; for array inputs every field but ``iterations``
+    (lockstep Newton iterations) is an array."""
+
     value: float
     residual: float
     iterations: int
     bracket: tuple[float, float]
     boundary: bool = False
+
+
+def _check_range(name: str, value, hi: float) -> None:
+    array = np.asarray(value)
+    if not np.all((0 < array) & (array <= hi)):
+        raise InvalidArgumentError(f"{name} must lie in (0, {'1/2' if hi == 0.5 else '1'}], got {value}")
+
+
+def _unwrap(value):
+    """A 0-d result as a Python scalar; arrays unchanged."""
+    return value.item() if np.ndim(value) == 0 else value
+
+
+def _entropy(p):
+    # xlog1py keeps the (1-p) term exact where 1-p rounds to one.
+    return -sp.xlogy(p, p) - sp.xlog1py(1.0 - p, -p)
 
 
 def shannon_entropy(p: float) -> float:
@@ -56,79 +80,144 @@ def shannon_entropy(p: float) -> float:
         raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
     if p == 0.0 or p == 1.0:
         return 0.0
-    return float(-sp.xlogy(p, p) - sp.xlogy(1.0 - p, 1.0 - p))
+    return float(_entropy(p))
 
 
-def _bisect_newton(g, gprime, target, lo, hi, max_iter=200):
-    """Root of g(x) = target on a bracket where g is strictly increasing."""
-    g_lo = g(lo) - target
-    g_hi = g(hi) - target
-    if g_lo > 0 or g_hi < 0:
-        raise InvalidArgumentError("root not bracketed")
+def _x_minus_log1p(x):
+    """phi(x) = x - ln(1+x) for x > -1, to a few ulps also near 0, where the
+    two terms cancel: for |x| < 1/4 it is 2z^2 [1/(1-z) - z (1/3 + z^2/5 +
+    ...)] with z = x/(2+x), free of cancellation."""
+    small = np.abs(x) < 0.25
+    if not small.any():
+        return x - np.log1p(x)
+    xs = x * small
+    z = xs / (2.0 + xs)
+    w = z * z
+    series = (w[..., None] ** _PHI_POWERS * _PHI_SERIES).sum(axis=-1)
+    return np.where(small, 2.0 * w * (1.0 / (1.0 - z) - z * series), x - np.log1p(x))
+
+
+def _phi_inverse(t, sign: float):
+    """The x of the sign of ``sign`` with phi(x) = t, in closed form through
+    Lambert's W; sign*sqrt(2t) below t = 1e-8, where W loses accuracy."""
+    x = -1.0 - sp.lambertw(-np.exp(-1.0 - t), -1 if sign > 0 else 0).real
+    return np.where(t < 1e-8, sign * np.sqrt(2.0 * t), x)
+
+
+def _newton_root(name, g, gprime, target, lo, hi, x0, point, params=()) -> RootResult:
+    """Elementwise roots of ``g(x, *params) = target`` on ``[lo, hi]``, where
+    ``0 <= lo`` and g is strictly increasing; arguments broadcast together.
+
+    Every element keeps its own bracket and moves to its Newton point if that
+    lies strictly inside, else to the bracket midpoint.  It stops at the
+    iterate whose Newton step, measured before that safeguard, or whose
+    bracket spans at most ``ROOT_SPACINGS`` spacings.  Only unfinished
+    elements are evaluated.  A root needs a residual within ``RESIDUAL_TOL``
+    (relative to a target above one) or a sign change of the residual within
+    ``ROOT_SPACINGS`` spacings in the bracket; else a NumericalDomainError
+    names the first failing point of ``point``.
+    """
+    target, lo, hi, x0, *params = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (target, lo, hi, x0, *params))
+    )
+    t, a, b, x, *ps = (v.ravel() for v in (target, lo, hi, x0, *params))
+    x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+    value, residual = x.copy(), np.full(x.shape, np.nan)
+    pos = np.arange(x.size)
     iterations = 0
-    a, b = lo, hi
-    while b - a > BISECTION_WIDTH * max(1.0, abs(b)) and iterations < max_iter:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if g(mid) - target <= 0:
-            a = mid
-        else:
-            b = mid
-        iterations += 1
-    x = 0.5 * (a + b)
-    # One Newton polish; keep the result strictly inside the bracket.
-    deriv = gprime(x)
-    if deriv > 0:
-        step = (g(x) - target) / deriv
-        candidate = x - step
-        if lo < candidate < hi:
-            x = candidate
-    x = min(max(x, np.nextafter(lo, hi)), np.nextafter(hi, lo))
-    residual = g(x) - target
-    return x, float(residual), iterations, (lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while pos.size and iterations < MAX_ITERATIONS:
+            iterations += 1
+            r = g(x, *ps) - t
+            below = r <= 0
+            a, b = np.where(below, x, a), np.where(below, b, x)
+            step = r / gprime(x, *ps)
+            done = np.fmin(np.abs(step), b - a) <= ROOT_SPACINGS * np.spacing(x)
+            if done.any():
+                value[pos[done]], residual[pos[done]] = x[done], r[done]
+                keep = ~done
+                pos, t, a, b, x, step = (v[keep] for v in (pos, t, a, b, x, step))
+                ps = [p[keep] for p in ps]
+            newton = x - step
+            x = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b))
+        value[pos] = x
+        value, residual = value.reshape(target.shape), residual.reshape(target.shape)
+        bad = np.asarray(~(np.abs(residual) <= RESIDUAL_TOL * np.maximum(1.0, np.abs(target))))
+        if bad.any():
+            v, r = value[bad], residual[bad]
+            near = np.clip(v - np.sign(r) * ROOT_SPACINGS * np.spacing(v), lo[bad], hi[bad])
+            r_near = g(near, *(p[bad] for p in params)) - target[bad]
+            bad[bad] = ~((near != v) & (((r < 0) & (r_near >= 0)) | ((r > 0) & (r_near <= 0))))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        where = ", ".join(f"{k}={np.broadcast_to(v, bad.shape).flat[i]:.17g}" for k, v in point.items())
+        raise NumericalDomainError(
+            f"{name}: no root resolved to float precision at {where} "
+            f"(value {value.flat[i]:.17g}, residual {residual.flat[i]:.3g})"
+        )
+    return RootResult(_unwrap(value), _unwrap(residual), iterations, (_unwrap(lo), _unwrap(hi)))
+
+
+def _chi2_root(inputs: TailInputs, sign: float) -> RootResult:
+    """The nu >= 0 with phi(sign*nu) = 2H(delta*rho)/lam: the upper chi-square
+    bound for sign +1, the lower for -1.  A zero target is the boundary root
+    nu = 0; phi(2t+2) > t bounds the upper root, and the lower lies below 1."""
+    delta, rho, lam = (np.asarray(v, dtype=float) for v in (inputs.delta, inputs.rho, inputs.lam))
+    t = 2.0 * _entropy(delta * rho) / lam
+    boundary = t == 0.0
+    hi = np.where(boundary, 0.0, 2.0 * t + 2.0 if sign > 0 else np.nextafter(1.0, 0.0))
+    res = _newton_root(
+        "tail_iu" if sign > 0 else "tail_il", lambda nu: _x_minus_log1p(sign * nu),
+        lambda nu: nu / (1.0 + sign * nu), t, 0.0, hi, sign * _phi_inverse(t, sign),
+        {"delta": delta, "rho": rho, "lambda": lam},
+    )
+    return replace(res, boundary=_unwrap(boundary))
 
 
 def tail_iu(inputs: TailInputs) -> RootResult:
     """Upper chi-square tail bound: the nu > 0 with nu - ln(1+nu) = 2H(delta*rho)/lam."""
-    target = 2.0 * shannon_entropy(inputs.delta * inputs.rho) / inputs.lam
-    if target == 0.0:
-        return RootResult(value=0.0, residual=0.0, iterations=0, bracket=(0.0, 0.0), boundary=True)
-    g = lambda nu: nu - math.log1p(nu)
-    gprime = lambda nu: nu / (1.0 + nu)
-    hi = 1.0
-    while g(hi) <= target:
-        hi *= 2.0
-    value, residual, iterations, bracket = _bisect_newton(g, gprime, target, 0.0, hi)
-    return RootResult(value=value, residual=residual, iterations=iterations, bracket=bracket)
+    return _chi2_root(inputs, 1.0)
 
 
 def tail_il(inputs: TailInputs) -> RootResult:
     """Lower chi-square tail bound: the nu in (0,1) with -nu - ln(1-nu) = 2H(delta*rho)/lam."""
-    target = 2.0 * shannon_entropy(inputs.delta * inputs.rho) / inputs.lam
-    if target == 0.0:
-        return RootResult(value=0.0, residual=0.0, iterations=0, bracket=(0.0, 0.0), boundary=True)
-    g = lambda nu: -nu - math.log1p(-nu)
-    gprime = lambda nu: nu / (1.0 - nu)
-    value, residual, iterations, bracket = _bisect_newton(g, gprime, target, 0.0, 1.0 - 1e-15)
-    return RootResult(value=value, residual=residual, iterations=iterations, bracket=bracket)
+    return _chi2_root(inputs, -1.0)
 
 
-def tail_if(delta: float, rho: float) -> RootResult:
-    """F tail bound: the f > rho/(1-rho) with ln(1+f) - rho*ln(f) = 2H(delta*rho) + H(rho)."""
-    if not 0 < delta <= 1:
-        raise InvalidArgumentError(f"delta must lie in (0, 1], got {delta}")
-    if not 0 < rho <= 0.5:
-        raise InvalidArgumentError(f"rho must lie in (0, 1/2], got {rho}")
-    target = 2.0 * shannon_entropy(delta * rho) + shannon_entropy(rho)
-    g = lambda f: math.log1p(f) - rho * math.log(f)
-    gprime = lambda f: 1.0 / (1.0 + f) - rho / f
+def _if_excess(f, lo, rho):
+    """ln(1+f) - rho*ln(f) - H(rho) as the Bernoulli divergence
+    rho*phi(v/lo) + (1-rho)*phi(-v), v = (f-lo)/(1+f), lo = rho/(1-rho): no
+    cancellation near its minimum at f = lo.  Where v nears one, ln(1-v) is
+    taken from 1-v = (1+lo)/(1+f), which keeps the digits that v loses."""
+    v = (f - lo) / (1.0 + f)
+    phi = _x_minus_log1p(np.stack([v / lo, -v]))
+    return rho * phi[0] + (1.0 - rho) * np.where(v < 0.5, phi[1], -v - np.log((1.0 + lo) / (1.0 + f)))
+
+
+def tail_if(delta, rho) -> RootResult:
+    """F tail bound: the f > rho/(1-rho) with ln(1+f) - rho*ln(f) = 2H(delta*rho) + H(rho),
+    solved (and its residual taken) as ``_if_excess(f) = 2H(delta*rho)``."""
+    return _if_root(delta, rho)
+
+
+def _if_root(delta, rho, start=None) -> RootResult:
+    """``tail_if`` with Newton started at ``start`` (default: an estimate)."""
+    _check_range("delta", delta, 1.0)
+    _check_range("rho", rho, 0.5)
+    delta, rho = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(rho, dtype=float))
+    target = 2.0 * _entropy(delta * rho)
     lo = rho / (1.0 - rho)
-    hi = max(2.0 * lo, 1.0)
-    while g(hi) <= target:
-        hi *= 2.0
-    value, residual, iterations, bracket = _bisect_newton(g, gprime, target, lo, hi)
-    return RootResult(value=value, residual=residual, iterations=iterations, bracket=bracket)
+    # ln(1+f) - rho*ln(f) > (1-rho)*ln(f) for f >= 1 bounds the root above.
+    hi = np.exp((target + _entropy(rho)) / (1.0 - rho))
+    if start is None:
+        # The root without the (1-rho) term of the excess, exact as rho -> 0;
+        # where that has none, the bound above less its 1/f correction.
+        v0 = lo * _phi_inverse(target / rho, 1.0)
+        start = np.where(v0 < 1.0, (lo + v0) / (1.0 - v0), hi - 1.0 / (1.0 - rho))
+    return _newton_root(
+        "tail_if", _if_excess, lambda f, lo, rho: (1.0 - rho) * (f - lo) / (f * (1.0 + f)),
+        target, lo, hi, start, {"delta": delta, "rho": rho}, (lo, rho),
+    )
 
 
 def regularized_gamma_p(s: float, t: float) -> float:

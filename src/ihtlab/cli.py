@@ -40,7 +40,7 @@ from .transitions import (
     grid_emit,
     stability_factor_iht,
     stability_factor_niht,
-    stepsize_interval_iht,
+    stepsize_midpoint_iht,
     write_grid_csv,
 )
 
@@ -197,12 +197,7 @@ def _cmd_stability(argv: list[str]) -> int:
     if args.variant == "iht":
         alpha = args.alpha
         if alpha is None:
-            interval = stepsize_interval_iht(args.delta, args.rho, provider)
-            if interval is None:
-                raise NumericalDomainError(
-                    f"empty admissible stepsize interval at delta={args.delta}, rho={args.rho}"
-                )
-            alpha = 0.5 * (interval[0] + interval[1])
+            alpha, _ = stepsize_midpoint_iht(args.delta, args.rho, provider)
         result = stability_factor_iht(args.delta, args.rho, alpha, provider)
         _write_json(args.out, {
             "variant": "iht", "delta": args.delta, "rho": args.rho, "alpha": alpha,

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, ShapeMismatchError, SingularMatrixError
 
@@ -212,6 +211,9 @@ def pseudo_inverse_apply(A_gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     cond = np.inf if diag.min() == 0.0 else float(np.linalg.cond(R))
     if not np.isfinite(cond) or cond > RANK_DEFICIENCY_CONDITION:
         raise SingularMatrixError(cond)
+    # Imported here: scipy.linalg is 6 MB of resident memory that only this needs.
+    import scipy.linalg
+
     return scipy.linalg.solve_triangular(R, Q.T @ v)
 
 

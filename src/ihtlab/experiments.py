@@ -42,7 +42,7 @@ from .transitions import (
     rho_hat_niht,
     stability_factor_iht,
     stability_factor_niht,
-    stepsize_interval_iht,
+    stepsize_midpoint_iht,
 )
 
 KIND_DISTRIBUTION = "mc_distribution"
@@ -598,14 +598,10 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     variant = (config.solver or {}).get("variant")
     try:
         if variant == VARIANT_IHT:
-            interval = stepsize_interval_iht(delta, rho, provider)
-            if interval is None:
-                raise StabilityUndefinedError(
-                    f"empty admissible stepsize interval at delta={delta}, rho={rho}"
-                )
+            midpoint, interval = stepsize_midpoint_iht(delta, rho, provider)
             alpha = (config.solver or {}).get("alpha")
             if alpha is None:
-                alpha = 0.5 * (interval[0] + interval[1])
+                alpha = midpoint
             if not interval[0] < float(alpha) < interval[1]:
                 raise ConfigError(
                     f"alpha={alpha} outside the admissible interval {interval} "

@@ -214,36 +214,28 @@ class TableRipProvider(RipBoundProvider):
             raise TableFormatError(f"{path}: grid is not rectangular over (delta, rho)")
         return cls(deltas, rhos, L_grid, U_grid, source=source)
 
-    def _cell(self, knots: np.ndarray, value: float, axis: str) -> tuple[int, float]:
-        if value < knots[0] or value > knots[-1]:
+    def _cell(self, knots: np.ndarray, value, axis: str) -> tuple[np.ndarray, np.ndarray]:
+        value = np.asarray(value, dtype=float)
+        outside = (value < knots[0]) | (value > knots[-1])
+        if outside.any():
             raise NumericalDomainError(
-                f"{axis}={value} outside table hull [{knots[0]}, {knots[-1]}] ({self.provider_id})"
+                f"{axis}={value[outside].flat[0]} outside table hull [{knots[0]}, {knots[-1]}] ({self.provider_id})"
             )
-        i = int(np.searchsorted(knots, value, side="right")) - 1
-        i = min(max(i, 0), len(knots) - 2)
+        i = np.minimum(np.maximum(np.searchsorted(knots, value, side="right") - 1, 0), len(knots) - 2)
         t = (value - knots[i]) / (knots[i + 1] - knots[i])
         return i, t
 
-    def query(self, delta: float, rho: float) -> tuple[float, float]:
+    def query(self, delta, rho):
+        """Bilinear (L, U) at (delta, rho); scalars or arrays that broadcast
+        together, with a domain error for any point outside the hull."""
         i, t = self._cell(self.deltas, delta, "delta")
         j, u = self._cell(self.rhos, rho, "rho")
+        weights = ((1 - t) * (1 - u), (1 - t) * u, t * (1 - u), t * u)
         out = []
         for grid in (self.L_grid, self.U_grid):
-            block = grid[i : i + 2, j : j + 2]
-            out.append(
-                float(
-                    (1 - t) * (1 - u) * block[0, 0]
-                    + (1 - t) * u * block[0, 1]
-                    + t * (1 - u) * block[1, 0]
-                    + t * u * block[1, 1]
-                )
-            )
+            value = sum(w * grid[k] for w, k in zip(weights, ((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1))))
+            out.append(value.item() if value.ndim == 0 else value)
         return out[0], out[1]
-
-
-def rip_bound_query(provider: RipBoundProvider, delta: float, rho: float) -> tuple[float, float]:
-    """Interpolated (L, U) bound at (delta, rho); domain error outside the hull."""
-    return provider.query(delta, rho)
 
 
 def default_provider() -> TableRipProvider:

@@ -11,12 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import TailInputs, tail_if, tail_il, tail_iu
+from .asymptotics import TailInputs, _if_root, _unwrap, tail_if, tail_il, tail_iu
 from .errors import InvalidArgumentError, NumericalDomainError, StabilityUndefinedError
 from .rip import RipBoundProvider
 
 RHO_BRACKET_LO = 1e-8
 RHO_BRACKET_HI = 0.5
+# Rho points one lockstep step of ``_solve_rho`` evaluates, split among the
+# deltas still unresolved.  Per-call overhead, not per-point work, sets the
+# cost of a step of this size, so fewer deltas get more points each.
+RHO_POINTS_PER_STEP = 64
 
 XI_NIHT_AS_PRINTED = "as_printed"
 XI_NIHT_WITH_ONE_PLUS_A = "with_one_plus_a"
@@ -25,6 +29,9 @@ XI_NIHT_VARIANTS = (XI_NIHT_AS_PRINTED, XI_NIHT_WITH_ONE_PLUS_A)
 
 @dataclass(frozen=True)
 class TransitionResult:
+    """Transition bound at one delta, or at each delta of an array (then
+    ``delta``, ``rho_hat``, ``residual`` and ``saturated`` are arrays)."""
+
     delta: float
     rho_hat: float
     residual: float
@@ -39,118 +46,166 @@ class StabilityResult:
     alpha_interval: tuple[float, float] | None = None
 
 
-def lhs_stable(delta: float, rho: float) -> float:
-    """Left side of the transition equation: sqrt(IF)/[(1-rho)(1 - IL(delta,rho,1-rho))]."""
-    if not 0 < rho <= 0.5:
-        raise InvalidArgumentError(f"rho must lie in (0, 1/2], got {rho}")
-    f_root = tail_if(delta, rho).value
-    il_root = tail_il(TailInputs(delta, rho, 1.0 - rho)).value
-    denom = (1.0 - rho) * (1.0 - il_root)
-    if denom < 1e-300:
+def lhs_stable(delta, rho):
+    """Left side of the transition equation: sqrt(IF)/[(1-rho)(1 - IL(delta,rho,1-rho))],
+    at scalars or arrays that broadcast together."""
+    return _lhs(delta, rho)[0]
+
+
+def _lhs(delta, rho, f_start=None):
+    """``lhs_stable`` and the F root in it, with Newton for that root started
+    at ``f_start`` (default: its own estimate)."""
+    rho = np.asarray(rho, dtype=float)
+    f_root = _if_root(delta, rho, f_start).value
+    denom = (1.0 - rho) * (1.0 - tail_il(TailInputs(delta, rho, 1.0 - rho)).value)
+    if np.any(denom < 1e-300):
         raise NumericalDomainError("stable-point denominator underflow")
-    return math.sqrt(f_root) / denom
+    return _unwrap(np.sqrt(f_root) / denom), f_root
 
 
-def _solve_rho(delta: float, rhs_of_rho, provider_id: str) -> TransitionResult:
-    """Bisect lhs_stable(delta, rho) = rhs(rho) for rho in the standard bracket.
+def _alpha_lb(delta, rho, kappa: float, provider: RipBoundProvider):
+    """Guaranteed lower N-IHT stepsize 1/(kappa*(1+U(delta, 2*rho))); at
+    kappa = 1 the upper end of the admissible IHT stepsize interval."""
+    _, U = provider.query(delta, 2.0 * rho)
+    return 1.0 / (kappa * (1.0 + U))
 
-    The left side is strictly increasing and the right side nonincreasing in
-    rho, so the crossing is unique; if the left side stays below the right
-    side on the whole bracket, the result saturates at rho = 1/2.
+
+def _rho_points(a, b, ga, gb, m: int) -> np.ndarray:
+    """``m`` sorted rho points in each bracket [a, b] (columns) with values
+    ga <= 0 < gb: equally spaced and, from four points on, two fifths of them
+    on each side of the regula falsi point at 10^-1, 10^-1.5, ... of the
+    bracket width, so that the next bracket is about as wide as that point's
+    error."""
+    offsets = 10.0 ** -(1.0 + 0.5 * np.arange(2 * (m - 1) // 5)) * (b - a)
+    uniform = m - 2 * offsets.shape[-1]
+    points = a + (b - a) * (np.arange(1, uniform + 1) / (uniform + 1))
+    if offsets.size:
+        falsi = a - ga * (b - a) / (gb - ga)
+        points = np.sort(np.clip(np.concatenate([points, falsi - offsets, falsi + offsets], axis=1), a, b), axis=1)
+    return points
+
+
+def _solve_rho(delta, kappa: float, provider: RipBoundProvider) -> TransitionResult:
+    """Solve lhs_stable(delta, rho) = 1/(kappa*(1+U(delta, 2*rho))) for rho in
+    the standard bracket, for every delta of an array in lockstep.
+
+    The left side increases and the right side does not, so each crossing is
+    unique.  Every delta keeps its bracket, with the difference of the sides
+    and the F root at its ends.  A step evaluates ``_rho_points`` in each
+    bracket (one point is bisection), the F roots started on the line between
+    their values at the ends, and keeps the cell where the sign changes.  A
+    delta drops out once its midpoint is not strictly inside its bracket; that
+    midpoint, one of the ends, is its root.  A left side below the right on
+    the whole bracket saturates at rho = 1/2; one above has no crossing.
     """
-    g = lambda rho: lhs_stable(delta, rho) - rhs_of_rho(rho)
-    lo, hi = RHO_BRACKET_LO, RHO_BRACKET_HI
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo > 0:
+    delta = np.asarray(delta, dtype=float)
+    flat = delta.ravel()
+
+    def evaluate(d, rho, f_start=None):
+        """(rho, difference of the sides, F root) at each point, stacked last."""
+        lhs, f_root = _lhs(d, rho, f_start)
+        return np.stack(np.broadcast_arrays(rho, lhs - _alpha_lb(d, rho, kappa, provider), f_root), -1)
+
+    # The first step evaluates the bracket ends too.
+    m = max(1, RHO_POINTS_PER_STEP // max(flat.size, 1))
+    cells = evaluate(flat[:, None], np.linspace(RHO_BRACKET_LO, RHO_BRACKET_HI, m + 2))
+    if np.any(cells[:, 0, 1] > 0):
         raise NumericalDomainError(
-            f"no crossing: transition lies below rho={lo} at delta={delta} (provider {provider_id})"
+            f"no crossing: transition lies below rho={RHO_BRACKET_LO} at delta={flat[cells[:, 0, 1] > 0][0]} "
+            f"(provider {provider.provider_id})"
         )
-    if g_hi < 0:
-        return TransitionResult(
-            delta=delta, rho_hat=hi, residual=abs(g_hi), provider_id=provider_id, saturated=True
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if g(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    rho_hat = 0.5 * (lo + hi)
+    saturated = cells[:, -1, 1] < 0
+    ends = cells[:, [0, -1]]
+    active = np.flatnonzero(~saturated)
+    cells = cells[active]
+    while active.size:
+        above = ~(cells[:, 1:, 1] <= 0)
+        above[:, -1] = True
+        first = np.argmax(above, axis=1)[:, None] + [0, 1]
+        ends[active] = cells[np.arange(active.size)[:, None], first]
+        lo, hi = ends[active, 0, 0], ends[active, 1, 0]
+        active = active[(lo < 0.5 * (lo + hi)) & (0.5 * (lo + hi) < hi)]
+        if active.size:
+            (a, ga, fa), (b, gb, fb) = ends[active, 0].T[:, :, None], ends[active, 1].T[:, :, None]
+            points = _rho_points(a, b, ga, gb, max(1, RHO_POINTS_PER_STEP // active.size))
+            cells = evaluate(flat[active, None], points, fa + (fb - fa) * (points - a) / (b - a))
+            cells = np.concatenate([ends[active, :1], cells, ends[active, 1:]], axis=1)
+    lo, hi = ends[:, 0, 0], ends[:, 1, 0]
+    rho_hat = np.where(saturated, RHO_BRACKET_HI, 0.5 * (lo + hi))
+    residual = np.abs(np.where(rho_hat == lo, ends[:, 0, 1], ends[:, 1, 1]))
     return TransitionResult(
-        delta=delta, rho_hat=rho_hat, residual=abs(g(rho_hat)), provider_id=provider_id
+        delta=_unwrap(delta),
+        rho_hat=_unwrap(rho_hat.reshape(delta.shape)),
+        residual=_unwrap(residual.reshape(delta.shape)),
+        provider_id=provider.provider_id,
+        saturated=_unwrap(saturated.reshape(delta.shape)),
     )
 
 
-def rho_hat_iht(delta: float, provider: RipBoundProvider) -> TransitionResult:
-    """Phase-transition lower bound for constant-stepsize IHT."""
-    def rhs(rho: float) -> float:
-        _, U = provider.query(delta, 2.0 * rho)
-        return 1.0 / (1.0 + U)
-
-    return _solve_rho(delta, rhs, provider.provider_id)
+def rho_hat_iht(delta, provider: RipBoundProvider) -> TransitionResult:
+    """Phase-transition lower bound for constant-stepsize IHT: the N-IHT bound at kappa = 1."""
+    return rho_hat_niht(delta, 1.0, provider)
 
 
-def rho_hat_niht(delta: float, kappa: float, provider: RipBoundProvider) -> TransitionResult:
-    """Phase-transition lower bound for normalised IHT with parameter kappa."""
+def rho_hat_niht(delta, kappa: float, provider: RipBoundProvider) -> TransitionResult:
+    """Phase-transition lower bound for normalised IHT with parameter kappa,
+    at one delta or at every delta of an array."""
     if kappa < 1.0:
         raise InvalidArgumentError(f"kappa must be >= 1, got {kappa}")
-
-    def rhs(rho: float) -> float:
-        _, U = provider.query(delta, 2.0 * rho)
-        return 1.0 / (kappa * (1.0 + U))
-
-    return _solve_rho(delta, rhs, provider.provider_id)
+    return _solve_rho(delta, kappa, provider)
 
 
-def stepsize_interval_iht(
-    delta: float, rho: float, provider: RipBoundProvider
-) -> tuple[float, float] | None:
-    """Admissible IHT stepsize interval (lo, hi); None when empty."""
-    lo = lhs_stable(delta, rho)
-    _, U = provider.query(delta, 2.0 * rho)
-    hi = 1.0 / (1.0 + U)
-    if lo >= hi:
-        return None
-    return lo, hi
+def stepsize_interval_iht(delta, rho, provider: RipBoundProvider):
+    """Admissible IHT stepsize interval (lo, hi); None when empty.  Over
+    arrays, the arrays (lo, hi) with NaN where the interval is empty."""
+    lo, hi = lhs_stable(delta, rho), _alpha_lb(delta, rho, 1.0, provider)
+    empty = lo >= hi
+    if np.ndim(empty) == 0:
+        return None if empty else (lo, hi)
+    return np.where(empty, np.nan, lo), np.where(empty, np.nan, hi)
 
 
-def _iu_product_term(delta: float, rho: float) -> float:
-    iu1 = tail_iu(TailInputs(delta, rho, 1.0 - rho)).value
-    iu2 = tail_iu(TailInputs(delta, rho, rho)).value
-    return math.sqrt(rho * (1.0 - rho) * (1.0 + iu1) * (1.0 + iu2))
+def stepsize_midpoint_iht(delta, rho, provider: RipBoundProvider):
+    """The default IHT stepsize, the midpoint of the admissible interval, and
+    that interval.  An empty interval raises StabilityUndefinedError at one
+    point and gives NaN over arrays."""
+    interval = stepsize_interval_iht(delta, rho, provider)
+    if interval is None:
+        raise StabilityUndefinedError(f"empty admissible stepsize interval at delta={delta}, rho={rho}")
+    return 0.5 * (interval[0] + interval[1]), interval
 
 
-def _stability_core(delta: float, rho: float, alpha: float, one_plus_a: bool) -> tuple[float, float]:
-    """Shared a/xi computation; ``alpha`` is the effective lower stepsize."""
+def _stability_core(delta, rho, alpha, one_plus_a: bool):
+    """a and xi at the effective lower stepsize alpha, over scalars or arrays.
+
+    The factor is undefined where alpha*(1-rho)*(1-IL) does not exceed
+    sqrt(IF): a scalar point raises StabilityUndefinedError, arrays hold NaN.
+    """
     f_root = tail_if(delta, rho).value
-    sqrt_f = math.sqrt(f_root)
-    il_root = tail_il(TailInputs(delta, rho, 1.0 - rho)).value
-    denom = alpha * (1.0 - rho) * (1.0 - il_root) - sqrt_f
-    if denom <= 0:
+    sqrt_f = np.sqrt(f_root)
+    scaled = alpha * (1.0 - rho) * (1.0 - tail_il(TailInputs(delta, rho, 1.0 - rho)).value)
+    if np.ndim(scaled) == 0 and not scaled > sqrt_f:
         raise StabilityUndefinedError(
             f"stability undefined at delta={delta}, rho={rho}: "
-            f"alpha*(1-rho)*(1-IL) = {alpha * (1.0 - rho) * (1.0 - il_root):.6g} "
-            f"does not exceed sqrt(IF) = {sqrt_f:.6g}"
+            f"alpha*(1-rho)*(1-IL) = {scaled:.6g} does not exceed sqrt(IF) = {sqrt_f:.6g}"
         )
-    a = (sqrt_f + alpha * _iu_product_term(delta, rho)) / denom
+    iu1 = tail_iu(TailInputs(delta, rho, 1.0 - rho)).value
+    iu2 = tail_iu(TailInputs(delta, rho, rho)).value
+    product = np.sqrt(rho * (1.0 - rho) * (1.0 + iu1) * (1.0 + iu2))
+    a = np.where(scaled > sqrt_f, (sqrt_f + alpha * product) / (scaled - sqrt_f), np.nan)
     if one_plus_a:
-        xi = math.sqrt(f_root * (1.0 + a) ** 2 + a**2)
-    else:
-        xi = math.sqrt(f_root * a**2 + a**2)
-    return a, xi
+        return _unwrap(a), _unwrap(np.sqrt(f_root * (1.0 + a) ** 2 + a**2))
+    return _unwrap(a), _unwrap(np.sqrt(f_root * a**2 + a**2))
 
 
-def stability_factor_iht(
-    delta: float, rho: float, alpha: float, provider: RipBoundProvider | None = None
-) -> StabilityResult:
-    """Noise stability factor for IHT at stepsize alpha.
+def stability_factor_iht(delta, rho, alpha, provider: RipBoundProvider | None = None) -> StabilityResult:
+    """Noise stability factor for IHT at stepsize alpha, over scalars or
+    arrays (see ``_stability_core``).
 
     Requires alpha strictly above the stable-point threshold; the optional
     provider fills in the admissible stepsize interval.
     """
-    if alpha <= 0:
+    if np.any(np.asarray(alpha) <= 0):
         raise InvalidArgumentError("alpha must be positive")
     a, xi = _stability_core(delta, rho, alpha, one_plus_a=True)
     interval = stepsize_interval_iht(delta, rho, provider) if provider is not None else None
@@ -158,13 +213,13 @@ def stability_factor_iht(
 
 
 def stability_factor_niht(
-    delta: float,
-    rho: float,
+    delta,
+    rho,
     kappa: float,
     provider: RipBoundProvider,
     xi_variant: str = XI_NIHT_AS_PRINTED,
 ) -> StabilityResult:
-    """Noise stability factor for N-IHT.
+    """Noise stability factor for N-IHT, over scalars or arrays (see ``_stability_core``).
 
     The stepsize role is played by the guaranteed lower bound
     ``1/(kappa*(1+U(delta, 2*rho)))``.  ``xi_variant`` selects between the
@@ -177,10 +232,8 @@ def stability_factor_niht(
         raise InvalidArgumentError(f"xi_variant must be one of {XI_NIHT_VARIANTS}")
     if kappa < 1.0:
         raise InvalidArgumentError(f"kappa must be >= 1, got {kappa}")
-    _, U = provider.query(delta, 2.0 * rho)
-    alpha_eff = 1.0 / (kappa * (1.0 + U))
     a, xi = _stability_core(
-        delta, rho, alpha_eff, one_plus_a=(xi_variant == XI_NIHT_WITH_ONE_PLUS_A)
+        delta, rho, _alpha_lb(delta, rho, kappa, provider), one_plus_a=(xi_variant == XI_NIHT_WITH_ONE_PLUS_A)
     )
     return StabilityResult(a=a, xi=xi, alpha_interval=None)
 
@@ -190,10 +243,9 @@ def default_delta_grid(num: int = 100, lo: float = 1e-3, hi: float = 1.0) -> np.
     return np.logspace(math.log10(lo), math.log10(hi), num)
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
+def _fmt(value: float) -> str:
+    """A CSV field: 17 significant digits, empty for NaN (undefined)."""
+    return "" if math.isnan(value) else f"{value:.17g}"
 
 
 GRID_KINDS = ("phase_iht", "phase_niht", "xi_iht", "xi_niht", "stepsize_iht")
@@ -213,53 +265,34 @@ def grid_emit(
     Curves (``phase_*``) carry ``delta,rho_hat,residual``; surfaces
     (``xi_*``) carry ``delta,rho,xi``; the stepsize grid carries
     ``delta,rho,alpha_lo,alpha_hi``.  Points where a quantity is undefined
-    emit empty fields.
+    emit empty fields.  A curve is one batched transition solve and a surface
+    one vectorised pass over its (delta, rho) points, delta-major.
     """
     if kind not in GRID_KINDS:
         raise InvalidArgumentError(f"unknown grid kind {kind!r}; choose from {GRID_KINDS}")
-    rows: list[str] = []
+    deltas = np.asarray(delta_grid, dtype=float)
     if kind in ("phase_iht", "phase_niht"):
-        rows.append("delta,rho_hat,residual")
-        for delta in delta_grid:
-            if kind == "phase_iht":
-                res = rho_hat_iht(float(delta), provider)
-            else:
-                res = rho_hat_niht(float(delta), kappa, provider)
-            rows.append(f"{_fmt(float(delta))},{_fmt(res.rho_hat)},{_fmt(res.residual)}")
-        return rows
+        if kind == "phase_iht":
+            res = rho_hat_iht(deltas, provider)
+        else:
+            res = rho_hat_niht(deltas, kappa, provider)
+        return ["delta,rho_hat,residual"] + [
+            f"{_fmt(d)},{_fmt(r)},{_fmt(e)}" for d, r, e in zip(deltas, res.rho_hat, res.residual)
+        ]
     if rho_grid is None:
         raise InvalidArgumentError(f"grid kind {kind!r} requires a rho grid")
+    d, r = (v.ravel() for v in np.meshgrid(deltas, np.asarray(rho_grid, dtype=float), indexing="ij"))
     if kind == "stepsize_iht":
-        rows.append("delta,rho,alpha_lo,alpha_hi")
-        for delta in delta_grid:
-            for rho in rho_grid:
-                interval = stepsize_interval_iht(float(delta), float(rho), provider)
-                lo, hi = interval if interval is not None else (None, None)
-                rows.append(f"{_fmt(float(delta))},{_fmt(float(rho))},{_fmt(lo)},{_fmt(hi)}")
-        return rows
-    rows.append("delta,rho,xi")
-    for delta in delta_grid:
-        for rho in rho_grid:
-            try:
-                if kind == "xi_iht":
-                    if alpha is not None:
-                        result = stability_factor_iht(float(delta), float(rho), alpha)
-                    else:
-                        interval = stepsize_interval_iht(float(delta), float(rho), provider)
-                        if interval is None:
-                            raise StabilityUndefinedError("empty stepsize interval")
-                        result = stability_factor_iht(
-                            float(delta), float(rho), 0.5 * (interval[0] + interval[1])
-                        )
-                else:
-                    result = stability_factor_niht(
-                        float(delta), float(rho), kappa, provider, xi_variant=xi_variant
-                    )
-                xi: float | None = result.xi
-            except StabilityUndefinedError:
-                xi = None
-            rows.append(f"{_fmt(float(delta))},{_fmt(float(rho))},{_fmt(xi)}")
-    return rows
+        lo, hi = stepsize_interval_iht(d, r, provider)
+        return ["delta,rho,alpha_lo,alpha_hi"] + [
+            f"{_fmt(p)},{_fmt(q)},{_fmt(a)},{_fmt(b)}" for p, q, a, b in zip(d, r, lo, hi)
+        ]
+    if kind == "xi_iht":
+        stepsize = stepsize_midpoint_iht(d, r, provider)[0] if alpha is None else alpha
+        xi = stability_factor_iht(d, r, stepsize).xi
+    else:
+        xi = stability_factor_niht(d, r, kappa, provider, xi_variant=xi_variant).xi
+    return ["delta,rho,xi"] + [f"{_fmt(p)},{_fmt(q)},{_fmt(x)}" for p, q, x in zip(d, r, xi)]
 
 
 def curve_monotonicity_flags(rows: list[str]) -> list[bool]:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from decimal import Decimal, localcontext
+
+from hypothesis import given, settings, strategies as st
 
 from ihtlab.asymptotics import (
     RootResult,
@@ -24,7 +26,7 @@ from ihtlab.asymptotics import (
     temme_gamma_eta,
 )
 from ihtlab.core import RngSpec
-from ihtlab.errors import InvalidArgumentError
+from ihtlab.errors import InvalidArgumentError, NumericalDomainError
 
 
 def bisect(g, target, lo, hi, iters=200):
@@ -329,3 +331,99 @@ def test_root_result_value_inside_bracket():
         assert isinstance(res, RootResult)
         lo, hi = res.bracket
         assert lo < res.value < hi
+
+
+def spacings_apart(value: float, oracle: float) -> float:
+    return abs(value - oracle) / np.spacing(oracle)
+
+
+class TestRootFailureModes:
+    """Points where the roots used to be silently off or to raise a config error."""
+
+    def test_lower_root_near_one_is_float_resolved(self):
+        res = tail_il(TailInputs(0.62, 0.83, 0.05))
+        target = 2 * shannon_entropy(0.62 * 0.83) / 0.05
+        oracle = bisect(lambda nu: -nu - math.log1p(-nu), target, 0.0, np.nextafter(1.0, 0.0))
+        assert spacings_apart(res.value, oracle) <= 4
+
+    def test_lower_root_resolved_down_to_lambda_004(self):
+        res = tail_il(TailInputs(0.5, 1.0, 0.04))
+        target = 2 * math.log(2) / 0.04
+        oracle = bisect(lambda nu: -nu - math.log1p(-nu), target, 0.0, np.nextafter(1.0, 0.0))
+        assert spacings_apart(res.value, oracle) <= 4
+
+    def test_lower_root_beyond_float_range_names_the_point(self):
+        # The root lies closer to one than the largest float below one.
+        with pytest.raises(NumericalDomainError, match="tail_il.*delta=0.5, rho=1, lambda=0.01"):
+            tail_il(TailInputs(0.5, 1.0, 0.01))
+
+    def test_f_root_at_tiny_rho(self):
+        rho = 1e-20
+        res = tail_if(1e-3, rho)
+        target = 2 * shannon_entropy(1e-3 * rho) + shannon_entropy(rho)
+        oracle = bisect(lambda f: math.log1p(f) - rho * math.log(f), target, rho / (1 - rho), 1.0)
+        assert res.value > rho / (1 - rho)
+        assert res.value == pytest.approx(oracle, rel=1e-10)
+        assert abs(res.residual) <= 1e-12
+
+
+def decimal_root(g, target, lo: float, hi: float) -> float:
+    """Bisection oracle in 50-digit decimal arithmetic, to the float nearest the root."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, t = Decimal(lo), Decimal(hi), target()
+        for _ in range(400):
+            mid = (a + b) / 2
+            if mid in (a, b):
+                break
+            a, b = (mid, b) if g(mid) <= t else (a, mid)
+        return float((a + b) / 2)
+
+
+def decimal_entropy(p):
+    return -p * p.ln() - (1 - p) * (1 - p).ln()
+
+
+# Points of the transition analysis: delta in (0, 1], rho in (0, 1/2] and
+# lambda in {rho, 1 - rho} (drawn as whether lambda is rho).
+TRANSITION_POINTS = st.lists(
+    st.tuples(st.floats(1e-4, 1.0), st.floats(1e-6, 0.5), st.booleans()), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(TRANSITION_POINTS)
+def test_roots_over_arrays_match_scalars_and_decimal_oracle(points):
+    """Batched roots equal scalar roots bit for bit, every residual is at most
+    1e-12, and every root is within a few ulps of the exact root, widened by
+    the root's condition number t / (x g'(x)): the float evaluation of g
+    resolves x no better than that."""
+    delta, rho, lam_is_rho = (np.array(v) for v in zip(*points))
+    # The lower bound enters the transitions at lambda = 1 - rho only.
+    chi2 = {
+        tail_iu: (1.0, lambda nu: nu - (1 + nu).ln(), 1e3, np.where(lam_is_rho, rho, 1.0 - rho)),
+        tail_il: (-1.0, lambda nu: -nu - (1 - nu).ln(), 1.0, 1.0 - rho),
+    }
+    for root, (sign, g, hi, lam) in chi2.items():
+        batch = root(TailInputs(delta, rho, lam))
+        for i, (d, r, l) in enumerate(zip(delta, rho, lam)):
+            single = root(TailInputs(d, r, l))
+            assert (batch.value[i], batch.residual[i]) == (single.value, single.residual)
+            assert abs(single.residual) <= 1e-12
+            t = 2 * shannon_entropy(d * r) / l
+            oracle = decimal_root(g, lambda: 2 * decimal_entropy(Decimal(d) * Decimal(r)) / Decimal(l), 0.0, hi)
+            condition = t * (1 + sign * oracle) / oracle**2
+            assert spacings_apart(single.value, oracle) <= 4 + 4 * condition
+    batch = tail_if(delta, rho)
+    for i, (d, r) in enumerate(zip(delta, rho)):
+        single = tail_if(d, r)
+        assert (batch.value[i], batch.residual[i]) == (single.value, single.residual)
+        assert abs(single.residual) <= 1e-12
+        R, lo = Decimal(r), r / (1 - r)
+        oracle = decimal_root(
+            lambda f: (1 + f).ln() - R * f.ln(),
+            lambda: 2 * decimal_entropy(Decimal(d) * R) + decimal_entropy(R),
+            lo, 1e3,
+        )
+        condition = 2 * shannon_entropy(d * r) * (1 + oracle) / ((1 - r) * (oracle - lo))
+        assert spacings_apart(single.value, oracle) <= 4 + 4 * condition

@@ -19,6 +19,12 @@ def test_tailbound_domain_violation_exits_2(capsys):
     assert run_cli(["tailbound", "--delta", "1.5", "--rho", "0.25"]) == EXIT_CONFIG
 
 
+def test_tailbound_unresolvable_root_is_numerical_error(capsys):
+    # At lambda = 0.01 the lower root lies closer to one than any float.
+    assert run_cli(["tailbound", "--delta", "0.5", "--rho", "1", "--lambda", "0.01"]) == EXIT_NUMERICAL
+    assert "tail_il" in capsys.readouterr().err
+
+
 def test_solve_iht(capsys):
     code = run_cli(["solve", "--n", "60", "--N", "120", "--k", "3", "--alpha", "0.6", "--seed", "4"])
     assert code == EXIT_OK

@@ -14,7 +14,6 @@ from ihtlab.rip import (
     ConstantRipProvider,
     TableRipProvider,
     default_provider,
-    rip_bound_query,
     rip_exact,
     rip_monte_carlo,
 )
@@ -122,8 +121,8 @@ def write_table(path, rows, header="# rip-table v1; source=unit-test"):
 class TestProviders:
     def test_constant_override(self):
         provider = ConstantRipProvider(0.5, 0.5)
-        assert rip_bound_query(provider, 0.123, 0.456) == (0.5, 0.5)
-        assert rip_bound_query(provider, 0.9, 0.01) == (0.5, 0.5)
+        assert provider.query(0.123, 0.456) == (0.5, 0.5)
+        assert provider.query(0.9, 0.01) == (0.5, 0.5)
 
     def test_knot_exactness(self, tmp_path):
         rows = [

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ihtlab.errors import InvalidArgumentError, StabilityUndefinedError
 from ihtlab.rip import ConstantRipProvider, default_provider
 from ihtlab.transitions import (
+    RHO_BRACKET_HI,
+    RHO_BRACKET_LO,
     curve_monotonicity_flags,
     default_delta_grid,
     grid_emit,
@@ -15,6 +18,7 @@ from ihtlab.transitions import (
     stability_factor_iht,
     stability_factor_niht,
     stepsize_interval_iht,
+    stepsize_midpoint_iht,
     write_grid_csv,
 )
 
@@ -260,3 +264,60 @@ def test_saturation_flag_with_tiny_upper_bound():
         assert res.rho_hat == 0.5
     else:
         assert res.residual <= 1e-10
+
+
+def bisection_rho_hat(delta: float, kappa: float, provider) -> float:
+    """Per-delta reference: plain scalar bisection of the transition equation."""
+    def g(rho):
+        return lhs_stable(delta, rho) - 1.0 / (kappa * (1.0 + provider.query(delta, 2.0 * rho)[1]))
+
+    lo, hi = RHO_BRACKET_LO, RHO_BRACKET_HI
+    if g(hi) < 0:
+        return hi
+    while lo < 0.5 * (lo + hi) < hi:
+        lo, hi = (0.5 * (lo + hi), hi) if g(0.5 * (lo + hi)) <= 0 else (lo, 0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
+
+
+DELTAS = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4)
+
+
+@settings(max_examples=10, deadline=None)
+@given(DELTAS, st.sampled_from(["phase_iht", "phase_niht"]))
+def test_batched_phase_rows_match_per_delta_bisection(deltas, kind):
+    provider = default_provider()
+    kappa = 1.1 if kind == "phase_niht" else 1.0
+    rows = grid_emit(kind, provider, deltas, kappa=kappa)
+    assert len(rows) == len(deltas) + 1
+    for delta, row in zip(deltas, rows[1:]):
+        d, rho_hat, residual = (float(v) for v in row.split(","))
+        assert d == delta
+        assert rho_hat == pytest.approx(bisection_rho_hat(delta, kappa, provider), rel=1e-12)
+        assert residual <= 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(DELTAS, st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=4))
+def test_xi_surface_empty_fields_match_pointwise_definition(deltas, rhos):
+    provider = default_provider()
+    points = [(d, r) for d in deltas for r in rhos]
+    for kind in ("xi_iht", "xi_niht"):
+        rows = grid_emit(kind, provider, deltas, rho_grid=rhos, kappa=1.1)[1:]
+        for (d, r), row in zip(points, rows):
+            try:
+                if kind == "xi_iht":
+                    xi = stability_factor_iht(d, r, stepsize_midpoint_iht(d, r, provider)[0]).xi
+                else:
+                    xi = stability_factor_niht(d, r, 1.1, provider).xi
+            except StabilityUndefinedError:
+                xi = None
+            field = row.split(",")[2]
+            assert field == ("" if xi is None else f"{xi:.17g}")
+
+
+def test_transition_over_delta_array(provider):
+    deltas = np.array([0.05, 0.3, 1.0])
+    res = rho_hat_niht(deltas, 1.1, provider)
+    assert res.rho_hat.shape == res.residual.shape == res.saturated.shape == (3,)
+    for delta, rho_hat in zip(deltas, res.rho_hat):
+        assert rho_hat == pytest.approx(rho_hat_niht(float(delta), 1.1, provider).rho_hat, rel=1e-12)
