@@ -220,21 +220,6 @@ def _if_root(delta, rho, start=None) -> RootResult:
     )
 
 
-def regularized_gamma_p(s: float, t: float) -> float:
-    """Lower regularized incomplete gamma function P(s, t)."""
-    return float(sp.gammainc(s, t))
-
-
-def regularized_gamma_q(s: float, t: float) -> float:
-    """Upper regularized incomplete gamma function Q(s, t) = 1 - P(s, t)."""
-    return float(sp.gammaincc(s, t))
-
-
-def regularized_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    return float(sp.betainc(a, b, x))
-
-
 def chi2_cdf(x, dof):
     """Chi-square CDF with ``dof`` degrees of freedom."""
     x = np.asarray(x, dtype=float)

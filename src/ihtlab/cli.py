@@ -29,9 +29,10 @@ from .experiments import (
     KIND_ERROR_VS_XI,
     KIND_TRANSITION,
     ExperimentConfig,
+    read_config,
     run_experiment,
 )
-from .rip import TableRipProvider, default_provider, rip_exact, rip_monte_carlo
+from .rip import load_provider, rip_exact, rip_monte_carlo
 from .solvers import SolverConfig, run_solver
 from .transitions import (
     XI_NIHT_AS_PRINTED,
@@ -54,12 +55,6 @@ USAGE = (
     "subcommands: solve rip tailbound phase-bound stability "
     "mc-transition mc-dist mc-error"
 )
-
-
-def _provider_from_flag(table: str | None):
-    if table:
-        return TableRipProvider.from_file(table)
-    return default_provider()
 
 
 def _cmd_solve(argv: list[str]) -> int:
@@ -173,7 +168,7 @@ def _cmd_phase_bound(argv: list[str]) -> int:
     parser.add_argument("--grid-points", type=int, default=100)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    provider = _provider_from_flag(args.rip_table)
+    provider = load_provider(args.rip_table)
     grid = default_delta_grid(args.grid_points)
     kind = "phase_iht" if args.variant == "iht" else "phase_niht"
     rows = grid_emit(kind, provider, grid, kappa=args.kappa)
@@ -193,7 +188,7 @@ def _cmd_stability(argv: list[str]) -> int:
     parser.add_argument("--rip-table", type=str, default=None)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
-    provider = _provider_from_flag(args.rip_table)
+    provider = load_provider(args.rip_table)
     if args.variant == "iht":
         alpha = args.alpha
         if alpha is None:
@@ -248,9 +243,7 @@ def _experiment_command(kind: str, prog: str, argv: list[str]) -> int:
     args = parser.parse_args(argv)
     data: dict = {"kind": kind}
     if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {args.config} must contain a JSON object")
+        data = read_config(args.config)
         data.setdefault("kind", kind)
         if data["kind"] != kind:
             raise ConfigError(f"config kind {data['kind']!r} does not match subcommand {kind!r}")
@@ -307,7 +300,7 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         # argparse reports flag misuse on stderr and raises SystemExit(2).
         return EXIT_CONFIG if exc.code else EXIT_OK
-    except (ConfigError, TableFormatError, InvalidArgumentError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, TableFormatError, InvalidArgumentError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalDomainError, IhtLabError) as exc:

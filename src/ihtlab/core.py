@@ -76,15 +76,6 @@ class SupportSet:
     def difference(self, other: "SupportSet") -> "SupportSet":
         return SupportSet.from_iterable(set(self.indices) - set(other.indices))
 
-    def intersection(self, other: "SupportSet") -> "SupportSet":
-        return SupportSet.from_iterable(set(self.indices) & set(other.indices))
-
-    def union(self, other: "SupportSet") -> "SupportSet":
-        return SupportSet.from_iterable(set(self.indices) | set(other.indices))
-
-    def complement(self, n_total: int) -> "SupportSet":
-        return SupportSet.from_iterable(set(range(n_total)) - set(self.indices))
-
     def issubset(self, other: "SupportSet") -> bool:
         return set(self.indices) <= set(other.indices)
 
@@ -189,21 +180,24 @@ def restrict(A: np.ndarray, gamma: SupportSet) -> np.ndarray:
     return A[:, gamma.as_array()].copy()
 
 
-def pseudo_inverse_apply(A_gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Least-squares solution y of A_gamma y ~ v via a thin QR factorization.
+def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split each right-hand side v into its least-squares coefficients on
+    A_gamma and its residual in the complement of range(A_gamma).
 
-    Raises ``SingularMatrixError`` when the condition estimate of the factor
-    exceeds ``RANK_DEFICIENCY_CONDITION``.
+    A_gamma is factored once by a thin QR, A_gamma = QR; each v yields
+    ``(y, w)`` with ``y = R^{-1} Q^T v`` and ``w = v - Q Q^T v``.  Raises
+    ``SingularMatrixError`` when the condition estimate of R exceeds
+    ``RANK_DEFICIENCY_CONDITION``.
     """
     A_gamma = np.asarray(A_gamma, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if A_gamma.ndim != 2 or v.shape != (A_gamma.shape[0],):
+    rhs = [np.asarray(v, dtype=float) for v in rhs]
+    if A_gamma.ndim != 2 or any(v.shape != (A_gamma.shape[0],) for v in rhs):
         raise ShapeMismatchError(
-            f"expected matrix ({A_gamma.shape}) and vector of length {A_gamma.shape[0]}"
+            f"expected matrix ({A_gamma.shape}) and vectors of length {A_gamma.shape[0]}"
         )
     m, p = A_gamma.shape
     if p == 0:
-        return np.zeros(0)
+        return [(np.zeros(0), v.copy()) for v in rhs]
     if p > m:
         raise InvalidArgumentError("submatrix must have at least as many rows as columns")
     Q, R = np.linalg.qr(A_gamma)
@@ -214,7 +208,16 @@ def pseudo_inverse_apply(A_gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Imported here: scipy.linalg is 6 MB of resident memory that only this needs.
     import scipy.linalg
 
-    return scipy.linalg.solve_triangular(R, Q.T @ v)
+    out = []
+    for v in rhs:
+        c = Q.T @ v
+        out.append((scipy.linalg.solve_triangular(R, c), v - Q @ c))
+    return out
+
+
+def pseudo_inverse_apply(A_gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Least-squares solution y of A_gamma y ~ v (see ``least_squares_split``)."""
+    return least_squares_split(A_gamma, v)[0][0]
 
 
 def objective(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:

@@ -1,10 +1,13 @@
 """Monte Carlo harness: distributional validation, empirical recovery
 transitions and noise-bound compliance, with reproducible persistence.
 
-Every trial draws from its own counter-based substream keyed by
-``(master_seed, cell_id, trial_id)``, so results are byte-identical no
-matter how many workers execute them.  Worker count is controlled only by
-the ``IHTLAB_WORKERS`` environment variable.
+Each experiment kind builds one task list and maps it once over the workers.
+Every trial draws from its own counter-based substreams keyed by
+``(master_seed, stream_id, cell_id, trial_id)``: a distribution trial takes
+its overlap terms from stream 1 and its Rayleigh quotients from stream 2,
+recovery-transition trials use stream 3 and noise-bound trials stream 4.  So
+results are byte-identical no matter how many workers execute them.  Worker
+count is controlled only by the ``IHTLAB_WORKERS`` environment variable.
 """
 from __future__ import annotations
 
@@ -21,13 +24,13 @@ from . import __version__
 from .core import (
     RngSpec,
     SupportSet,
-    pseudo_inverse_apply,
+    least_squares_split,
     sample_gaussian_matrix,
     sample_instance,
     sample_noise,
 )
 from .errors import ConfigError, IhtLabError, StabilityUndefinedError
-from .rip import RipBoundProvider, TableRipProvider, default_provider, rip_exact, rip_monte_carlo
+from .rip import load_provider
 from .solvers import (
     SolverConfig,
     TERMINATION_MAX_ITERS,
@@ -48,8 +51,7 @@ from .transitions import (
 KIND_DISTRIBUTION = "mc_distribution"
 KIND_TRANSITION = "mc_transition"
 KIND_ERROR_VS_XI = "mc_error_vs_xi"
-KIND_RIP_SCAN = "rip_scan"
-KINDS = (KIND_DISTRIBUTION, KIND_TRANSITION, KIND_ERROR_VS_XI, KIND_RIP_SCAN)
+KINDS = (KIND_DISTRIBUTION, KIND_TRANSITION, KIND_ERROR_VS_XI)
 
 WORKERS_ENV_VAR = "IHTLAB_WORKERS"
 
@@ -72,10 +74,6 @@ _FIELD_SETS = {
         {"kind", "n", "delta", "rho", "trials", "master_seed", "solver", "sigma"},
         {"rip_table", "xi_variant", "coefficient_model", "output_path", "trial_csv_path"},
     ),
-    KIND_RIP_SCAN: (
-        {"kind", "n", "N", "orders", "trials", "master_seed"},
-        {"method", "mc_supports", "output_path", "trial_csv_path"},
-    ),
 }
 
 
@@ -89,7 +87,6 @@ class ExperimentConfig:
     master_seed: int
     sigma: float = 0.0
     k: int | None = None
-    N: int | None = None
     overlap: int | None = None
     delta: float | None = None
     rho: float | None = None
@@ -99,9 +96,6 @@ class ExperimentConfig:
     rip_table: str | None = None
     xi_variant: str = XI_NIHT_AS_PRINTED
     coefficient_model: str = "gaussian"
-    orders: tuple[int, ...] | None = None
-    method: str = "exact"
-    mc_supports: int = 1000
     output_path: str | None = None
     trial_csv_path: str | None = None
 
@@ -125,8 +119,6 @@ class ExperimentConfig:
             if self.delta is None or self.rho is None:
                 raise ConfigError("mc_error_vs_xi needs delta and rho")
             self._require_solver()
-        if self.kind == KIND_RIP_SCAN and not self.orders:
-            raise ConfigError("rip_scan needs a nonempty list of orders")
 
     def _require_solver(self):
         if not isinstance(self.solver, dict) or "variant" not in self.solver:
@@ -148,10 +140,11 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys for kind {kind!r}: {sorted(missing)}")
         coerced = dict(data)
         for key in ("delta_grid", "rho_grid"):
-            if key in coerced and coerced[key] is not None:
-                coerced[key] = tuple(float(v) for v in coerced[key])
-        if "orders" in coerced and coerced["orders"] is not None:
-            coerced["orders"] = tuple(int(v) for v in coerced["orders"])
+            if coerced.get(key) is not None:
+                try:
+                    coerced[key] = tuple(float(v) for v in coerced[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{key} must be a list of numbers: {exc}") from exc
         try:
             return cls(**coerced)
         except TypeError as exc:
@@ -159,13 +152,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must contain a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_config(path))
 
     def to_dict(self) -> dict:
         raw = asdict(self)
@@ -182,6 +169,18 @@ class ExperimentConfig:
             return SolverConfig(**kwargs)
         except (TypeError, IhtLabError) as exc:
             raise ConfigError(f"invalid solver section: {exc}") from exc
+
+
+def read_config(path: str | Path) -> dict:
+    """The JSON object in a config file; ``ConfigError`` when the file cannot
+    be read, is not UTF-8 JSON, or holds something other than an object."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must contain a JSON object")
+    return data
 
 
 @dataclass
@@ -304,21 +303,23 @@ def _pmap(fn, tasks: list, workers: int):
 # distributional validation
 
 
-def _distribution_trial(task) -> dict:
-    config, x_diff, trial = task
+def _distribution_trial(task) -> tuple[dict, tuple[float, float, float, float]]:
+    """One draw: the trial's CSV row, from stream 1, and its Rayleigh
+    quotients ``(r1, r2, r3, r3_ref)``, from stream 2."""
+    config, z, z_ray, trial = task
     n, k, r, sigma = config.n, config.k, config.overlap, config.sigma
     gen = RngSpec(config.master_seed, 1).substream(0, trial)
     cols = sample_gaussian_matrix(n, k + r, gen)
     A_gamma, A_diff = cols[:, :k], cols[:, k:]
-    z = x_diff
     z_norm2 = float(z @ z)
 
     v = A_diff @ z
-    y = pseudo_inverse_apply(A_gamma, v)
+    if sigma > 0:
+        e = sample_noise(n, sigma, gen)
+        (y, w), (y_e, w_e) = least_squares_split(A_gamma, v, e)
+    else:
+        [(y, w)] = least_squares_split(A_gamma, v)
     f_sample = float(y @ y) / z_norm2
-
-    Q, _ = np.linalg.qr(A_gamma)
-    w = v - Q @ (Q.T @ v)
     lhs_full = float(np.linalg.norm(A_diff.T @ w)) / math.sqrt(z_norm2)
     quad = float(v @ w) / z_norm2
     viol_42 = lhs_full < quad - 1e-12 * (1.0 + abs(quad))
@@ -333,10 +334,8 @@ def _distribution_trial(task) -> dict:
         "viol_42": bool(viol_42),
     }
     if sigma > 0:
-        e = sample_noise(n, sigma, gen)
-        lhs_43 = float(np.linalg.norm(pseudo_inverse_apply(A_gamma, e)))
+        lhs_43 = float(np.linalg.norm(y_e))
         g_sample = lhs_43**2 / sigma**2
-        w_e = e - Q @ (Q.T @ e)
         lhs_44 = float(np.linalg.norm(A_diff.T @ w_e))
         # Reconstruct the coupled right-hand sides of the projected-noise
         # bounds from the same draw via the singular bases.
@@ -362,25 +361,20 @@ def _distribution_trial(task) -> dict:
                 "t_sample": h_norm2 * n / sigma**2,
             }
         )
-    return out
 
-
-def _rayleigh_trial(task) -> dict:
-    config, z, trial = task
-    n, k = config.n, config.k
+    # Rayleigh quotients of fresh n-by-k Gaussian blocks against z_ray.
     gen = RngSpec(config.master_seed, 2).substream(0, trial)
     B = sample_gaussian_matrix(n, k, gen)
-    Bz = B @ z
-    z_norm2 = float(z @ z)
-    r1 = float(Bz @ Bz) / z_norm2 * n
+    Bz = B @ z_ray
+    ray_norm2 = float(z_ray @ z_ray)
+    r1 = float(Bz @ Bz) / ray_norm2 * n
     G = B.T @ B
-    r2 = z_norm2 / float(z @ np.linalg.solve(G, z)) * n
-    Gz = G @ z
-    r3 = float(Gz @ Gz) / z_norm2
+    r2 = ray_norm2 / float(z_ray @ np.linalg.solve(G, z_ray)) * n
+    Gz = G @ z_ray
+    r3 = float(Gz @ Gz) / ray_norm2
     B2 = sample_gaussian_matrix(n, k, gen)
     G2 = B2.T @ B2
-    r3_ref = float(G2[0] @ G2[0])
-    return {"trial": trial, "r1": r1, "r2": r2, "r3": r3, "r3_ref": r3_ref}
+    return out, (r1, r2, r3, float(G2[0] @ G2[0]))
 
 
 def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
@@ -400,9 +394,9 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
     x_diff = gen0.standard_normal(r)
     z_ray = gen0.standard_normal(k)
 
-    workers = _worker_count()
-    rows = _pmap(_distribution_trial, [(config, x_diff, t) for t in range(config.trials)], workers)
-    ray_rows = _pmap(_rayleigh_trial, [(config, z_ray, t) for t in range(config.trials)], workers)
+    tasks = [(config, x_diff, z_ray, t) for t in range(config.trials)]
+    rows, rayleigh = zip(*_pmap(_distribution_trial, tasks, _worker_count()))
+    r1, r2, r3, r3_ref = (np.array(column) for column in zip(*rayleigh))
 
     f_samples = np.array([row["f_sample"] for row in rows])
     r_samples = np.array([row["r_sample"] for row in rows])
@@ -433,10 +427,6 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
                 "violations_44": int(sum(row["viol_44"] for row in rows)),
             }
         )
-    r1 = np.array([row["r1"] for row in ray_rows])
-    r2 = np.array([row["r2"] for row in ray_rows])
-    r3 = np.array([row["r3"] for row in ray_rows])
-    r3_ref = np.array([row["r3_ref"] for row in ray_rows])
     summary.update(
         {
             "ks_rayleigh_full": ks_statistic(r1, lambda x: chi2_cdf(x, n)),
@@ -447,7 +437,7 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
         }
     )
     result = ExperimentResult(
-        kind=config.kind, config=config.to_dict(), summary=summary, trial_rows=rows
+        kind=config.kind, config=config.to_dict(), summary=summary, trial_rows=list(rows)
     )
     _persist(result, config)
     return result
@@ -582,18 +572,12 @@ def _error_trial(task) -> dict:
     }
 
 
-def _load_provider(config: ExperimentConfig) -> RipBoundProvider:
-    if config.rip_table:
-        return TableRipProvider.from_file(config.rip_table)
-    return default_provider()
-
-
 def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     """Fraction of converged runs with error within the stability bound xi*sigma."""
     if config.kind != KIND_ERROR_VS_XI:
         raise ConfigError("mc_error_vs_xi requires kind=mc_error_vs_xi")
     workers = _worker_count()
-    provider = _load_provider(config)
+    provider = load_provider(config.rip_table)
     delta, rho = config.delta, config.rho
     variant = (config.solver or {}).get("variant")
     try:
@@ -667,50 +651,6 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# RIP scan
-
-
-def _rip_scan_trial(task) -> dict:
-    config, order, trial = task
-    gen = RngSpec(config.master_seed, 5).substream(order, trial)
-    A = sample_gaussian_matrix(config.n, config.N, gen)
-    if config.method == "exact":
-        constants = rip_exact(A, order)
-    else:
-        constants = rip_monte_carlo(A, order, config.mc_supports, gen)
-    return {"order": order, "trial": trial, "L": constants.L, "U": constants.U, "method": constants.method}
-
-
-def rip_scan(config: ExperimentConfig) -> ExperimentResult:
-    """Sample Gaussian matrices and measure their RIP constants per order."""
-    if config.kind != KIND_RIP_SCAN:
-        raise ConfigError("rip_scan requires kind=rip_scan")
-    if config.method not in ("exact", "monte_carlo"):
-        raise ConfigError("rip_scan method must be 'exact' or 'monte_carlo'")
-    tasks = [(config, s, t) for s in config.orders for t in range(config.trials)]
-    rows = _pmap(_rip_scan_trial, tasks, _worker_count())
-    cells = []
-    for order in config.orders:
-        sub = [r for r in rows if r["order"] == order]
-        cells.append(
-            {
-                "order": order,
-                "L_mean": float(np.mean([r["L"] for r in sub])),
-                "L_max": float(np.max([r["L"] for r in sub])),
-                "U_mean": float(np.mean([r["U"] for r in sub])),
-                "U_max": float(np.max([r["U"] for r in sub])),
-                "general_position_all": bool(all(r["L"] < 1 for r in sub)),
-            }
-        )
-    summary = {"n": config.n, "N": config.N, "trials": config.trials, "method": config.method}
-    result = ExperimentResult(
-        kind=config.kind, config=config.to_dict(), summary=summary, cells=cells, trial_rows=rows
-    )
-    _persist(result, config)
-    return result
-
-
 def _persist(result: ExperimentResult, config: ExperimentConfig) -> None:
     if config.output_path:
         result.save(config.output_path)
@@ -722,7 +662,6 @@ RUNNERS = {
     KIND_DISTRIBUTION: mc_distribution_check,
     KIND_TRANSITION: mc_recovery_transition,
     KIND_ERROR_VS_XI: mc_error_vs_xi,
-    KIND_RIP_SCAN: rip_scan,
 }
 
 

@@ -172,7 +172,10 @@ class TableRipProvider(RipBoundProvider):
     @classmethod
     def from_file(cls, path: str | Path) -> "TableRipProvider":
         path = Path(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise TableFormatError(f"{path}: not UTF-8 text: {exc}") from exc
         if not lines or not lines[0].startswith(TABLE_HEADER_PREFIX):
             raise TableFormatError(f"{path}:1: missing '{TABLE_HEADER_PREFIX}' header")
         source = ""
@@ -241,3 +244,10 @@ class TableRipProvider(RipBoundProvider):
 def default_provider() -> TableRipProvider:
     """The table shipped with the package (Monte Carlo estimates; see its header)."""
     return TableRipProvider.from_file(DEFAULT_TABLE_PATH)
+
+
+def load_provider(table: str | Path | None) -> RipBoundProvider:
+    """The bound table in file ``table``, or the default table when none is given."""
+    if table:
+        return TableRipProvider.from_file(table)
+    return default_provider()

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import SupportSet, pseudo_inverse_apply, restrict
+from .core import SupportSet, least_squares_split, pseudo_inverse_apply, restrict
 from .errors import BudgetExceededError, InvalidArgumentError
 from .rip import ENUMERATION_BUDGET
 
@@ -115,8 +115,8 @@ def stable_condition_terms(
 ) -> StableConditionTerms:
     """Evaluate the four norms of the stable-point necessary condition.
 
-    Projections onto the complement of range(A_gamma) use a thin QR factor
-    rather than an explicitly formed projector.
+    Signal and noise are split on one thin QR factor of A_gamma
+    (``least_squares_split``) rather than an explicitly formed projector.
     """
     if gamma == lam:
         raise InvalidArgumentError("the condition is defined only for gamma != lam")
@@ -124,26 +124,15 @@ def stable_condition_terms(
         raise InvalidArgumentError("gamma and lam must have equal cardinality")
     A = np.asarray(A, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
-    e = np.asarray(e, dtype=float)
     diff = lam.difference(gamma)
     A_diff = restrict(A, diff)
-    z = x_star[diff.as_array()]
-    v_signal = A_diff @ z
-
-    A_gamma = restrict(A, gamma)
-    lhs_signal = float(np.linalg.norm(pseudo_inverse_apply(A_gamma, v_signal)))
-    lhs_noise = float(np.linalg.norm(pseudo_inverse_apply(A_gamma, e)))
-
-    Q, _ = np.linalg.qr(A_gamma)
-    w_signal = v_signal - Q @ (Q.T @ v_signal)
-    w_noise = e - Q @ (Q.T @ e)
-    rhs_signal = float(np.linalg.norm(A_diff.T @ w_signal))
-    rhs_noise = float(np.linalg.norm(A_diff.T @ w_noise))
+    v_signal = A_diff @ x_star[diff.as_array()]
+    (y_signal, w_signal), (y_noise, w_noise) = least_squares_split(restrict(A, gamma), v_signal, e)
     return StableConditionTerms(
-        lhs_signal=lhs_signal,
-        lhs_noise=lhs_noise,
-        rhs_signal=rhs_signal,
-        rhs_noise=rhs_noise,
+        lhs_signal=float(np.linalg.norm(y_signal)),
+        lhs_noise=float(np.linalg.norm(y_noise)),
+        rhs_signal=float(np.linalg.norm(A_diff.T @ w_signal)),
+        rhs_noise=float(np.linalg.norm(A_diff.T @ w_noise)),
     )
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ihtlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run_cli
 
 
@@ -118,6 +120,34 @@ def test_mc_dist_malformed_workers_env_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("IHTLAB_WORKERS", "two")
     assert run_cli(["mc-dist", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
     assert "IHTLAB_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [5, ["a"]])
+def test_mc_transition_malformed_grid_exits_2(tmp_path, capsys, grid):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kind": "mc_transition", "n": 30, "delta_grid": grid, "rho_grid": [0.05],
+        "trials": 5, "master_seed": 4, "solver": {"variant": "iht", "max_iters": 50},
+    }), encoding="utf-8")
+    assert run_cli(["mc-transition", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "delta_grid must be a list of numbers" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe\x00{\x00}\x00"
+
+
+def test_mc_dist_config_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(NOT_UTF8)
+    assert run_cli(["mc-dist", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_stability_rip_table_not_utf8_exits_2(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_bytes(NOT_UTF8)
+    assert run_cli(["stability", "--delta", "0.5", "--rho", "0.05", "--rip-table", str(table)]) == EXIT_CONFIG
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_mc_error_stability_undefined_exits_2(tmp_path):

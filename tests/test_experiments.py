@@ -2,10 +2,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from ihtlab.asymptotics import chi2_cdf
-from ihtlab.core import RngSpec
+from ihtlab.core import RngSpec, SupportSet, sample_gaussian_matrix, sample_noise
 from ihtlab.errors import ConfigError
 from ihtlab import experiments
 from ihtlab.experiments import (
@@ -17,10 +18,10 @@ from ihtlab.experiments import (
     mc_distribution_check,
     mc_error_vs_xi,
     mc_recovery_transition,
-    rip_scan,
     run_experiment,
     wilson_interval,
 )
+from ihtlab.stablepoint import stable_condition_terms
 
 
 class TestStatisticsHelpers:
@@ -141,6 +142,33 @@ class TestDistributionCheck:
         m = result.summary["trials"]
         se = math.sqrt(2 / 100) / math.sqrt(m)
         assert abs(result.summary["rayleigh_full_mean_normalised"] - 1.0) <= 3 * se
+
+    def test_trial_terms_match_stable_condition_terms(self):
+        # One draw, A = [A_gamma | A_diff]: gamma is the first k columns and
+        # lam minus gamma the last r, so the trial's normalised statistics give
+        # back the four norms of the stable-point condition.
+        n, k, r, sigma = 30, 5, 2, 0.7
+        config = ExperimentConfig.from_dict(
+            {"kind": "mc_distribution", "n": n, "k": k, "overlap": r,
+             "trials": 1, "master_seed": 41, "sigma": sigma}
+        )
+        z = np.array([0.8, -1.3])
+        row, _ = experiments._distribution_trial((config, z, np.ones(k), 0))
+        gen = RngSpec(41, 1).substream(0, 0)
+        A = sample_gaussian_matrix(n, k + r, gen)
+        e = sample_noise(n, sigma, gen)
+        x_star = np.zeros(k + r)
+        x_star[: k - r] = 1.0
+        x_star[k:] = z
+        terms = stable_condition_terms(
+            A, x_star, e, SupportSet(tuple(range(k))),
+            SupportSet(tuple(range(k - r)) + tuple(range(k, k + r))),
+        )
+        z_norm = math.sqrt(float(z @ z))
+        assert math.sqrt(row["f_sample"]) * z_norm == pytest.approx(terms.lhs_signal, rel=1e-12)
+        assert row["lhs_42"] * z_norm == pytest.approx(terms.rhs_signal, rel=1e-12)
+        assert math.sqrt(row["g_sample"]) * sigma == pytest.approx(terms.lhs_noise, rel=1e-12)
+        assert math.sqrt(row["lhs_44_sq"]) == pytest.approx(terms.rhs_noise, rel=1e-12)
 
     def test_noiseless_config_skips_noise_terms(self):
         config = ExperimentConfig.from_dict(
@@ -274,18 +302,6 @@ class TestErrorVsXi:
             mc_error_vs_xi(config)
 
 
-class TestRipScan:
-    def test_orders_reported(self):
-        config = ExperimentConfig.from_dict(
-            {"kind": "rip_scan", "n": 12, "N": 18, "orders": [2, 4],
-             "trials": 4, "master_seed": 12}
-        )
-        result = rip_scan(config)
-        assert [c["order"] for c in result.cells] == [2, 4]
-        assert all(c["general_position_all"] for c in result.cells)
-        assert result.cells[1]["U_mean"] >= result.cells[0]["U_mean"]
-
-
 class TestReproducibility:
     DIST = {"kind": "mc_distribution", "n": 60, "k": 6, "overlap": 3,
             "trials": 200, "master_seed": 31, "sigma": 1.0}
@@ -327,15 +343,15 @@ class TestReproducibility:
 def test_result_json_embeds_config_and_version(tmp_path):
     out = tmp_path / "res.json"
     config = ExperimentConfig.from_dict(
-        {"kind": "rip_scan", "n": 10, "N": 12, "orders": [2], "trials": 2,
+        {"kind": "mc_distribution", "n": 20, "k": 3, "overlap": 2, "trials": 2,
          "master_seed": 13, "output_path": str(out)}
     )
-    rip_scan(config)
+    mc_distribution_check(config)
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["config"]["master_seed"] == 13
-    assert payload["config"]["kind"] == "rip_scan"
+    assert payload["config"]["kind"] == "mc_distribution"
     assert payload["version"]
-    assert payload["kind"] == "rip_scan"
+    assert payload["kind"] == "mc_distribution"
 
 
 class TestWorkerCount:
@@ -360,8 +376,8 @@ class TestWorkerCount:
         assert capsys.readouterr().err == ""
 
     def test_experiment_reads_worker_count_once(self, monkeypatch, capsys):
-        # Clamped to one CPU, so no worker process starts; mc_distribution
-        # makes two parallel passes but warns once.
+        # Clamped to one CPU, so no worker process starts; the warning comes
+        # once, when the experiment reads the worker count before its trials.
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
         monkeypatch.setenv("IHTLAB_WORKERS", "2")
         run_experiment(ExperimentConfig.from_dict(
