@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ihtlab.rip import TableRipProvider, default_provider
+from ihtlab.rip import load_provider
 from ihtlab.transitions import default_delta_grid, grid_emit, write_grid_csv
 
 
@@ -28,7 +28,7 @@ def main() -> None:
     parser.add_argument("--grid-points", type=int, default=100)
     args = parser.parse_args()
 
-    provider = TableRipProvider.from_file(args.rip_table) if args.rip_table else default_provider()
+    provider = load_provider(args.rip_table)
     args.outdir.mkdir(parents=True, exist_ok=True)
     delta_grid = default_delta_grid(args.grid_points)
     rho_grid = np.linspace(0.001, 0.5, args.grid_points)

@@ -86,16 +86,14 @@ def _cmd_solve(argv: list[str]) -> int:
     )
     trace = run_solver(instance, config)
     err = float(np.linalg.norm(trace.final - instance.x_star))
-    if args.out:
-        payload = {
-            "error": err,
-            "iterations": trace.n_iterations,
-            "termination": trace.termination_reason,
-            "objective": trace.iterates[-1].objective,
-            "support": list(trace.iterates[-1].support.indices),
-            "x": [float(v) for v in trace.final],
-        }
-        args.out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(args.out, {
+        "error": err,
+        "iterations": trace.n_iterations,
+        "termination": trace.termination_reason,
+        "objective": trace.iterates[-1].objective,
+        "support": list(trace.iterates[-1].support.indices),
+        "x": [float(v) for v in trace.final],
+    })
     print(
         f"solve {args.variant}: error={err:.3e} iterations={trace.n_iterations} "
         f"termination={trace.termination_reason}"

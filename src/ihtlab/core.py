@@ -152,11 +152,6 @@ def top_indices(v: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.argsort(-np.abs(v), kind="stable")[:k])
 
 
-def top_support(x: np.ndarray, k: int) -> SupportSet:
-    """Indices of the k largest-magnitude entries, ties broken by lowest index."""
-    return SupportSet(tuple(top_indices(np.asarray(x, dtype=float), k).tolist()))
-
-
 def hard_threshold(x: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of x and zero the rest.
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from .solvers import (
 from .stablepoint import is_stable_point
 from .transitions import (
     XI_NIHT_AS_PRINTED,
+    _alpha_lb,
     rho_hat_iht,
     rho_hat_niht,
     stability_factor_iht,
@@ -73,6 +74,17 @@ _FIELD_SETS = {
     KIND_ERROR_VS_XI: (
         {"kind", "n", "delta", "rho", "trials", "master_seed", "solver", "sigma"},
         {"rip_table", "xi_variant", "coefficient_model", "output_path", "trial_csv_path"},
+    ),
+}
+
+# Declared JSON type of each scalar key, checked before any value is used;
+# true and false count as neither integers nor numbers.
+_SCALAR_TYPES = {
+    **dict.fromkeys(("n", "k", "overlap", "trials", "master_seed"), ((int,), "an integer")),
+    **dict.fromkeys(("sigma", "delta", "rho"), ((int, float), "a number")),
+    **dict.fromkeys(
+        ("rip_table", "xi_variant", "coefficient_model", "output_path", "trial_csv_path"),
+        ((str, type(None)), "a string or null"),
     ),
 }
 
@@ -138,6 +150,10 @@ class ExperimentConfig:
         missing = required - set(data)
         if missing:
             raise ConfigError(f"missing config keys for kind {kind!r}: {sorted(missing)}")
+        for key in sorted(data.keys() & _SCALAR_TYPES.keys()):
+            types, expected = _SCALAR_TYPES[key]
+            if isinstance(data[key], bool) or not isinstance(data[key], types):
+                raise ConfigError(f"{key} must be {expected}, got {data[key]!r}")
         coerced = dict(data)
         for key in ("delta_grid", "rho_grid"):
             if coerced.get(key) is not None:
@@ -160,7 +176,7 @@ class ExperimentConfig:
 
     def solver_config(self, alpha_override: float | None = None) -> SolverConfig:
         kwargs = dict(self.solver or {})
-        unknown = set(kwargs) - {"variant", "alpha", "kappa", "c", "max_iters", "step_tol", "residual_tol"}
+        unknown = set(kwargs) - {f.name for f in fields(SolverConfig)}
         if unknown:
             raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
         if alpha_override is not None:
@@ -448,10 +464,10 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _transition_trial(task) -> dict:
-    config, cell_id, n, N, k, trial = task
+    config, solver_config, cell_id, n, N, k, trial = task
     gen = RngSpec(config.master_seed, 3).substream(cell_id, trial)
     instance = sample_instance(n, N, k, config.sigma, gen, config.coefficient_model)
-    trace = run_solver(instance, config.solver_config())
+    trace = run_solver(instance, solver_config)
     with np.errstate(over="ignore", invalid="ignore"):
         err = float(np.linalg.norm(trace.final - instance.x_star))
     rel = err / float(np.linalg.norm(instance.x_star)) if math.isfinite(err) else math.inf
@@ -488,7 +504,7 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
     """Empirical success map over a (delta, rho) grid at fixed n."""
     if config.kind != KIND_TRANSITION:
         raise ConfigError("mc_recovery_transition requires kind=mc_transition")
-    config.solver_config()  # fail fast on a bad solver section
+    solver_config = config.solver_config()  # fail fast on a bad solver section
     n = config.n
     cells = []
     tasks = []
@@ -501,7 +517,7 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
             valid = 0 < 2 * k <= n <= N
             cell_meta.append({"cell": cell_id, "delta": delta, "rho": rho, "n": n, "N": N, "k": k, "valid": valid})
             if valid:
-                tasks.extend((config, cell_id, n, N, k, t) for t in range(config.trials))
+                tasks.extend((config, solver_config, cell_id, n, N, k, t) for t in range(config.trials))
             cell_id += 1
     rows = _pmap(_transition_trial, tasks, _worker_count())
     by_cell: dict[int, list[dict]] = {}
@@ -601,8 +617,7 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
                 delta, rho, solver_config.kappa, provider, xi_variant=config.xi_variant
             )
             rho_hat = rho_hat_niht(delta, solver_config.kappa, provider).rho_hat
-            _, U = provider.query(delta, 2.0 * rho)
-            alpha_lb = 1.0 / (solver_config.kappa * (1.0 + U))
+            alpha_lb = _alpha_lb(delta, rho, solver_config.kappa, provider)
         else:
             raise ConfigError(f"unknown solver variant {variant!r}")
     except StabilityUndefinedError as exc:

@@ -1,12 +1,11 @@
 """Gradient-projection solvers: constant-stepsize IHT and normalised IHT.
 
-Both variants run one iteration kernel, x+ = H_k(x - alpha * grad), from
-x0 = 0; they differ only in the stepsize rule.  The kernel works on index
-arrays, computes the residual r = A x - b once per iterate and takes both the
-gradient and the recorded objective from it.  Every trace is full: each
-iterate's x, stepsize, objective and shrinkage flag, with its support derived
-from x on demand.  ``giht_step`` and ``niht_stepsize`` are argument-checking
-entry points over the same kernel pieces.
+Both variants run one iteration, x+ = H_k(x - alpha * grad), from x0 = 0 and
+differ only in the stepsize rule.  ``step`` is that iteration, the one step of
+both variants; ``run_solver`` is the loop that calls it.  The loop computes the
+residual r = A x - b once per iterate and takes both the gradient and the
+recorded objective from it.  Every trace is full: each iterate's x, stepsize,
+objective and shrinkage flag, with its support derived from x on demand.
 """
 from __future__ import annotations
 
@@ -15,13 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance, SupportSet, hard_threshold, restrict, top_indices
-from .errors import (
-    InvalidArgumentError,
-    ShapeMismatchError,
-    ShrinkageLoopError,
-    StationaryPointError,
-)
+from .core import ProblemInstance, SupportSet, hard_threshold, top_indices
+from .errors import InvalidArgumentError, ShrinkageLoopError, StationaryPointError
 
 VARIANT_IHT = "iht"
 VARIANT_NIHT = "niht"
@@ -150,43 +144,25 @@ def _linesearch(x, g, gamma, A_gamma, A, k, config) -> tuple[float, bool, np.nda
     raise ShrinkageLoopError(f"shrinkage loop did not exit within {MAX_SHRINK_STEPS} reductions")
 
 
-def giht_step(x_m: np.ndarray, alpha_m: float, A: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """One generic iteration: hard-threshold the gradient step."""
-    if alpha_m <= 0:
-        raise InvalidArgumentError("stepsize must be positive")
-    A = np.asarray(A, dtype=float)
-    x_m = np.asarray(x_m, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if x_m.shape != (A.shape[1],) or b.shape != (A.shape[0],):
-        raise ShapeMismatchError(f"shapes disagree: A {A.shape}, x {x_m.shape}, b {b.shape}")
-    return hard_threshold(x_m - alpha_m * (A.T @ (A @ x_m - b)), k)
+def step(x, r, A, k, config: SolverConfig) -> tuple[float, bool, np.ndarray]:
+    """One iteration x+ = H_k(x - alpha * A^T r) from the residual r = A x - b.
 
-
-def niht_stepsize(
-    x_m: np.ndarray,
-    gamma_m: SupportSet,
-    A: np.ndarray,
-    b: np.ndarray,
-    k: int,
-    config: SolverConfig,
-) -> tuple[float, bool, np.ndarray]:
-    """Stepsize for one N-IHT iteration: exact linesearch, then shrinkage.
-
-    Returns ``(alpha_m, used_shrinkage, x_next)``.  The exact-linesearch value
-    is the Rayleigh quotient of the restricted gradient; it is kept when the
-    trial point preserves the support, otherwise it is shrunk by kappa*(1-c)
-    until the sufficient-decrease inequality admits the trial point.  A
-    non-finite trial point is returned unshrunk.
+    Returns ``(alpha, used_shrinkage, x_next)``.  IHT takes the constant
+    ``config.alpha``.  N-IHT takes the exact-linesearch value, the Rayleigh
+    quotient of the gradient restricted to the support of x, and keeps it when
+    the trial point preserves that support; otherwise it shrinks it by
+    kappa*(1-c) until the sufficient-decrease inequality admits the trial
+    point.  A non-finite trial point is returned unshrunk.
 
     Raises ``StationaryPointError`` when the restricted gradient vanishes
-    (the linesearch quotient is 0/0); the caller terminates with the current
-    iterate.
+    (the linesearch quotient is 0/0); the caller terminates with x.
     """
-    if len(gamma_m) == 0:
-        raise InvalidArgumentError("stepsize support must be nonempty")
-    A = np.asarray(A, dtype=float)
-    g = A.T @ (A @ x_m - b)
-    return _linesearch(x_m, g, gamma_m.as_array(), restrict(A, gamma_m), A, k, config)
+    g = A.T @ r
+    if config.variant == VARIANT_IHT:
+        return config.alpha, False, hard_threshold(x - config.alpha * g, k)
+    # x = 0 carries no support: use the one the next projection selects.
+    gamma = np.flatnonzero(x) if x.any() else top_indices(g, k)
+    return _linesearch(x, g, gamma, A.take(gamma, axis=1), A, k, config)
 
 
 def run_solver(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
@@ -202,25 +178,19 @@ def run_solver(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
     r = A @ x - b
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.max_iters):
-            g = A.T @ r
-            if config.variant == VARIANT_IHT:
-                alpha, used_shrinkage, x_next = config.alpha, False, hard_threshold(x - config.alpha * g, k)
-            else:
-                # x = 0 carries no support: use the one the next projection selects.
-                gamma = np.flatnonzero(x) if x.any() else top_indices(g, k)
-                try:
-                    alpha, used_shrinkage, x_next = _linesearch(x, g, gamma, A.take(gamma, axis=1), A, k, config)
-                except StationaryPointError:
-                    trace.termination_reason = TERMINATION_STATIONARY
-                    break
+            try:
+                alpha, used_shrinkage, x_next = step(x, r, A, k, config)
+            except StationaryPointError:
+                trace.termination_reason = TERMINATION_STATIONARY
+                break
             trace.iterates.append(IterateRecord(x, alpha, 0.5 * float(r @ r), used_shrinkage))
             diff = x_next - x
-            step = math.sqrt(float(diff @ diff))
+            step_length = math.sqrt(float(diff @ diff))
             x, r = x_next, A @ x_next - b
             if not np.isfinite(x).all():
                 trace.termination_reason = TERMINATION_MAX_ITERS
                 break
-            if step <= config.step_tol:
+            if step_length <= config.step_tol:
                 trace.termination_reason = TERMINATION_STEP_TOL
                 break
             if config.residual_tol > 0 and np.linalg.norm(r) <= config.residual_tol:
@@ -230,20 +200,6 @@ def run_solver(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
             trace.termination_reason = TERMINATION_MAX_ITERS
         trace.iterates.append(IterateRecord(x, math.nan, 0.5 * float(r @ r), False))
     return trace
-
-
-def run_iht(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
-    """Run constant-stepsize IHT from x0 = 0 until a termination criterion fires."""
-    if config.variant != VARIANT_IHT:
-        raise InvalidArgumentError("run_iht requires an IHT config")
-    return run_solver(instance, config)
-
-
-def run_niht(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
-    """Run normalised IHT from x0 = 0 until a termination criterion fires."""
-    if config.variant != VARIANT_NIHT:
-        raise InvalidArgumentError("run_niht requires an N-IHT config")
-    return run_solver(instance, config)
 
 
 def check_iterate_inequalities(

@@ -48,14 +48,6 @@ class StableConditionTerms:
     def holds_for(self, alpha: float) -> bool:
         return self.lhs_signal + self.lhs_noise >= alpha * (self.rhs_signal - self.rhs_noise)
 
-    def critical_alpha(self) -> float:
-        """Largest alpha for which the necessary condition can hold; inf when
-        the right-hand side is nonpositive."""
-        rhs = self.rhs_signal - self.rhs_noise
-        if rhs <= 0:
-            return math.inf
-        return (self.lhs_signal + self.lhs_noise) / rhs
-
 
 def min_norm_solution(A: np.ndarray, b: np.ndarray, gamma: SupportSet) -> np.ndarray:
     """Least-squares solution supported on gamma, zero elsewhere."""

@@ -31,7 +31,7 @@ from ihtlab.experiments import (
     run_experiment,
 )
 from ihtlab.rip import TableRipProvider, default_provider, rip_exact
-from ihtlab.solvers import SolverConfig, check_iterate_inequalities, run_iht, run_niht
+from ihtlab.solvers import SolverConfig, check_iterate_inequalities, run_solver
 from ihtlab.stablepoint import enumerate_stable_supports, is_stable_point
 from ihtlab.transitions import (
     default_delta_grid,
@@ -58,8 +58,8 @@ def test_criterion_1_iterate_inequalities():
     for seed in range(100):
         inst = sample_instance(100, 200, 5, 0.1, RngSpec(110_000 + seed))
         for trace in (
-            run_iht(inst, SolverConfig(variant="iht", alpha=0.65)),
-            run_niht(inst, SolverConfig(variant="niht")),
+            run_solver(inst, SolverConfig(variant="iht", alpha=0.65)),
+            run_solver(inst, SolverConfig(variant="niht")),
         ):
             rep = check_iterate_inequalities(trace, inst.A, inst.b, tol=1e-10)
             violations += len(rep.violations)
@@ -82,7 +82,7 @@ def test_criterion_2_descent_and_stepsize_interval():
         inst = sample_instance(12, 18, 2, 0.0, RngSpec(120_000 + seed))
         constants = rip_exact(inst.A, 2 * inst.k)
         alpha = 0.95 / (1.0 + constants.U)
-        trace = run_iht(inst, SolverConfig(variant="iht", alpha=alpha, step_tol=1e-12))
+        trace = run_solver(inst, SolverConfig(variant="iht", alpha=alpha, step_tol=1e-12))
         psis = trace.objectives()
         if not np.all(np.diff(psis) <= 1e-12 * np.maximum(1.0, psis[:-1])):
             monotone_ok = False
@@ -91,7 +91,7 @@ def test_criterion_2_descent_and_stepsize_interval():
         if len(gamma):
             if not is_stable_point(x_bar, gamma, alpha, inst.A, inst.b, tol=1e-8).is_stable:
                 stable_ok = False
-        ntrace = run_niht(inst, SolverConfig(variant="niht", kappa=kappa, c=c))
+        ntrace = run_solver(inst, SolverConfig(variant="niht", kappa=kappa, c=c))
         lo = 1.0 / (kappa * (1.0 + constants.U))
         hi = (1.0 - c) / (1.0 - constants.L)
         alphas = ntrace.stepsizes()

@@ -133,6 +133,32 @@ def test_mc_transition_malformed_grid_exits_2(tmp_path, capsys, grid):
     assert "delta_grid must be a list of numbers" in capsys.readouterr().err
 
 
+VALID_CONFIGS = {
+    "mc-transition": {"kind": "mc_transition", "n": 30, "delta_grid": [0.5], "rho_grid": [0.05], "trials": 2,
+                      "master_seed": 4, "solver": {"variant": "iht", "alpha": 0.65, "max_iters": 50}},
+    "mc-dist": {"kind": "mc_distribution", "n": 60, "k": 6, "overlap": 3, "trials": 5, "master_seed": 1},
+    "mc-error": {"kind": "mc_error_vs_xi", "n": 100, "delta": 0.5, "rho": 0.01, "sigma": 0.1, "trials": 2,
+                 "master_seed": 1, "solver": {"variant": "iht", "max_iters": 50}},
+}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("mc-transition", "n", "30"),
+    ("mc-dist", "trials", 2.5),
+    ("mc-dist", "trials", True),
+    ("mc-dist", "master_seed", "7"),
+    ("mc-dist", "output_path", 5),
+    ("mc-error", "delta", "0.5"),
+    ("mc-error", "sigma", False),
+    ("mc-error", "rip_table", 5),
+])
+def test_config_scalar_of_wrong_type_exits_2(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(VALID_CONFIGS[command], **{key: value})), encoding="utf-8")
+    assert run_cli([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
 NOT_UTF8 = b"\xff\xfe\x00{\x00}\x00"
 
 

@@ -305,11 +305,15 @@ class TestErrorVsXi:
 class TestReproducibility:
     DIST = {"kind": "mc_distribution", "n": 60, "k": 6, "overlap": 3,
             "trials": 200, "master_seed": 31, "sigma": 1.0}
+    TRANSITION = {"kind": "mc_transition", "n": 30, "delta_grid": [0.3, 0.6], "rho_grid": [0.05, 0.15],
+                  "trials": 4, "master_seed": 31, "solver": {"variant": "niht", "max_iters": 200}}
+    ERROR = {"kind": "mc_error_vs_xi", "n": 100, "delta": 0.5, "rho": 0.01, "sigma": 0.1,
+             "trials": 8, "master_seed": 31, "solver": {"variant": "iht", "max_iters": 500}}
 
-    def run_with_workers(self, workers, tmp_path, name):
+    def run_with_workers(self, config, workers, tmp_path, name):
         out = tmp_path / f"{name}.json"
         csv = tmp_path / f"{name}.csv"
-        data = dict(self.DIST, output_path=str(out), trial_csv_path=str(csv))
+        data = dict(config, output_path=str(out), trial_csv_path=str(csv))
         old = os.environ.get("IHTLAB_WORKERS")
         os.environ["IHTLAB_WORKERS"] = str(workers)
         try:
@@ -321,11 +325,12 @@ class TestReproducibility:
                 os.environ["IHTLAB_WORKERS"] = old
         return out.read_bytes(), csv.read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("config", [DIST, TRANSITION, ERROR], ids=lambda config: config["kind"])
+    def test_worker_count_does_not_change_output(self, config, tmp_path, monkeypatch):
         # Enough CPUs that 3 workers are not clamped: chunking must really be uneven.
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-        json1, csv1 = self.run_with_workers(1, tmp_path, "w1")
-        json2, csv2 = self.run_with_workers(3, tmp_path, "w3")
+        json1, csv1 = self.run_with_workers(config, 1, tmp_path, "w1")
+        json2, csv2 = self.run_with_workers(config, 3, tmp_path, "w3")
         # The config echo embeds distinct output paths; compare the payloads.
         d1, d2 = json.loads(json1), json.loads(json2)
         for d in (d1, d2):
@@ -335,8 +340,8 @@ class TestReproducibility:
         assert csv1 == csv2
 
     def test_rerun_byte_identical(self, tmp_path):
-        json1, csv1 = self.run_with_workers(1, tmp_path, "r1")
-        json2, csv2 = self.run_with_workers(1, tmp_path, "r1")
+        json1, csv1 = self.run_with_workers(self.DIST, 1, tmp_path, "r1")
+        json2, csv2 = self.run_with_workers(self.DIST, 1, tmp_path, "r1")
         assert json1 == json2 and csv1 == csv2
 
 

@@ -14,7 +14,6 @@ from ihtlab.core import (
     sample_gaussian_matrix,
     sample_instance,
     top_indices,
-    top_support,
 )
 from ihtlab.errors import InvalidArgumentError, ShrinkageLoopError, StationaryPointError
 from ihtlab.rip import rip_exact
@@ -26,11 +25,8 @@ from ihtlab.solvers import (
     TERMINATION_STATIONARY,
     TERMINATION_STEP_TOL,
     check_iterate_inequalities,
-    giht_step,
-    niht_stepsize,
-    run_iht,
-    run_niht,
     run_solver,
+    step,
 )
 
 
@@ -58,6 +54,8 @@ class TestSolverConfig:
     def test_iht_requires_alpha(self):
         with pytest.raises(InvalidArgumentError):
             SolverConfig(variant="iht")
+        with pytest.raises(InvalidArgumentError):
+            SolverConfig(variant="iht", alpha=0.0)
 
     def test_niht_parameter_constraint(self):
         with pytest.raises(InvalidArgumentError):
@@ -74,10 +72,10 @@ class TestSolverConfig:
 class TestGihtStep:
     def test_fixed_point_of_consistent_system(self):
         inst = sample_instance(30, 60, 4, 0.0, RngSpec(1))
+        r = inst.A @ inst.x_star - inst.b
         for alpha in (0.1, 0.65, 1.3):
-            np.testing.assert_allclose(
-                giht_step(inst.x_star, alpha, inst.A, inst.b, inst.k), inst.x_star, atol=1e-12
-            )
+            _, _, x_next = step(inst.x_star, r, inst.A, inst.k, iht_config(alpha=alpha))
+            np.testing.assert_allclose(x_next, inst.x_star, atol=1e-12)
 
     def test_first_step_from_zero(self):
         # From x0 = 0 the step is H_k(alpha * A^T b); with alpha = 1 and the
@@ -88,8 +86,9 @@ class TestGihtStep:
         x_star = np.zeros(12)
         x_star[[2, 7]] = [3.0, -2.0]
         b = A @ x_star
-        step = giht_step(np.zeros(12), 1.0, A, b, 2)
-        np.testing.assert_allclose(step, hard_threshold(A.T @ b, 2), atol=1e-14)
+        x0 = np.zeros(12)
+        _, _, x_next = step(x0, A @ x0 - b, A, 2, iht_config(alpha=1.0))
+        np.testing.assert_allclose(x_next, hard_threshold(A.T @ b, 2), atol=1e-14)
 
     def test_formula_oracle(self):
         gen = RngSpec(3).generator()
@@ -98,11 +97,8 @@ class TestGihtStep:
         x = gen.standard_normal(14)
         alpha = 0.37
         oracle = hard_threshold(x - alpha * (A.T @ (A @ x - b)), 5)
-        np.testing.assert_array_equal(giht_step(x, alpha, A, b, 5), oracle)
-
-    def test_requires_positive_alpha(self):
-        with pytest.raises(InvalidArgumentError):
-            giht_step(np.zeros(4), 0.0, np.eye(4), np.zeros(4), 2)
+        _, _, x_next = step(x, A @ x - b, A, 5, iht_config(alpha=alpha))
+        np.testing.assert_array_equal(x_next, oracle)
 
 
 class TestRunIht:
@@ -110,7 +106,7 @@ class TestRunIht:
         successes = 0
         for seed in range(100):
             inst = sample_instance(100, 200, 5, 0.0, RngSpec(1000 + seed))
-            trace = run_iht(inst, iht_config())
+            trace = run_solver(inst, iht_config())
             if np.linalg.norm(trace.final - inst.x_star) <= 1e-6:
                 successes += 1
         assert successes >= 95
@@ -122,7 +118,7 @@ class TestRunIht:
         agreements = 0
         for seed in range(20):
             inst = sample_instance(16, 24, 2, 0.0, RngSpec(2000 + seed))
-            trace = run_iht(inst, iht_config(alpha=0.5))
+            trace = run_solver(inst, iht_config(alpha=0.5))
             if np.linalg.norm(trace.final - inst.x_star) <= 1e-6:
                 best, best_res = brute_force_best_support(inst.A, inst.b, 2)
                 assert SupportSet(best) == inst.true_support
@@ -135,7 +131,7 @@ class TestRunIht:
         x_star = np.zeros(40)
         x_star[[1, 5]] = [1.0, -1.0]
         inst = ProblemInstance(A=A, b=np.zeros(20), x_star=x_star, e=-A @ x_star, k=2)
-        trace = run_iht(inst, iht_config())
+        trace = run_solver(inst, iht_config())
         assert trace.termination_reason == TERMINATION_STEP_TOL
         assert trace.n_iterations == 1
         np.testing.assert_array_equal(trace.final, np.zeros(40))
@@ -145,13 +141,13 @@ class TestRunIht:
         x_star = np.zeros(10)
         x_star[3] = 2.5
         inst = ProblemInstance.from_parts(A, x_star, np.zeros(10), k=1)
-        trace = run_iht(inst, iht_config(alpha=1.0))
+        trace = run_solver(inst, iht_config(alpha=1.0))
         np.testing.assert_allclose(trace.iterates[1].x, x_star)
         assert trace.n_iterations <= 2
 
     def test_trace_contract(self):
         inst = sample_instance(40, 80, 3, 0.1, RngSpec(5))
-        trace = run_iht(inst, iht_config())
+        trace = run_solver(inst, iht_config())
         assert len(trace.iterates) >= 1
         np.testing.assert_array_equal(trace.iterates[0].x, np.zeros(80))
         for rec in trace.iterates:
@@ -162,8 +158,8 @@ class TestRunIht:
 
     def test_determinism(self):
         config = iht_config()
-        t1 = run_iht(sample_instance(50, 100, 4, 0.2, RngSpec(6)), config)
-        t2 = run_iht(sample_instance(50, 100, 4, 0.2, RngSpec(6)), config)
+        t1 = run_solver(sample_instance(50, 100, 4, 0.2, RngSpec(6)), config)
+        t2 = run_solver(sample_instance(50, 100, 4, 0.2, RngSpec(6)), config)
         assert t1.termination_reason == t2.termination_reason
         assert len(t1.iterates) == len(t2.iterates)
         for r1, r2 in zip(t1.iterates, t2.iterates):
@@ -182,16 +178,14 @@ class TestNihtStepsize:
         z = np.zeros(10)
         z[[0, 4]] = [0.25, 2.5]
         b = A @ z
-        alpha, used_shrinkage, _ = niht_stepsize(
-            x, SupportSet((0, 4)), A, b, 2, niht_config()
-        )
+        alpha, used_shrinkage, _ = step(x, A @ x - b, A, 2, niht_config())
         assert not used_shrinkage
         assert alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_stationary_signal_at_solution(self):
         inst = sample_instance(30, 60, 3, 0.0, RngSpec(8))
         with pytest.raises(StationaryPointError):
-            niht_stepsize(inst.x_star, inst.true_support, inst.A, inst.b, inst.k, niht_config())
+            step(inst.x_star, inst.A @ inst.x_star - inst.b, inst.A, inst.k, niht_config())
 
     def test_shrinkage_exit_inequality(self):
         # Force support changes and re-verify the loop exit condition.
@@ -201,11 +195,8 @@ class TestNihtStepsize:
             inst = sample_instance(24, 48, 3, 0.3, RngSpec(3000 + seed))
             gen = RngSpec(4000 + seed).generator()
             x = hard_threshold(gen.standard_normal(48), 3)
-            gamma = SupportSet.support_of(x)
             try:
-                alpha, used_shrinkage, x_next = niht_stepsize(
-                    x, gamma, inst.A, inst.b, inst.k, config
-                )
+                alpha, used_shrinkage, x_next = step(x, inst.A @ x - inst.b, inst.A, inst.k, config)
             except StationaryPointError:
                 continue
             if not used_shrinkage:
@@ -217,17 +208,13 @@ class TestNihtStepsize:
                 checked += 1
         assert checked >= 5
 
-    def test_empty_support_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            niht_stepsize(np.zeros(4), SupportSet(()), np.eye(4), np.ones(4), 2, niht_config())
-
 
 class TestRunNiht:
     def test_monte_carlo_recovery_rate(self):
         successes = 0
         for seed in range(100):
             inst = sample_instance(100, 200, 5, 0.0, RngSpec(5000 + seed))
-            trace = run_niht(inst, niht_config())
+            trace = run_solver(inst, niht_config())
             if np.linalg.norm(trace.final - inst.x_star) <= 1e-6:
                 successes += 1
         assert successes >= 95
@@ -237,7 +224,7 @@ class TestRunNiht:
         x_star = np.zeros(40)
         x_star[[0, 3]] = [1.0, 1.0]
         inst = ProblemInstance(A=A, b=np.zeros(20), x_star=x_star, e=-A @ x_star, k=2)
-        trace = run_niht(inst, niht_config())
+        trace = run_solver(inst, niht_config())
         assert trace.termination_reason == TERMINATION_STATIONARY
         np.testing.assert_array_equal(trace.final, np.zeros(40))
         assert len(trace.iterates) == 1
@@ -249,7 +236,7 @@ class TestRunNiht:
             constants = rip_exact(inst.A, 2 * inst.k)
             lo = 1.0 / (config.kappa * (1.0 + constants.U))
             hi = (1.0 - config.c) / (1.0 - constants.L)
-            trace = run_niht(inst, config)
+            trace = run_solver(inst, config)
             alphas = trace.stepsizes()
             assert len(alphas) >= 1
             assert np.all(alphas >= lo - 1e-12)
@@ -260,7 +247,7 @@ class TestRunNiht:
         # ||dx||^2/(2 alpha); shrinkage steps by at least c*||dx||^2/(2 alpha).
         for seed in range(20):
             inst = sample_instance(40, 80, 4, 0.2, RngSpec(7000 + seed))
-            trace = run_niht(inst, niht_config())
+            trace = run_solver(inst, niht_config())
             for rec, rec_next in zip(trace.iterates[:-1], trace.iterates[1:]):
                 drop = rec_next.objective - rec.objective
                 step2 = float(np.sum((rec_next.x - rec.x) ** 2))
@@ -272,14 +259,14 @@ class TestRunNiht:
 
     def test_sparsity_invariant(self):
         inst = sample_instance(30, 90, 4, 0.5, RngSpec(10))
-        trace = run_niht(inst, niht_config())
+        trace = run_solver(inst, niht_config())
         for rec in trace.iterates:
             assert np.count_nonzero(rec.x) <= inst.k
 
     def test_determinism(self):
         config = niht_config()
-        t1 = run_niht(sample_instance(50, 100, 4, 0.2, RngSpec(11)), config)
-        t2 = run_niht(sample_instance(50, 100, 4, 0.2, RngSpec(11)), config)
+        t1 = run_solver(sample_instance(50, 100, 4, 0.2, RngSpec(11)), config)
+        t2 = run_solver(sample_instance(50, 100, 4, 0.2, RngSpec(11)), config)
         assert len(t1.iterates) == len(t2.iterates)
         for r1, r2 in zip(t1.iterates, t2.iterates):
             np.testing.assert_array_equal(r1.x, r2.x)
@@ -293,7 +280,7 @@ class TestIhtDescent:
             inst = sample_instance(12, 18, 2, 0.0, RngSpec(8000 + seed))
             constants = rip_exact(inst.A, 2 * inst.k)
             alpha = 0.95 / (1.0 + constants.U)
-            trace = run_iht(inst, iht_config(alpha=alpha))
+            trace = run_solver(inst, iht_config(alpha=alpha))
             psis = trace.objectives()
             assert np.all(np.diff(psis) <= 1e-12 * np.maximum(1.0, psis[:-1]))
 
@@ -302,14 +289,14 @@ class TestCheckIterateInequalities:
     def test_iht_traces_clean(self):
         for seed in range(10):
             inst = sample_instance(60, 120, 5, 0.1, RngSpec(9000 + seed))
-            trace = run_iht(inst, iht_config())
+            trace = run_solver(inst, iht_config())
             report = check_iterate_inequalities(trace, inst.A, inst.b)
             assert report.ok, report.violations[:3]
 
     def test_niht_traces_clean(self):
         for seed in range(10):
             inst = sample_instance(60, 120, 5, 0.1, RngSpec(9500 + seed))
-            trace = run_niht(inst, niht_config())
+            trace = run_solver(inst, niht_config())
             report = check_iterate_inequalities(trace, inst.A, inst.b)
             assert report.ok, report.violations[:3]
 
@@ -318,7 +305,7 @@ class TestCheckIterateInequalities:
         x_star = np.zeros(40)
         x_star[[0, 1]] = 1.0
         inst = ProblemInstance(A=A, b=np.zeros(20), x_star=x_star, e=-A @ x_star, k=2)
-        trace = run_niht(inst, niht_config())
+        trace = run_solver(inst, niht_config())
         report = check_iterate_inequalities(trace, inst.A, inst.b)
         assert report.n_pairs == 0
         assert report.ok
@@ -326,7 +313,7 @@ class TestCheckIterateInequalities:
 
 def test_max_iters_termination():
     inst = sample_instance(30, 60, 3, 0.0, RngSpec(13))
-    trace = run_iht(inst, iht_config(alpha=0.9, max_iters=3, step_tol=0.0))
+    trace = run_solver(inst, iht_config(alpha=0.9, max_iters=3, step_tol=0.0))
     assert trace.termination_reason in (TERMINATION_MAX_ITERS, TERMINATION_STEP_TOL)
     assert len(trace.iterates) <= 5
 
@@ -339,8 +326,8 @@ def test_niht_non_finite_linesearch_ends_with_max_iters():
     inst = ProblemInstance.from_parts(
         sample_gaussian_matrix(20, 40, RngSpec(1)), x_star, np.full(20, 1e307), 2
     )
-    assert run_iht(inst, iht_config()).termination_reason == TERMINATION_STEP_TOL
-    trace = run_niht(inst, niht_config())
+    assert run_solver(inst, iht_config()).termination_reason == TERMINATION_STEP_TOL
+    trace = run_solver(inst, niht_config())
     assert trace.termination_reason == TERMINATION_MAX_ITERS
     assert trace.n_iterations == 1
     assert not np.all(np.isfinite(trace.final))
@@ -501,11 +488,10 @@ SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan
     st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()), min_size=1, max_size=12),
     st.data(),
 )
-def test_top_indices_matches_top_support(values, data):
+def test_top_indices_matches_python_ordering(values, data):
     v = np.array(values, dtype=float)
     k = data.draw(st.integers(1, len(values)))
     idx = top_indices(v, k)
-    assert idx.tolist() == list(top_support(v, k).indices)
     # Lowest index wins ties; NaN ranks below every number.
     order = sorted(
         range(len(values)),

@@ -4,7 +4,7 @@ import pytest
 from ihtlab.core import RngSpec, SupportSet, restrict, sample_instance
 from ihtlab.errors import BudgetExceededError, InvalidArgumentError
 from ihtlab.rip import rip_exact
-from ihtlab.solvers import SolverConfig, run_iht
+from ihtlab.solvers import SolverConfig, run_solver
 from ihtlab.stablepoint import (
     enumerate_stable_supports,
     is_stable_point,
@@ -48,7 +48,7 @@ class TestIsStablePoint:
         hits = 0
         for seed in range(20):
             inst = sample_instance(60, 120, 4, 0.1, RngSpec(100 + seed))
-            trace = run_iht(inst, SolverConfig(variant="iht", alpha=alpha, step_tol=1e-12))
+            trace = run_solver(inst, SolverConfig(variant="iht", alpha=alpha, step_tol=1e-12))
             if trace.termination_reason != "step_tol":
                 continue
             x_bar = trace.final
@@ -177,7 +177,7 @@ class TestEnumerateStableSupports:
             inst = sample_instance(12, 18, 2, 0.0, RngSpec(14_000 + seed))
             constants = rip_exact(inst.A, 2 * inst.k)
             alpha = 0.9 / (1.0 + constants.U)
-            trace = run_iht(inst, SolverConfig(variant="iht", alpha=alpha, step_tol=1e-13))
+            trace = run_solver(inst, SolverConfig(variant="iht", alpha=alpha, step_tol=1e-13))
             x_bar = trace.final
             gamma = SupportSet.support_of(x_bar)
             if len(gamma) != inst.k or trace.termination_reason != "step_tol":
