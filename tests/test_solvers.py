@@ -100,6 +100,12 @@ class TestGihtStep:
         _, _, x_next = step(x, A @ x - b, A, 5, iht_config(alpha=alpha))
         np.testing.assert_array_equal(x_next, oracle)
 
+    def test_requires_positive_alpha(self):
+        # The constant stepsize reaches the step only through a SolverConfig,
+        # which refuses alpha <= 0 before any step is taken.
+        with pytest.raises(InvalidArgumentError):
+            step(np.zeros(4), np.zeros(4), np.eye(4), 2, iht_config(alpha=0.0))
+
 
 class TestRunIht:
     def test_monte_carlo_recovery_rate(self):
