@@ -7,6 +7,7 @@ order-independent and bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -175,44 +176,85 @@ def restrict(A: np.ndarray, gamma: SupportSet) -> np.ndarray:
     return A[:, gamma.as_array()].copy()
 
 
+def column_stacks(A: np.ndarray, supports, size: int):
+    """The column submatrices of A for the index tuples that ``supports``
+    yields, in chunks of at most ``size``: pairs of the ``(S, s)`` index array
+    and the C-ordered ``(S, n, s)`` stack of ``A[:, idx[j]]``."""
+    supports = iter(supports)
+    while chunk := list(islice(supports, size)):
+        idx = np.array(chunk, dtype=np.intp)
+        yield idx, A[np.arange(A.shape[0])[:, None], idx[:, None, :]]
+
+
+def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Products ``M[i] @ v[i]`` over stacks, one BLAS gemv per slice, as each
+    product taken alone."""
+    return (M @ v[..., None])[..., 0]
+
+
+def vecdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products ``u[i] @ v[i]`` over stacks, one BLAS ddot per slice;
+    ``np.einsum`` and ``(T, k) @ (k,)`` sum in another order."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _qr_solve(A_gamma, rhs) -> tuple[np.ndarray, list]:
+    """Thin QR of each slice of a ``(..., m, p)`` stack and, for each
+    right-hand side v, the triple ``(v, c, y)`` with c = Q^T v and
+    y = R^{-1} c.  The first slice in order that fails the rank check
+    raises."""
+    A_gamma = np.asarray(A_gamma, dtype=float)
+    rhs = [np.asarray(v, dtype=float) for v in rhs]
+    if A_gamma.ndim < 2 or any(v.shape != A_gamma.shape[:-1] for v in rhs):
+        raise ShapeMismatchError(
+            f"expected matrices ({A_gamma.shape}) and vectors of shape {A_gamma.shape[:-1]}"
+        )
+    m, p = A_gamma.shape[-2:]
+    if p > m:
+        raise InvalidArgumentError("submatrix must have at least as many rows as columns")
+    Q, R = np.linalg.qr(A_gamma)
+    if p:
+        R_flat = R.reshape(-1, p, p)
+        singular = np.diagonal(R_flat, axis1=1, axis2=2).min(axis=1) == 0.0
+        cond = np.where(singular, np.inf, np.linalg.cond(R_flat))
+        bad = ~(cond <= RANK_DEFICIENCY_CONDITION)
+        if bad.any():
+            raise SingularMatrixError(float(cond[np.argmax(bad)]))
+    # Imported here: scipy.linalg is 6 MB of resident memory that only this needs.
+    from scipy.linalg.lapack import dtrtrs
+
+    out = []
+    for v in rhs:
+        c = matvec(Q.mT, v)
+        y = c.copy()
+        for i in np.ndindex(c.shape[:-1]) if p else ():
+            # The call solve_triangular(R[i], c[i]) makes, without its checks;
+            # one right-hand side per call, as two in one call round otherwise.
+            y[i] = dtrtrs(R[i].T, c[i], lower=1, trans=1)[0]
+        out.append((v, c, y))
+    return Q, out
+
+
 def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split each right-hand side v into its least-squares coefficients on
     A_gamma and its residual in the complement of range(A_gamma).
 
-    A_gamma is factored once by a thin QR, A_gamma = QR; each v yields
-    ``(y, w)`` with ``y = R^{-1} Q^T v`` and ``w = v - Q Q^T v``.  Raises
-    ``SingularMatrixError`` when the condition estimate of R exceeds
-    ``RANK_DEFICIENCY_CONDITION``.
+    A_gamma is a matrix ``(m, p)`` or a stack ``(..., m, p)`` with right-hand
+    sides ``(..., m)``; a matrix is a stack of one.  Each slice is factored
+    once by a thin QR, A_gamma = QR, and each v yields ``(y, w)`` with
+    ``y = R^{-1} Q^T v`` and ``w = v - Q Q^T v``, slice by slice.  Raises
+    ``SingularMatrixError`` for the first slice whose condition estimate of R
+    exceeds ``RANK_DEFICIENCY_CONDITION``.
     """
-    A_gamma = np.asarray(A_gamma, dtype=float)
-    rhs = [np.asarray(v, dtype=float) for v in rhs]
-    if A_gamma.ndim != 2 or any(v.shape != (A_gamma.shape[0],) for v in rhs):
-        raise ShapeMismatchError(
-            f"expected matrix ({A_gamma.shape}) and vectors of length {A_gamma.shape[0]}"
-        )
-    m, p = A_gamma.shape
-    if p == 0:
-        return [(np.zeros(0), v.copy()) for v in rhs]
-    if p > m:
-        raise InvalidArgumentError("submatrix must have at least as many rows as columns")
-    Q, R = np.linalg.qr(A_gamma)
-    diag = np.abs(np.diag(R))
-    cond = np.inf if diag.min() == 0.0 else float(np.linalg.cond(R))
-    if not np.isfinite(cond) or cond > RANK_DEFICIENCY_CONDITION:
-        raise SingularMatrixError(cond)
-    # Imported here: scipy.linalg is 6 MB of resident memory that only this needs.
-    import scipy.linalg
-
-    out = []
-    for v in rhs:
-        c = Q.T @ v
-        out.append((scipy.linalg.solve_triangular(R, c), v - Q @ c))
-    return out
+    Q, solved = _qr_solve(A_gamma, rhs)
+    return [(y, v - matvec(Q, c)) for v, c, y in solved]
 
 
 def pseudo_inverse_apply(A_gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Least-squares solution y of A_gamma y ~ v (see ``least_squares_split``)."""
-    return least_squares_split(A_gamma, v)[0][0]
+    """Least-squares solution y of A_gamma y ~ v: the coefficients of
+    ``least_squares_split`` without the residual."""
+    _, [(_, _, y)] = _qr_solve(A_gamma, [v])
+    return y
 
 
 def objective(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:

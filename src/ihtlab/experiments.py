@@ -25,9 +25,11 @@ from .core import (
     RngSpec,
     SupportSet,
     least_squares_split,
+    matvec,
     sample_gaussian_matrix,
     sample_instance,
     sample_noise,
+    vecdot,
 )
 from .errors import ConfigError, IhtLabError, StabilityUndefinedError
 from .rip import load_provider
@@ -61,6 +63,12 @@ SUCCESS_REL_TOL = 1e-4
 # Zero-noise proxy for the error bound (the bound itself degenerates to 0).
 ZERO_NOISE_ERROR_TOL = 1e-6
 STABLE_POINT_CHECK_TOL = 1e-6
+# Trials per mc_distribution task, stacked into (T, n, p) arrays.  Larger
+# chunks save little more time but grow the stacks, where each trial's full
+# SVD basis U alone is n-by-n: at n = 100, 32 trials were as fast as 16 but
+# raised the peak resident memory by 2.5 MB over one trial at a time, 16 by
+# 0.75 MB.
+DISTRIBUTION_CHUNK = 16
 
 _FIELD_SETS = {
     KIND_DISTRIBUTION: (
@@ -77,16 +85,28 @@ _FIELD_SETS = {
     ),
 }
 
-# Declared JSON type of each scalar key, checked before any value is used;
-# true and false count as neither integers nor numbers.
+# Declared JSON type of each scalar key, at the top level or in the solver
+# section, checked before any value is used; true and false count as neither
+# integers nor numbers.
 _SCALAR_TYPES = {
-    **dict.fromkeys(("n", "k", "overlap", "trials", "master_seed"), ((int,), "an integer")),
-    **dict.fromkeys(("sigma", "delta", "rho"), ((int, float), "a number")),
+    **dict.fromkeys(("n", "k", "overlap", "trials", "master_seed", "max_iters"), ((int,), "an integer")),
+    **dict.fromkeys(
+        ("sigma", "delta", "rho", "kappa", "c", "step_tol", "residual_tol"), ((int, float), "a number")
+    ),
     **dict.fromkeys(
         ("rip_table", "xi_variant", "coefficient_model", "output_path", "trial_csv_path"),
         ((str, type(None)), "a string or null"),
     ),
+    "alpha": ((int, float, type(None)), "a number or null"),
+    "variant": ((str,), "a string"),
 }
+
+
+def _check_types(section: dict, prefix: str = "") -> None:
+    for key in sorted(section.keys() & _SCALAR_TYPES.keys()):
+        allowed, expected = _SCALAR_TYPES[key]
+        if isinstance(section[key], bool) or not isinstance(section[key], allowed):
+            raise ConfigError(f"{prefix}{key} must be {expected}, got {section[key]!r}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +136,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        for key in ("delta_grid", "rho_grid"):
+            for value in getattr(self, key) or ():
+                if not 0 < value <= 1:
+                    raise ConfigError(f"{key} values must lie in (0, 1], got {value}")
         if self.sigma < 0:
             raise ConfigError("sigma must be nonnegative")
         if self.kind == KIND_DISTRIBUTION:
@@ -135,6 +161,7 @@ class ExperimentConfig:
     def _require_solver(self):
         if not isinstance(self.solver, dict) or "variant" not in self.solver:
             raise ConfigError("solver section with a 'variant' key is required")
+        _check_types(self.solver, "solver.")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -150,10 +177,7 @@ class ExperimentConfig:
         missing = required - set(data)
         if missing:
             raise ConfigError(f"missing config keys for kind {kind!r}: {sorted(missing)}")
-        for key in sorted(data.keys() & _SCALAR_TYPES.keys()):
-            types, expected = _SCALAR_TYPES[key]
-            if isinstance(data[key], bool) or not isinstance(data[key], types):
-                raise ConfigError(f"{key} must be {expected}, got {data[key]!r}")
+        _check_types(data)
         coerced = dict(data)
         for key in ("delta_grid", "rho_grid"):
             if coerced.get(key) is not None:
@@ -319,78 +343,90 @@ def _pmap(fn, tasks: list, workers: int):
 # distributional validation
 
 
-def _distribution_trial(task) -> tuple[dict, tuple[float, float, float, float]]:
-    """One draw: the trial's CSV row, from stream 1, and its Rayleigh
-    quotients ``(r1, r2, r3, r3_ref)``, from stream 2."""
-    config, z, z_ray, trial = task
+def _distribution_trial(task) -> tuple[list[dict], tuple[np.ndarray, ...]]:
+    """One chunk of draws: each trial's CSV row, from stream 1, and the
+    trials' Rayleigh quotients ``(r1, r2, r3, r3_ref)``, from stream 2.
+
+    Each trial draws from its own substreams into stacks, and every product,
+    norm, SVD and solve then runs once over the stack.  Each slice makes the
+    BLAS/LAPACK call of a lone trial, so the rows do not depend on chunking.
+    """
+    config, z, z_ray, trials = task
     n, k, r, sigma = config.n, config.k, config.overlap, config.sigma
-    gen = RngSpec(config.master_seed, 1).substream(0, trial)
-    cols = sample_gaussian_matrix(n, k + r, gen)
-    A_gamma, A_diff = cols[:, :k], cols[:, k:]
+    T = len(trials)
+    cols, e, blocks = np.empty((T, n, k + r)), np.empty((T, n)), np.empty((T, 2, n, k))
+    for i, trial in enumerate(trials):
+        gen = RngSpec(config.master_seed, 1).substream(0, trial)
+        cols[i] = sample_gaussian_matrix(n, k + r, gen)
+        e[i] = sample_noise(n, sigma, gen)
+        gen = RngSpec(config.master_seed, 2).substream(0, trial)
+        blocks[i, 0] = sample_gaussian_matrix(n, k, gen)
+        blocks[i, 1] = sample_gaussian_matrix(n, k, gen)
+    A_gamma, A_diff = cols[..., :k], cols[..., k:]
     z_norm2 = float(z @ z)
 
     v = A_diff @ z
-    if sigma > 0:
-        e = sample_noise(n, sigma, gen)
-        (y, w), (y_e, w_e) = least_squares_split(A_gamma, v, e)
-    else:
-        [(y, w)] = least_squares_split(A_gamma, v)
-    f_sample = float(y @ y) / z_norm2
-    lhs_full = float(np.linalg.norm(A_diff.T @ w)) / math.sqrt(z_norm2)
-    quad = float(v @ w) / z_norm2
-    viol_42 = lhs_full < quad - 1e-12 * (1.0 + abs(quad))
-    r_sample = quad * n / (n - k)
-
-    out = {
-        "trial": trial,
-        "f_sample": f_sample,
+    (y, w), *noise = least_squares_split(A_gamma, v, *([e] if sigma > 0 else []))
+    quad = vecdot(v, w) / z_norm2
+    lhs_full = _norm(matvec(A_diff.mT, w)) / math.sqrt(z_norm2)
+    columns = {
+        "trial": list(trials),
+        "f_sample": vecdot(y, y) / z_norm2,
         "lhs_42": lhs_full,
         "quad_42": quad,
-        "r_sample": r_sample,
-        "viol_42": bool(viol_42),
+        "r_sample": quad * n / (n - k),
+        "viol_42": lhs_full < quad - 1e-12 * (1.0 + np.abs(quad)),
     }
     if sigma > 0:
-        lhs_43 = float(np.linalg.norm(y_e))
-        g_sample = lhs_43**2 / sigma**2
-        lhs_44 = float(np.linalg.norm(A_diff.T @ w_e))
+        [(y_e, w_e)] = noise
+        lhs_43 = _norm(y_e)
+        # float_power calls libm pow as Python's ``x**2`` does; ``**`` on an
+        # array multiplies, which differs in the last bit now and then.
+        lhs_44_sq = np.float_power(_norm(matvec(A_diff.mT, w_e)), 2)
         # Reconstruct the coupled right-hand sides of the projected-noise
         # bounds from the same draw via the singular bases.
         U, _, Vt = np.linalg.svd(A_gamma, full_matrices=True)
-        U1, U2 = U[:, :k], U[:, k:]
-        q = Vt.T @ (U1.T @ e)
-        rhs_43 = math.sqrt(float(q @ np.linalg.solve(A_gamma.T @ A_gamma, q)))
-        B = U2.T @ A_diff
-        f2 = U2.T @ e
-        W, _, Yt = np.linalg.svd(B, full_matrices=False)
-        h = Yt.T @ (W.T @ f2)
-        Bh = B @ h
-        rhs_44_sq = float(Bh @ Bh)
-        h_norm2 = float(h @ h)
-        out.update(
+        U1, U2 = U[..., :k], U[..., k:]
+        q = matvec(Vt.mT, matvec(U1.mT, e))
+        rhs_43 = np.sqrt(vecdot(q, np.linalg.solve(A_gamma.mT @ A_gamma, q[..., None])[..., 0]))
+        M = U2.mT @ A_diff
+        W, _, Yt = np.linalg.svd(M, full_matrices=False)
+        h = matvec(Yt.mT, matvec(W.mT, matvec(U2.mT, e)))
+        Mh = matvec(M, h)
+        rhs_44_sq, h_norm2 = vecdot(Mh, Mh), vecdot(h, h)
+        s_ratio = np.divide(rhs_44_sq, h_norm2, out=np.zeros(T), where=h_norm2 > 0)
+        columns.update(
             {
-                "g_sample": g_sample,
-                "viol_43": bool(lhs_43 > rhs_43 + 1e-12 * (1.0 + rhs_43)),
-                "lhs_44_sq": lhs_44**2,
+                "g_sample": np.float_power(lhs_43, 2) / sigma**2,
+                "viol_43": lhs_43 > rhs_43 + 1e-12 * (1.0 + rhs_43),
+                "lhs_44_sq": lhs_44_sq,
                 "rhs_44_sq": rhs_44_sq,
-                "viol_44": bool(lhs_44**2 > rhs_44_sq + 1e-12 * (1.0 + rhs_44_sq)),
-                "s_sample": (rhs_44_sq / h_norm2) * n / (n - k) if h_norm2 > 0 else 0.0,
+                "viol_44": lhs_44_sq > rhs_44_sq + 1e-12 * (1.0 + rhs_44_sq),
+                "s_sample": s_ratio * n / (n - k),
                 "t_sample": h_norm2 * n / sigma**2,
             }
         )
+    values = [np.asarray(column).tolist() for column in columns.values()]
+    rows = [dict(zip(columns, row)) for row in zip(*values)]
 
     # Rayleigh quotients of fresh n-by-k Gaussian blocks against z_ray.
-    gen = RngSpec(config.master_seed, 2).substream(0, trial)
-    B = sample_gaussian_matrix(n, k, gen)
+    B, B2 = blocks[:, 0], blocks[:, 1]
     Bz = B @ z_ray
     ray_norm2 = float(z_ray @ z_ray)
-    r1 = float(Bz @ Bz) / ray_norm2 * n
-    G = B.T @ B
-    r2 = ray_norm2 / float(z_ray @ np.linalg.solve(G, z_ray)) * n
+    G = B.mT @ B
     Gz = G @ z_ray
-    r3 = float(Gz @ Gz) / ray_norm2
-    B2 = sample_gaussian_matrix(n, k, gen)
-    G2 = B2.T @ B2
-    return out, (r1, r2, r3, float(G2[0] @ G2[0]))
+    G2 = B2.mT @ B2
+    return rows, (
+        vecdot(Bz, Bz) / ray_norm2 * n,
+        ray_norm2 / vecdot(z_ray, np.linalg.solve(G, z_ray[:, None])[..., 0]) * n,
+        vecdot(Gz, Gz) / ray_norm2,
+        vecdot(G2[:, 0], G2[:, 0]),
+    )
+
+
+def _norm(u: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each vector of a stack: the root of one ddot."""
+    return np.sqrt(vecdot(u, u))
 
 
 def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
@@ -410,12 +446,15 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
     x_diff = gen0.standard_normal(r)
     z_ray = gen0.standard_normal(k)
 
-    tasks = [(config, x_diff, z_ray, t) for t in range(config.trials)]
-    rows, rayleigh = zip(*_pmap(_distribution_trial, tasks, _worker_count()))
-    r1, r2, r3, r3_ref = (np.array(column) for column in zip(*rayleigh))
+    tasks = [
+        (config, x_diff, z_ray, range(start, min(start + DISTRIBUTION_CHUNK, config.trials)))
+        for start in range(0, config.trials, DISTRIBUTION_CHUNK)
+    ]
+    chunks, rayleigh = zip(*_pmap(_distribution_trial, tasks, _worker_count()))
+    rows = [row for chunk in chunks for row in chunk]
+    r1, r2, r3, r3_ref = (np.concatenate(column) for column in zip(*rayleigh))
 
-    f_samples = np.array([row["f_sample"] for row in rows])
-    r_samples = np.array([row["r_sample"] for row in rows])
+    column = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     m = config.trials
     crit = ks_critical_value(m)
     summary = {
@@ -424,23 +463,20 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
         "overlap": r,
         "trials": m,
         "ks_critical_99": crit,
-        "ks_f_ratio": ks_statistic(f_samples, lambda x: scaled_f_cdf(x, k, n)),
-        "f_ratio_mean": float(np.mean(f_samples)),
+        "ks_f_ratio": ks_statistic(column["f_sample"], lambda x: scaled_f_cdf(x, k, n)),
+        "f_ratio_mean": float(np.mean(column["f_sample"])),
         "f_ratio_mean_expected": k / (n - k - 1),
-        "ks_r_quadratic": ks_statistic(r_samples, lambda x: chi2_cdf(x * (n - k), n - k)),
-        "violations_42": int(sum(row["viol_42"] for row in rows)),
+        "ks_r_quadratic": ks_statistic(column["r_sample"], lambda x: chi2_cdf(x * (n - k), n - k)),
+        "violations_42": int(column["viol_42"].sum()),
     }
     if config.sigma > 0:
-        g_samples = np.array([row["g_sample"] for row in rows])
-        s_samples = np.array([row["s_sample"] for row in rows])
-        t_samples = np.array([row["t_sample"] for row in rows])
         summary.update(
             {
-                "ks_g_noise": ks_statistic(g_samples, lambda x: scaled_f_cdf(x, k, n)),
-                "ks_s_noise": ks_statistic(s_samples, lambda x: chi2_cdf(x * (n - k), n - k)),
-                "ks_t_noise": ks_statistic(t_samples, lambda x: chi2_cdf(x, r)),
-                "violations_43": int(sum(row["viol_43"] for row in rows)),
-                "violations_44": int(sum(row["viol_44"] for row in rows)),
+                "ks_g_noise": ks_statistic(column["g_sample"], lambda x: scaled_f_cdf(x, k, n)),
+                "ks_s_noise": ks_statistic(column["s_sample"], lambda x: chi2_cdf(x * (n - k), n - k)),
+                "ks_t_noise": ks_statistic(column["t_sample"], lambda x: chi2_cdf(x, r)),
+                "violations_43": int(column["viol_43"].sum()),
+                "violations_44": int(column["viol_44"].sum()),
             }
         )
     summary.update(
@@ -453,7 +489,7 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
         }
     )
     result = ExperimentResult(
-        kind=config.kind, config=config.to_dict(), summary=summary, trial_rows=list(rows)
+        kind=config.kind, config=config.to_dict(), summary=summary, trial_rows=rows
     )
     _persist(result, config)
     return result

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RngSpec, _as_generator
+from .core import RngSpec, _as_generator, column_stacks
 from .errors import (
     BudgetExceededError,
     InvalidArgumentError,
@@ -24,6 +24,8 @@ from .errors import (
 )
 
 ENUMERATION_BUDGET = 2_000_000
+# Supports per stacked Gram and eigvalsh call.
+RIP_CHUNK = 256
 
 METHOD_EXACT = "exact"
 METHOD_MONTE_CARLO = "monte_carlo"
@@ -52,10 +54,16 @@ class RipConstants:
         return self.L < 1.0
 
 
-def _gram_eig_range(A: np.ndarray, support: np.ndarray) -> tuple[float, float]:
-    sub = A[:, support]
-    w = np.linalg.eigvalsh(sub.T @ sub)
-    return float(w[0]), float(w[-1])
+def _gram_eig_range(A: np.ndarray, supports) -> tuple[float, float]:
+    """Smallest and largest eigenvalue over the Gram matrices of the column
+    supports that ``supports`` yields: one stacked Gram and one stacked
+    ``eigvalsh`` per chunk of ``RIP_CHUNK``, each slice equal to the same
+    call on its own."""
+    lo, hi = math.inf, -math.inf
+    for _, sub in column_stacks(np.asarray(A, dtype=float), supports, RIP_CHUNK):
+        w = np.linalg.eigvalsh(sub.mT @ sub)
+        lo, hi = min(lo, float(w[:, 0].min())), max(hi, float(w[:, -1].max()))
+    return lo, hi
 
 
 def rip_exact(A: np.ndarray, s: int) -> RipConstants:
@@ -68,12 +76,7 @@ def rip_exact(A: np.ndarray, s: int) -> RipConstants:
         raise BudgetExceededError(
             f"C({N},{s}) = {math.comb(N, s)} exceeds the enumeration budget {ENUMERATION_BUDGET}"
         )
-    min_eig = math.inf
-    max_eig = -math.inf
-    for idx in combinations(range(N), s):
-        lo, hi = _gram_eig_range(A, np.asarray(idx, dtype=np.intp))
-        min_eig = min(min_eig, lo)
-        max_eig = max(max_eig, hi)
+    min_eig, max_eig = _gram_eig_range(A, combinations(range(N), s))
     return RipConstants(s=s, L=1.0 - min_eig, U=max_eig - 1.0, method=METHOD_EXACT)
 
 
@@ -100,22 +103,22 @@ def rip_monte_carlo(
     if dedup and trials > total:
         raise InvalidArgumentError(f"cannot draw {trials} distinct supports out of C({N},{s}) = {total}")
     gen = _as_generator(rng)
-    seen: set[tuple[int, ...]] = set()
-    min_eig = math.inf
-    max_eig = -math.inf
-    drawn = 0
-    while drawn < trials:
-        support = np.sort(gen.choice(N, size=s, replace=False))
-        if dedup:
-            key = tuple(int(i) for i in support)
-            if key in seen:
-                continue
-            seen.add(key)
-        lo, hi = _gram_eig_range(A, support.astype(np.intp))
-        min_eig = min(min_eig, lo)
-        max_eig = max(max_eig, hi)
-        drawn += 1
+    min_eig, max_eig = _gram_eig_range(A, _sampled_supports(gen, N, s, trials, dedup))
     return RipConstants(s=s, L=1.0 - min_eig, U=max_eig - 1.0, method=METHOD_MONTE_CARLO)
+
+
+def _sampled_supports(gen: np.random.Generator, N: int, s: int, trials: int, dedup: bool):
+    """``trials`` sorted uniform supports, drawn lazily; with ``dedup`` a
+    repeated support is drawn again."""
+    seen: set[tuple[int, ...]] = set()
+    while trials:
+        support = tuple(np.sort(gen.choice(N, size=s, replace=False)).tolist())
+        if dedup:
+            if support in seen:
+                continue
+            seen.add(support)
+        trials -= 1
+        yield support
 
 
 class RipBoundProvider:

@@ -15,11 +15,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import SupportSet, least_squares_split, pseudo_inverse_apply, restrict
+from .core import SupportSet, column_stacks, least_squares_split, matvec, pseudo_inverse_apply, restrict
 from .errors import BudgetExceededError, InvalidArgumentError
 from .rip import ENUMERATION_BUDGET
 
 DEFAULT_STABILITY_TOL = 1e-8
+
+# Supports per stacked least-squares solve in ``enumerate_stable_supports``.
+ENUMERATION_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -81,21 +84,22 @@ def is_stable_point(
         raise InvalidArgumentError("x_bar must be supported inside gamma")
     A = np.asarray(A, dtype=float)
     grad = A.T @ (np.asarray(b, dtype=float) - A @ x_bar)
-    idx = gamma.as_array()
     on_mask = np.zeros(A.shape[1], dtype=bool)
-    on_mask[idx] = True
-    grad_on = float(np.max(np.abs(grad[idx]), initial=0.0))
-    min_on = float(np.min(np.abs(x_bar[idx]))) if len(idx) else 0.0
-    max_off = float(np.max(np.abs(grad[~on_mask]), initial=0.0))
-    stable = grad_on <= tol and min_on >= alpha_lb * max_off - tol
-    return StablePointReport(
-        gamma=gamma,
-        is_stable=stable,
-        gradient_on_support_norm=grad_on,
-        min_on_support=min_on,
-        max_off_support_gradient=max_off,
-        alpha_used=alpha_lb,
-    )
+    on_mask[gamma.as_array()] = True
+    stable, *terms = _stability_test(x_bar, grad, on_mask, alpha_lb, tol)
+    return StablePointReport(gamma, bool(stable), *map(float, terms), alpha_lb)
+
+
+def _stability_test(x_bar, grad, on_mask, alpha_lb, tol):
+    """The two conditions along the last axis of stacked points, gradients
+    and support masks: ``(stable, grad_on, min_on, max_off)`` in the order
+    of the report fields, with ``min_on`` 0 on an empty support."""
+    grad = np.abs(grad)
+    grad_on = np.max(grad, axis=-1, where=on_mask, initial=0.0)
+    min_on = np.min(np.abs(x_bar), axis=-1, where=on_mask, initial=np.inf)
+    min_on = np.where(on_mask.any(axis=-1), min_on, 0.0)
+    max_off = np.max(grad, axis=-1, where=~on_mask, initial=0.0)
+    return (grad_on <= tol) & (min_on >= alpha_lb * max_off - tol), grad_on, min_on, max_off
 
 
 def stable_condition_terms(
@@ -138,20 +142,29 @@ def enumerate_stable_supports(
     """Test every cardinality-k support for stability; return the stable ones.
 
     Supports are visited in lexicographic order, and each candidate point is
-    the minimum-norm solution on its support.  The combinatorial budget caps
-    C(N, k) at ``ENUMERATION_BUDGET``.
+    the minimum-norm solution on its support.  Chunks of supports are solved
+    as one stack and tested together, and a report is built only for a
+    stable support.  The combinatorial budget caps C(N, k) at
+    ``ENUMERATION_BUDGET``.
     """
     A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     N = A.shape[1]
     if math.comb(N, k) > ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"C({N},{k}) = {math.comb(N, k)} exceeds the enumeration budget {ENUMERATION_BUDGET}"
         )
-    stable = []
-    for idx in combinations(range(N), k):
-        gamma = SupportSet(idx)
-        x_bar = min_norm_solution(A, b, gamma)
-        report = is_stable_point(x_bar, gamma, alpha_lb, A, b, tol=tol, k=k)
-        if report.is_stable:
-            stable.append(report)
-    return stable
+    reports = []
+    for idx, A_gamma in column_stacks(A, combinations(range(N), k), ENUMERATION_CHUNK):
+        rows = np.arange(len(idx))[:, None]
+        x_bar = np.zeros((len(idx), N))
+        x_bar[rows, idx] = pseudo_inverse_apply(A_gamma, np.broadcast_to(b, (len(idx),) + b.shape))
+        grad = matvec(A.T, b - matvec(A, x_bar))
+        on_mask = np.zeros(x_bar.shape, dtype=bool)
+        on_mask[rows, idx] = True
+        stable, *terms = _stability_test(x_bar, grad, on_mask, alpha_lb, tol)
+        reports.extend(
+            StablePointReport(SupportSet(tuple(idx[i].tolist())), True, *(float(t[i]) for t in terms), alpha_lb)
+            for i in np.flatnonzero(stable)
+        )
+    return reports

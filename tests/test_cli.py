@@ -159,6 +159,33 @@ def test_config_scalar_of_wrong_type_exits_2(tmp_path, capsys, command, key, val
     assert f"config error: {key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("max_iters", 2.5, "an integer"),
+    ("max_iters", True, "an integer"),
+    ("alpha", "0.65", "a number or null"),
+    ("variant", 1, "a string"),
+])
+def test_solver_key_of_wrong_type_exits_2(tmp_path, capsys, key, value, expected):
+    config = VALID_CONFIGS["mc-transition"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(config, solver=dict(config["solver"], **{key: value}))), encoding="utf-8")
+    assert run_cli(["mc-transition", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"config error: solver.{key} must be {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("mc-dist", "master_seed", -1, "master_seed must be >= 0"),
+    ("mc-transition", "master_seed", -1, "master_seed must be >= 0"),
+    ("mc-transition", "delta_grid", [0], "delta_grid values must lie in (0, 1]"),
+    ("mc-transition", "rho_grid", [0.05, float("nan")], "rho_grid values must lie in (0, 1]"),
+])
+def test_config_value_out_of_range_exits_2(tmp_path, capsys, command, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(VALID_CONFIGS[command], **{key: value})), encoding="utf-8")
+    assert run_cli([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 NOT_UTF8 = b"\xff\xfe\x00{\x00}\x00"
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from ihtlab.core import (
     RngSpec,
     SupportSet,
     hard_threshold,
+    least_squares_split,
     objective,
     pseudo_inverse_apply,
     restrict,
@@ -136,6 +139,44 @@ class TestPseudoInverseApply:
         with pytest.raises(SingularMatrixError) as excinfo:
             pseudo_inverse_apply(A, np.ones(6))
         assert excinfo.value.condition > 1e12
+
+
+class TestLeastSquaresSplitStack:
+    def test_slices_equal_lone_calls(self):
+        gen = RngSpec(7).generator()
+        A = gen.standard_normal((6, 9, 4))
+        v, e = gen.standard_normal((6, 9)), gen.standard_normal((6, 9))
+        stacked = least_squares_split(A, v, e)
+        for j in range(6):
+            for (y, w), (y_j, w_j) in zip(stacked, least_squares_split(A[j], v[j], e[j])):
+                assert np.array_equal(y[j], y_j) and np.array_equal(w[j], w_j)
+
+    @pytest.mark.parametrize("j", [0, 3, 5])
+    def test_duplicated_column_in_slice_j_raises_for_slice_j(self, j):
+        gen = RngSpec(8).generator()
+        A = gen.standard_normal((6, 9, 3))
+        A[j, :, 2] = A[j, :, 0]
+        v = gen.standard_normal((6, 9))
+        with pytest.raises(SingularMatrixError) as alone:
+            least_squares_split(A[j], v[j])
+        with pytest.raises(SingularMatrixError) as stacked:
+            least_squares_split(A, v)
+        assert stacked.value.condition == alone.value.condition
+        for i in range(j):
+            least_squares_split(A[i], v[i])  # the slices before j are well posed
+
+    def test_first_bad_slice_in_order_is_reported(self):
+        gen = RngSpec(9).generator()
+        A = gen.standard_normal((5, 8, 3))
+        A[1, :, 1] = A[1, :, 0]
+        A[3] = 0.0
+        v = gen.standard_normal((5, 8))
+        with pytest.raises(SingularMatrixError) as alone:
+            pseudo_inverse_apply(A[1], v[1])
+        with pytest.raises(SingularMatrixError) as stacked:
+            pseudo_inverse_apply(A, v)
+        assert math.isfinite(stacked.value.condition)
+        assert stacked.value.condition == alone.value.condition
 
 
 class TestObjective:

@@ -153,7 +153,7 @@ class TestDistributionCheck:
              "trials": 1, "master_seed": 41, "sigma": sigma}
         )
         z = np.array([0.8, -1.3])
-        row, _ = experiments._distribution_trial((config, z, np.ones(k), 0))
+        [row], _ = experiments._distribution_trial((config, z, np.ones(k), range(1)))
         gen = RngSpec(41, 1).substream(0, 0)
         A = sample_gaussian_matrix(n, k + r, gen)
         e = sample_noise(n, sigma, gen)
@@ -169,6 +169,29 @@ class TestDistributionCheck:
         assert row["lhs_42"] * z_norm == pytest.approx(terms.rhs_signal, rel=1e-12)
         assert math.sqrt(row["g_sample"]) * sigma == pytest.approx(terms.lhs_noise, rel=1e-12)
         assert math.sqrt(row["lhs_44_sq"]) == pytest.approx(terms.rhs_noise, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    def test_rows_independent_of_chunking(self, sigma):
+        # Chunks of one, of the module chunk size with a ragged last chunk,
+        # and one chunk of all trials give equal rows and Rayleigh quotients.
+        trials = 2 * experiments.DISTRIBUTION_CHUNK + 5
+        config = ExperimentConfig.from_dict(
+            {"kind": "mc_distribution", "n": 30, "k": 4, "overlap": 2,
+             "trials": trials, "master_seed": 17, "sigma": sigma}
+        )
+        z, z_ray = np.array([0.6, -1.1]), np.array([1.0, -0.5, 0.25, 2.0])
+
+        def run(size):
+            chunks = [experiments._distribution_trial((config, z, z_ray, range(t, min(t + size, trials))))
+                      for t in range(0, trials, size)]
+            rows = [row for chunk, _ in chunks for row in chunk]
+            return rows, [np.concatenate(column).tolist() for column in zip(*(ray for _, ray in chunks))]
+
+        rows, rayleigh = run(experiments.DISTRIBUTION_CHUNK)
+        assert [row["trial"] for row in rows] == list(range(trials))
+        assert len(rayleigh) == 4 and all(len(column) == trials for column in rayleigh)
+        for size in (1, trials):
+            assert run(size) == (rows, rayleigh)
 
     def test_noiseless_config_skips_noise_terms(self):
         config = ExperimentConfig.from_dict(

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,6 +21,18 @@ from ihtlab.rip import (
 
 
 class TestRipExact:
+    @pytest.mark.parametrize("n, N, s", [(8, 16, 4), (6, 11, 2), (5, 7, 5)])
+    def test_equals_per_support_eigvalsh_loop(self, n, N, s):
+        # The C(16, 4) = 1820 supports span several chunks and a ragged last one.
+        A = sample_gaussian_matrix(n, N, RngSpec(30 + N))
+        lo, hi = math.inf, -math.inf
+        for idx in combinations(range(N), s):
+            sub = A[:, list(idx)]
+            w = np.linalg.eigvalsh(sub.T @ sub)
+            lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
+        constants = rip_exact(A, s)
+        assert (constants.L, constants.U) == (1.0 - lo, hi - 1.0)
+
     def test_orthonormal_columns(self):
         gen = RngSpec(1).generator()
         Q, _ = np.linalg.qr(gen.standard_normal((10, 10)))

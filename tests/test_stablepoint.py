@@ -1,11 +1,16 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ihtlab.core import RngSpec, SupportSet, restrict, sample_instance
 from ihtlab.errors import BudgetExceededError, InvalidArgumentError
 from ihtlab.rip import rip_exact
 from ihtlab.solvers import SolverConfig, run_solver
 from ihtlab.stablepoint import (
+    ENUMERATION_CHUNK,
     enumerate_stable_supports,
     is_stable_point,
     min_norm_solution,
@@ -207,3 +212,40 @@ def test_single_stable_support_at_scale_example():
         if [r.gamma for r in reports] == [inst.true_support]:
             exact += 1
     assert exact >= 19
+
+
+@st.composite
+def enumeration_instances(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * k, 12))
+    N = draw(st.integers(n, 15))
+    sigma = draw(st.sampled_from([0.0, 0.3]))
+    inst = sample_instance(n, N, k, sigma, RngSpec(draw(st.integers(0, 2**32 - 1))))
+    return inst, draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+
+
+def per_support_reports(inst, alpha):
+    """The stable reports of one minimum-norm solve and one stable-point check
+    per support, in lexicographic order."""
+    reports = []
+    for idx in combinations(range(inst.N), inst.k):
+        gamma = SupportSet(idx)
+        x_bar = min_norm_solution(inst.A, inst.b, gamma)
+        report = is_stable_point(x_bar, gamma, alpha, inst.A, inst.b, k=inst.k)
+        if report.is_stable:
+            reports.append(report)
+    return reports
+
+
+@settings(max_examples=60, deadline=None)
+@given(enumeration_instances())
+def test_enumeration_equals_per_support_loop(case):
+    inst, alpha = case
+    assert enumerate_stable_supports(inst.A, inst.b, inst.k, alpha) == per_support_reports(inst, alpha)
+
+
+def test_enumeration_over_several_chunks_equals_per_support_loop():
+    inst = sample_instance(12, 15, 3, 0.3, RngSpec(16_000))
+    assert math.comb(15, 3) > ENUMERATION_CHUNK
+    reports = enumerate_stable_supports(inst.A, inst.b, 3, 0.01)
+    assert len(reports) > 1 and reports == per_support_reports(inst, 0.01)
