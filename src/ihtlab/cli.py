@@ -216,13 +216,8 @@ def _cmd_stability(argv: list[str]) -> int:
 
 
 _EXPERIMENT_EXTRA_FLAGS = {
-    KIND_DISTRIBUTION: (("--k", int, "k"), ("--overlap", int, "overlap")),
-    KIND_ERROR_VS_XI: (
-        ("--delta", float, "delta"),
-        ("--rho", float, "rho"),
-        ("--rip-table", str, "rip_table"),
-        ("--xi-variant", str, "xi_variant"),
-    ),
+    KIND_DISTRIBUTION: (("--k", int), ("--overlap", int)),
+    KIND_ERROR_VS_XI: (("--delta", float), ("--rho", float), ("--rip-table", str), ("--xi-variant", str)),
     KIND_TRANSITION: (),
 }
 
@@ -230,34 +225,24 @@ _EXPERIMENT_EXTRA_FLAGS = {
 def _experiment_command(kind: str, prog: str, argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog=prog, description=f"Run a {kind} experiment")
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--sigma", type=float, default=None)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--trial-csv", type=str, default=None)
-    for flag, flag_type, _ in _EXPERIMENT_EXTRA_FLAGS[kind]:
-        parser.add_argument(flag, type=flag_type, default=None)
-    args = parser.parse_args(argv)
+    # Each remaining flag's dest is the config key it overrides.
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", dest="master_seed", type=int)
+    parser.add_argument("--sigma", type=float)
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--out", dest="output_path")
+    parser.add_argument("--trial-csv", dest="trial_csv_path")
+    for flag, flag_type in _EXPERIMENT_EXTRA_FLAGS[kind]:
+        parser.add_argument(flag, type=flag_type)
+    overrides = vars(parser.parse_args(argv))
+    config_path = overrides.pop("config")
     data: dict = {"kind": kind}
-    if args.config:
-        data = read_config(args.config)
+    if config_path:
+        data = read_config(config_path)
         data.setdefault("kind", kind)
         if data["kind"] != kind:
             raise ConfigError(f"config kind {data['kind']!r} does not match subcommand {kind!r}")
-    overrides = {
-        "trials": args.trials,
-        "master_seed": args.seed,
-        "sigma": args.sigma,
-        "n": args.n,
-        "output_path": args.out,
-        "trial_csv_path": args.trial_csv,
-    }
-    for flag, _, key in _EXPERIMENT_EXTRA_FLAGS[kind]:
-        overrides[key] = getattr(args, flag.lstrip("-").replace("-", "_"))
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+    data.update((key, value) for key, value in overrides.items() if value is not None)
     config = ExperimentConfig.from_dict(data)
     result = run_experiment(config)
     brief = {

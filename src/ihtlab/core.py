@@ -6,12 +6,13 @@ order-independent and bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeMismatchError, SingularMatrixError
+from .errors import BudgetExceededError, InvalidArgumentError, ShapeMismatchError, SingularMatrixError
 
 # Condition-number estimate above which a least-squares subproblem is
 # treated as rank deficient.  Exact general position holds almost surely
@@ -19,6 +20,11 @@ from .errors import InvalidArgumentError, ShapeMismatchError, SingularMatrixErro
 RANK_DEFICIENCY_CONDITION = 1e12
 
 COEFFICIENT_MODELS = ("unit", "gaussian", "uniform")
+
+# Cap on the supports an exhaustive enumeration visits.
+ENUMERATION_BUDGET = 2_000_000
+# Supports per stacked call over the column submatrices of ``column_stacks``.
+ENUMERATION_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -108,8 +114,8 @@ class ProblemInstance:
             raise InvalidArgumentError(
                 f"problem dimensions must satisfy 0 < 2k <= n <= N, got k={self.k}, n={n}, N={N}"
             )
-        if self.sigma < 0:
-            raise InvalidArgumentError("sigma must be nonnegative")
+        if not 0 <= self.sigma < np.inf:
+            raise InvalidArgumentError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.b.shape != (n,) or self.e.shape != (n,) or self.x_star.shape != (N,):
             raise ShapeMismatchError("b, e must have length n and x_star length N")
         nnz = int(np.count_nonzero(self.x_star))
@@ -176,12 +182,22 @@ def restrict(A: np.ndarray, gamma: SupportSet) -> np.ndarray:
     return A[:, gamma.as_array()].copy()
 
 
-def column_stacks(A: np.ndarray, supports, size: int):
+def all_supports(N: int, s: int):
+    """Every s-subset of range(N), lazily and in lexicographic order;
+    ``BudgetExceededError`` when C(N, s) exceeds ``ENUMERATION_BUDGET``."""
+    if math.comb(N, s) > ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"C({N},{s}) = {math.comb(N, s)} exceeds the enumeration budget {ENUMERATION_BUDGET}"
+        )
+    return combinations(range(N), s)
+
+
+def column_stacks(A: np.ndarray, supports):
     """The column submatrices of A for the index tuples that ``supports``
-    yields, in chunks of at most ``size``: pairs of the ``(S, s)`` index array
-    and the C-ordered ``(S, n, s)`` stack of ``A[:, idx[j]]``."""
+    yields, in chunks of at most ``ENUMERATION_CHUNK``: pairs of the ``(S, s)``
+    index array and the C-ordered ``(S, n, s)`` stack of ``A[:, idx[j]]``."""
     supports = iter(supports)
-    while chunk := list(islice(supports, size)):
+    while chunk := list(islice(supports, ENUMERATION_CHUNK)):
         idx = np.array(chunk, dtype=np.intp)
         yield idx, A[np.arange(A.shape[0])[:, None], idx[:, None, :]]
 
@@ -309,8 +325,8 @@ def sample_sparse_signal(
 
 def sample_noise(n: int, sigma: float, rng: RngSpec | np.random.Generator) -> np.ndarray:
     """Noise vector with i.i.d. N(0, sigma^2/n) entries, so E||e||^2 = sigma^2."""
-    if sigma < 0:
-        raise InvalidArgumentError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise InvalidArgumentError(f"sigma must be finite and nonnegative, got {sigma}")
     if sigma == 0.0:
         return np.zeros(n)
     gen = _as_generator(rng)

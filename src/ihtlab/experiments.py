@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, asdict
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +64,10 @@ SUCCESS_REL_TOL = 1e-4
 # Zero-noise proxy for the error bound (the bound itself degenerates to 0).
 ZERO_NOISE_ERROR_TOL = 1e-6
 STABLE_POINT_CHECK_TOL = 1e-6
-# Trials per mc_distribution task, stacked into (T, n, p) arrays.  Larger
-# chunks save little more time but grow the stacks, where each trial's full
-# SVD basis U alone is n-by-n: at n = 100, 32 trials were as fast as 16 but
-# raised the peak resident memory by 2.5 MB over one trial at a time, 16 by
-# 0.75 MB.
+# Trials per mc_distribution task, stacked into (T, n, p) arrays with
+# p <= k + r and, for the Rayleigh blocks, (T, 2, n, k).  Larger chunks grow
+# every stack in proportion and save no time: at n = 100, k = 10, r = 5,
+# chunks of 8 took about 10% longer than 16, and chunks of 32 no less.
 DISTRIBUTION_CHUNK = 16
 
 _FIELD_SETS = {
@@ -87,7 +87,8 @@ _FIELD_SETS = {
 
 # Declared JSON type of each scalar key, at the top level or in the solver
 # section, checked before any value is used; true and false count as neither
-# integers nor numbers.
+# integers nor numbers, and a number must be finite (JSON NaN and Infinity are
+# not).
 _SCALAR_TYPES = {
     **dict.fromkeys(("n", "k", "overlap", "trials", "master_seed", "max_iters"), ((int,), "an integer")),
     **dict.fromkeys(
@@ -105,8 +106,11 @@ _SCALAR_TYPES = {
 def _check_types(section: dict, prefix: str = "") -> None:
     for key in sorted(section.keys() & _SCALAR_TYPES.keys()):
         allowed, expected = _SCALAR_TYPES[key]
-        if isinstance(section[key], bool) or not isinstance(section[key], allowed):
-            raise ConfigError(f"{prefix}{key} must be {expected}, got {section[key]!r}")
+        value = section[key]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"{prefix}{key} must be {expected}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{key} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,8 @@ class ExperimentConfig:
             for value in getattr(self, key) or ():
                 if not 0 < value <= 1:
                     raise ConfigError(f"{key} values must lie in (0, 1], got {value}")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.kind == KIND_DISTRIBUTION:
             if not (self.k and self.overlap) or not 1 <= self.overlap <= self.k:
                 raise ConfigError("mc_distribution needs 1 <= overlap <= k")
@@ -350,6 +354,10 @@ def _distribution_trial(task) -> tuple[list[dict], tuple[np.ndarray, ...]]:
     Each trial draws from its own substreams into stacks, and every product,
     norm, SVD and solve then runs once over the stack.  Each slice makes the
     BLAS/LAPACK call of a lone trial, so the rows do not depend on chunking.
+    The left-hand sides come from the QR of ``least_squares_split``; the
+    right-hand sides of the noise bounds (4.3) and (4.4) are rebuilt from two
+    thin SVDs, of A_gamma and of the difference columns projected off its
+    range, so each violation flag compares two factorisations.
     """
     config, z, z_ray, trials = task
     n, k, r, sigma = config.n, config.k, config.overlap, config.sigma
@@ -383,17 +391,15 @@ def _distribution_trial(task) -> tuple[list[dict], tuple[np.ndarray, ...]]:
         # float_power calls libm pow as Python's ``x**2`` does; ``**`` on an
         # array multiplies, which differs in the last bit now and then.
         lhs_44_sq = np.float_power(_norm(matvec(A_diff.mT, w_e)), 2)
-        # Reconstruct the coupled right-hand sides of the projected-noise
-        # bounds from the same draw via the singular bases.
-        U, _, Vt = np.linalg.svd(A_gamma, full_matrices=True)
-        U1, U2 = U[..., :k], U[..., k:]
-        q = matvec(Vt.mT, matvec(U1.mT, e))
-        rhs_43 = np.sqrt(vecdot(q, np.linalg.solve(A_gamma.mT @ A_gamma, q[..., None])[..., 0]))
-        M = U2.mT @ A_diff
-        W, _, Yt = np.linalg.svd(M, full_matrices=False)
-        h = matvec(Yt.mT, matvec(W.mT, matvec(U2.mT, e)))
-        Mh = matvec(M, h)
-        rhs_44_sq, h_norm2 = vecdot(Mh, Mh), vecdot(h, h)
+        # The coupled right-hand sides, rebuilt from thin SVDs of the same
+        # draw, apart from the QR above: A_gamma = U1 diag(s) V^T, and the
+        # difference columns projected off range(A_gamma), D = W diag(s_D) Y^T.
+        U1, s, _ = np.linalg.svd(A_gamma, full_matrices=False)
+        rhs_43 = _norm(matvec(U1.mT, e) / s)
+        W, s_D, _ = np.linalg.svd(A_diff - U1 @ (U1.mT @ A_diff), full_matrices=False)
+        We = matvec(W.mT, e)
+        sWe = s_D * We
+        h_norm2, rhs_44_sq = vecdot(We, We), vecdot(sWe, sWe)
         s_ratio = np.divide(rhs_44_sq, h_norm2, out=np.zeros(T), where=h_norm2 > 0)
         columns.update(
             {
@@ -499,13 +505,26 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
 # empirical recovery transition
 
 
-def _transition_trial(task) -> dict:
-    config, solver_config, cell_id, n, N, k, trial = task
-    gen = RngSpec(config.master_seed, 3).substream(cell_id, trial)
+def _cell_shape(n: int, delta: float, rho: float) -> tuple[int, int]:
+    """``(N, k)`` of the cell at (delta, rho) with n measurements."""
+    return max(n, round(n / delta)), max(1, round(rho * n))
+
+
+def _sample_and_solve(config, solver_config, stream: int, cell_id: int, n: int, N: int, k: int, trial: int):
+    """The instance of one trial, drawn from substream ``(cell_id, trial)`` of
+    ``stream``, the solver's trace on it, and the error norm of the final
+    iterate, which is not finite when the iterates diverged."""
+    gen = RngSpec(config.master_seed, stream).substream(cell_id, trial)
     instance = sample_instance(n, N, k, config.sigma, gen, config.coefficient_model)
     trace = run_solver(instance, solver_config)
     with np.errstate(over="ignore", invalid="ignore"):
         err = float(np.linalg.norm(trace.final - instance.x_star))
+    return instance, trace, err
+
+
+def _transition_trial(task) -> dict:
+    config, solver_config, cell_id, n, N, k, trial = task
+    instance, trace, err = _sample_and_solve(config, solver_config, 3, cell_id, n, N, k, trial)
     rel = err / float(np.linalg.norm(instance.x_star)) if math.isfinite(err) else math.inf
     return {
         "cell": cell_id,
@@ -542,19 +561,13 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("mc_recovery_transition requires kind=mc_transition")
     solver_config = config.solver_config()  # fail fast on a bad solver section
     n = config.n
-    cells = []
-    tasks = []
-    cell_meta = []
-    cell_id = 0
-    for delta in config.delta_grid:
-        for rho in config.rho_grid:
-            N = max(n, round(n / delta))
-            k = max(1, round(rho * n))
-            valid = 0 < 2 * k <= n <= N
-            cell_meta.append({"cell": cell_id, "delta": delta, "rho": rho, "n": n, "N": N, "k": k, "valid": valid})
-            if valid:
-                tasks.extend((config, solver_config, cell_id, n, N, k, t) for t in range(config.trials))
-            cell_id += 1
+    tasks, cell_meta, cells = [], [], []
+    for cell_id, (delta, rho) in enumerate(product(config.delta_grid, config.rho_grid)):
+        N, k = _cell_shape(n, delta, rho)
+        valid = 0 < 2 * k <= n <= N
+        cell_meta.append({"cell": cell_id, "delta": delta, "rho": rho, "n": n, "N": N, "k": k, "valid": valid})
+        if valid:
+            tasks.extend((config, solver_config, cell_id, n, N, k, t) for t in range(config.trials))
     rows = _pmap(_transition_trial, tasks, _worker_count())
     by_cell: dict[int, list[dict]] = {}
     for row in rows:
@@ -594,10 +607,8 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _error_trial(task) -> dict:
-    config, n, N, k, solver_config, alpha_lb, trial = task
-    gen = RngSpec(config.master_seed, 4).substream(0, trial)
-    instance = sample_instance(n, N, k, config.sigma, gen, config.coefficient_model)
-    trace = run_solver(instance, solver_config)
+    config, solver_config, alpha_lb, n, N, k, trial = task
+    instance, trace, err = _sample_and_solve(config, solver_config, 4, 0, n, N, k, trial)
     x_bar = trace.final
     converged = trace.termination_reason != TERMINATION_MAX_ITERS
     stable = False
@@ -609,8 +620,6 @@ def _error_trial(task) -> dict:
         stable = report.is_stable
     elif converged:
         stable = not np.any(instance.b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = float(np.linalg.norm(x_bar - instance.x_star))
     if not math.isfinite(err):
         converged = stable = False
         err = math.inf
@@ -631,22 +640,20 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     workers = _worker_count()
     provider = load_provider(config.rip_table)
     delta, rho = config.delta, config.rho
-    variant = (config.solver or {}).get("variant")
+    variant = config.solver["variant"]
     try:
         if variant == VARIANT_IHT:
             midpoint, interval = stepsize_midpoint_iht(delta, rho, provider)
-            alpha = (config.solver or {}).get("alpha")
-            if alpha is None:
-                alpha = midpoint
-            if not interval[0] < float(alpha) < interval[1]:
+            alpha = config.solver.get("alpha")
+            alpha_lb = midpoint if alpha is None else float(alpha)
+            if not interval[0] < alpha_lb < interval[1]:
                 raise ConfigError(
-                    f"alpha={alpha} outside the admissible interval {interval} "
+                    f"alpha={alpha_lb} outside the admissible interval {interval} "
                     f"at delta={delta}, rho={rho}"
                 )
-            solver_config = config.solver_config(alpha_override=float(alpha))
-            stability = stability_factor_iht(delta, rho, float(alpha), provider)
+            solver_config = config.solver_config(alpha_override=alpha_lb)
+            stability = stability_factor_iht(delta, rho, alpha_lb)
             rho_hat = rho_hat_iht(delta, provider).rho_hat
-            alpha_lb = float(alpha)
         elif variant == VARIANT_NIHT:
             solver_config = config.solver_config()
             stability = stability_factor_niht(
@@ -660,10 +667,9 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"stability factor undefined for this config: {exc}") from exc
 
     n = config.n
-    N = max(n, round(n / delta))
-    k = max(1, round(rho * n))
+    N, k = _cell_shape(n, delta, rho)
     bound = stability.xi * config.sigma if config.sigma > 0 else ZERO_NOISE_ERROR_TOL
-    tasks = [(config, n, N, k, solver_config, alpha_lb, t) for t in range(config.trials)]
+    tasks = [(config, solver_config, alpha_lb, n, N, k, t) for t in range(config.trials)]
     rows = _pmap(_error_trial, tasks, workers)
     for row in rows:
         row["included"] = bool(row["converged"] and row["stable"])

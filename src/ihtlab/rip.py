@@ -10,22 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .core import RngSpec, _as_generator, column_stacks
-from .errors import (
-    BudgetExceededError,
-    InvalidArgumentError,
-    NumericalDomainError,
-    TableFormatError,
-)
-
-ENUMERATION_BUDGET = 2_000_000
-# Supports per stacked Gram and eigvalsh call.
-RIP_CHUNK = 256
+from .core import RngSpec, _as_generator, all_supports, column_stacks
+from .errors import InvalidArgumentError, NumericalDomainError, TableFormatError
 
 METHOD_EXACT = "exact"
 METHOD_MONTE_CARLO = "monte_carlo"
@@ -57,10 +47,10 @@ class RipConstants:
 def _gram_eig_range(A: np.ndarray, supports) -> tuple[float, float]:
     """Smallest and largest eigenvalue over the Gram matrices of the column
     supports that ``supports`` yields: one stacked Gram and one stacked
-    ``eigvalsh`` per chunk of ``RIP_CHUNK``, each slice equal to the same
-    call on its own."""
+    ``eigvalsh`` per chunk of ``ENUMERATION_CHUNK``, each slice equal to the
+    same call on its own."""
     lo, hi = math.inf, -math.inf
-    for _, sub in column_stacks(np.asarray(A, dtype=float), supports, RIP_CHUNK):
+    for _, sub in column_stacks(np.asarray(A, dtype=float), supports):
         w = np.linalg.eigvalsh(sub.mT @ sub)
         lo, hi = min(lo, float(w[:, 0].min())), max(hi, float(w[:, -1].max()))
     return lo, hi
@@ -72,11 +62,7 @@ def rip_exact(A: np.ndarray, s: int) -> RipConstants:
     N = A.shape[1]
     if not 1 <= s <= min(A.shape):
         raise InvalidArgumentError(f"order s must satisfy 1 <= s <= min(n, N), got {s}")
-    if math.comb(N, s) > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"C({N},{s}) = {math.comb(N, s)} exceeds the enumeration budget {ENUMERATION_BUDGET}"
-        )
-    min_eig, max_eig = _gram_eig_range(A, combinations(range(N), s))
+    min_eig, max_eig = _gram_eig_range(A, all_supports(N, s))
     return RipConstants(s=s, L=1.0 - min_eig, U=max_eig - 1.0, method=METHOD_EXACT)
 
 

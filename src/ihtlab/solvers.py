@@ -44,19 +44,19 @@ class SolverConfig:
         if self.variant not in (VARIANT_IHT, VARIANT_NIHT):
             raise InvalidArgumentError(f"unknown solver variant {self.variant!r}")
         if self.variant == VARIANT_IHT:
-            if self.alpha is None or self.alpha <= 0:
-                raise InvalidArgumentError("constant-stepsize IHT requires alpha > 0")
+            if self.alpha is None or not 0 < self.alpha < math.inf:
+                raise InvalidArgumentError(f"constant-stepsize IHT requires a finite alpha > 0, got {self.alpha}")
         else:
             if not 0 < self.c < 1:
-                raise InvalidArgumentError("N-IHT requires c in (0, 1)")
-            if self.kappa * (1.0 - self.c) <= 1.0:
+                raise InvalidArgumentError(f"N-IHT requires c in (0, 1), got {self.c}")
+            if not self.kappa * (1.0 - self.c) > 1.0:
                 raise InvalidArgumentError(
                     f"N-IHT requires kappa > 1/(1-c); got kappa={self.kappa}, c={self.c}"
                 )
-        if self.max_iters < 1:
-            raise InvalidArgumentError("max_iters must be >= 1")
-        if self.step_tol < 0 or self.residual_tol < 0:
-            raise InvalidArgumentError("tolerances must be nonnegative")
+        if not self.max_iters >= 1:
+            raise InvalidArgumentError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (self.step_tol >= 0 and self.residual_tol >= 0):
+            raise InvalidArgumentError(f"tolerances must be nonnegative, got {self.step_tol}, {self.residual_tol}")
 
 
 @dataclass(eq=False)

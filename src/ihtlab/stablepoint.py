@@ -9,20 +9,16 @@ alpha-stable points for that stepsize.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .core import SupportSet, column_stacks, least_squares_split, matvec, pseudo_inverse_apply, restrict
-from .errors import BudgetExceededError, InvalidArgumentError
-from .rip import ENUMERATION_BUDGET
+from .core import (
+    SupportSet, all_supports, column_stacks, least_squares_split, matvec, pseudo_inverse_apply, restrict
+)
+from .errors import InvalidArgumentError
 
 DEFAULT_STABILITY_TOL = 1e-8
-
-# Supports per stacked least-squares solve in ``enumerate_stable_supports``.
-ENUMERATION_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -145,17 +141,13 @@ def enumerate_stable_supports(
     the minimum-norm solution on its support.  Chunks of supports are solved
     as one stack and tested together, and a report is built only for a
     stable support.  The combinatorial budget caps C(N, k) at
-    ``ENUMERATION_BUDGET``.
+    ``core.ENUMERATION_BUDGET``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     N = A.shape[1]
-    if math.comb(N, k) > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"C({N},{k}) = {math.comb(N, k)} exceeds the enumeration budget {ENUMERATION_BUDGET}"
-        )
     reports = []
-    for idx, A_gamma in column_stacks(A, combinations(range(N), k), ENUMERATION_CHUNK):
+    for idx, A_gamma in column_stacks(A, all_supports(N, k)):
         rows = np.arange(len(idx))[:, None]
         x_bar = np.zeros((len(idx), N))
         x_bar[rows, idx] = pseudo_inverse_apply(A_gamma, np.broadcast_to(b, (len(idx),) + b.shape))

@@ -150,7 +150,7 @@ def rho_hat_iht(delta, provider: RipBoundProvider) -> TransitionResult:
 def rho_hat_niht(delta, kappa: float, provider: RipBoundProvider) -> TransitionResult:
     """Phase-transition lower bound for normalised IHT with parameter kappa,
     at one delta or at every delta of an array."""
-    if kappa < 1.0:
+    if not kappa >= 1.0:
         raise InvalidArgumentError(f"kappa must be >= 1, got {kappa}")
     return _solve_rho(delta, kappa, provider)
 
@@ -202,11 +202,12 @@ def stability_factor_iht(delta, rho, alpha, provider: RipBoundProvider | None = 
     """Noise stability factor for IHT at stepsize alpha, over scalars or
     arrays (see ``_stability_core``).
 
-    Requires alpha strictly above the stable-point threshold; the optional
-    provider fills in the admissible stepsize interval.
+    Requires a finite alpha strictly above the stable-point threshold; over
+    arrays a NaN alpha marks a point without a stepsize and gives NaN.  The
+    optional provider fills in the admissible stepsize interval.
     """
-    if np.any(np.asarray(alpha) <= 0):
-        raise InvalidArgumentError("alpha must be positive")
+    if np.any(np.asarray(alpha) <= 0) or np.ndim(alpha) == 0 and not 0 < alpha < np.inf:
+        raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")
     a, xi = _stability_core(delta, rho, alpha, one_plus_a=True)
     interval = stepsize_interval_iht(delta, rho, provider) if provider is not None else None
     return StabilityResult(a=a, xi=xi, alpha_interval=interval)
@@ -230,7 +231,7 @@ def stability_factor_niht(
     """
     if xi_variant not in XI_NIHT_VARIANTS:
         raise InvalidArgumentError(f"xi_variant must be one of {XI_NIHT_VARIANTS}")
-    if kappa < 1.0:
+    if not kappa >= 1.0:
         raise InvalidArgumentError(f"kappa must be >= 1, got {kappa}")
     a, xi = _stability_core(
         delta, rho, _alpha_lb(delta, rho, kappa, provider), one_plus_a=(xi_variant == XI_NIHT_WITH_ONE_PLUS_A)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ihtlab import cli
 from ihtlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run_cli
+from ihtlab.experiments import ExperimentResult
 
 
 def test_unknown_subcommand_exits_64(capsys):
@@ -184,6 +186,81 @@ def test_config_value_out_of_range_exits_2(tmp_path, capsys, command, key, value
     cfg.write_text(json.dumps(dict(VALID_CONFIGS[command], **{key: value})), encoding="utf-8")
     assert run_cli([command, "--config", str(cfg)]) == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+COMMON_FLAGS = {
+    "--trials": ("7", "trials", 7),
+    "--seed": ("9", "master_seed", 9),
+    "--sigma": ("0.25", "sigma", 0.25),
+    "--n": ("80", "n", 80),
+    "--out": ("res.json", "output_path", "res.json"),
+    "--trial-csv": ("rows.csv", "trial_csv_path", "rows.csv"),
+}
+EXTRA_FLAGS = {
+    "mc-dist": {"--k": ("4", "k", 4), "--overlap": ("2", "overlap", 2)},
+    "mc-transition": {},
+    "mc-error": {
+        "--delta": ("0.4", "delta", 0.4),
+        "--rho": ("0.02", "rho", 0.02),
+        "--rip-table": ("table.csv", "rip_table", "table.csv"),
+        "--xi-variant": ("with_one_plus_a", "xi_variant", "with_one_plus_a"),
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXTRA_FLAGS))
+def test_experiment_flags_set_their_config_keys(tmp_path, monkeypatch, command):
+    # Every flag of the subcommand overrides the config key it names.
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        return ExperimentResult(kind=config.kind, config=config.to_dict(), summary={})
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(VALID_CONFIGS[command]), encoding="utf-8")
+    flags = {**COMMON_FLAGS, **EXTRA_FLAGS[command]}
+    argv = [command, "--config", str(cfg)]
+    for flag, (text, _, _) in flags.items():
+        argv += [flag, text]
+    assert run_cli(argv) == EXIT_OK
+    [config] = configs
+    assert {key: getattr(config, key) for _, key, _ in flags.values()} == {
+        key: value for _, key, value in flags.values()
+    }
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, config_changes, flags, message", [
+    pytest.param("mc-dist", {}, ["--sigma", "nan"], "sigma must be finite, got nan", id="mc-dist-sigma-flag"),
+    pytest.param("mc-transition", {"sigma": NAN}, [], "sigma must be finite, got nan", id="mc-transition-sigma"),
+    pytest.param("mc-transition", {"solver": {"variant": "iht", "alpha": NAN}}, [],
+                 "solver.alpha must be finite, got nan", id="mc-transition-alpha"),
+    pytest.param("mc-dist", {"sigma": INF}, [], "sigma must be finite, got inf", id="mc-dist-sigma-infinity"),
+    pytest.param("solve", None, ["--alpha", "nan"], "requires a finite alpha > 0, got nan", id="solve-alpha"),
+    pytest.param("solve", None, ["--sigma", "nan"], "sigma must be finite and nonnegative, got nan",
+                 id="solve-sigma"),
+    pytest.param("stability", None, ["--delta", "0.5", "--rho", "0.008", "--alpha", "nan"],
+                 "alpha must be positive and finite, got nan", id="stability-alpha"),
+    pytest.param("stability", None, ["--delta", "0.5", "--rho", "0.008", "--alpha", "inf"],
+                 "alpha must be positive and finite, got inf", id="stability-alpha-infinity"),
+    pytest.param("stability", None, ["--variant", "niht", "--delta", "0.5", "--rho", "0.008", "--kappa", "nan"],
+                 "kappa must be >= 1, got nan", id="stability-kappa"),
+    pytest.param("phase-bound", None, ["--variant", "niht", "--kappa", "nan", "--out", "curve.csv"],
+                 "kappa must be >= 1, got nan", id="phase-bound-kappa"),
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, monkeypatch, command, config_changes, flags, message):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *flags]
+    if config_changes is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(VALID_CONFIGS[command], **config_changes)), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert run_cli(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 NOT_UTF8 = b"\xff\xfe\x00{\x00}\x00"

@@ -170,6 +170,29 @@ class TestDistributionCheck:
         assert math.sqrt(row["g_sample"]) * sigma == pytest.approx(terms.lhs_noise, rel=1e-12)
         assert math.sqrt(row["lhs_44_sq"]) == pytest.approx(terms.rhs_noise, rel=1e-12)
 
+    def test_coupled_bounds_match_projector_oracle(self):
+        # One draw against explicit projections through lstsq: D holds the
+        # difference columns off range(A_gamma) and P_D e is e projected onto
+        # range(D), so ||P_D e||^2 gives t_sample and ||D^T P_D e||^2 rhs_44_sq.
+        n, k, r, sigma = 40, 6, 3, 0.9
+        config = ExperimentConfig.from_dict(
+            {"kind": "mc_distribution", "n": n, "k": k, "overlap": r,
+             "trials": 1, "master_seed": 23, "sigma": sigma}
+        )
+        [row], _ = experiments._distribution_trial((config, np.array([1.0, -0.4, 0.7]), np.ones(k), range(1)))
+        gen = RngSpec(23, 1).substream(0, 0)
+        A = sample_gaussian_matrix(n, k + r, gen)
+        e = sample_noise(n, sigma, gen)
+        A_gamma, A_diff = A[:, :k], A[:, k:]
+        D = A_diff - A_gamma @ np.linalg.lstsq(A_gamma, A_diff, rcond=None)[0]
+        projected = D @ np.linalg.lstsq(D, e, rcond=None)[0]
+        h_norm2 = float(projected @ projected)
+        rhs_44_sq = float(np.sum((D.T @ projected) ** 2))
+        assert row["rhs_44_sq"] == pytest.approx(rhs_44_sq, rel=1e-12)
+        assert row["s_sample"] == pytest.approx(rhs_44_sq / h_norm2 * n / (n - k), rel=1e-12)
+        assert row["t_sample"] == pytest.approx(h_norm2 * n / sigma**2, rel=1e-12)
+        assert row["viol_43"] is False and row["viol_44"] is False
+
     @pytest.mark.parametrize("sigma", [0.0, 0.8])
     def test_rows_independent_of_chunking(self, sigma):
         # Chunks of one, of the module chunk size with a ragged last chunk,

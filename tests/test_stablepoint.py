@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ihtlab.core import RngSpec, SupportSet, restrict, sample_instance
+from ihtlab.core import ENUMERATION_CHUNK, RngSpec, SupportSet, restrict, sample_instance
 from ihtlab.errors import BudgetExceededError, InvalidArgumentError
 from ihtlab.rip import rip_exact
 from ihtlab.solvers import SolverConfig, run_solver
 from ihtlab.stablepoint import (
-    ENUMERATION_CHUNK,
     enumerate_stable_supports,
     is_stable_point,
     min_norm_solution,
