@@ -9,7 +9,6 @@ subcommand.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .experiments import (
     ExperimentConfig,
     read_config,
     run_experiment,
+    write_json,
 )
 from .rip import load_provider, rip_exact, rip_monte_carlo
 from .solvers import SolverConfig, run_solver
@@ -41,6 +41,7 @@ from .transitions import (
     grid_emit,
     stability_factor_iht,
     stability_factor_niht,
+    stepsize_interval_iht,
     stepsize_midpoint_iht,
     write_grid_csv,
 )
@@ -86,24 +87,20 @@ def _cmd_solve(argv: list[str]) -> int:
     )
     trace = run_solver(instance, config)
     err = float(np.linalg.norm(trace.final - instance.x_star))
-    _write_json(args.out, {
-        "error": err,
-        "iterations": trace.n_iterations,
-        "termination": trace.termination_reason,
-        "objective": trace.iterates[-1].objective,
-        "support": list(trace.iterates[-1].support.indices),
-        "x": [float(v) for v in trace.final],
-    })
+    if args.out:
+        write_json(args.out, {
+            "error": err,
+            "iterations": trace.n_iterations,
+            "termination": trace.termination_reason,
+            "objective": trace.iterates[-1].objective,
+            "support": list(trace.iterates[-1].support.indices),
+            "x": [float(v) for v in trace.final],
+        })
     print(
         f"solve {args.variant}: error={err:.3e} iterations={trace.n_iterations} "
         f"termination={trace.termination_reason}"
     )
     return EXIT_OK
-
-
-def _write_json(path: Path | None, payload: dict) -> None:
-    if path:
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _cmd_rip(argv: list[str]) -> int:
@@ -121,10 +118,11 @@ def _cmd_rip(argv: list[str]) -> int:
         constants = rip_exact(A, args.order)
     else:
         constants = rip_monte_carlo(A, args.order, args.trials, RngSpec(args.seed, 1))
-    _write_json(args.out, {
-        "n": args.n, "N": args.N, "order": constants.s, "L": constants.L, "U": constants.U,
-        "method": constants.method, "general_position": constants.general_position,
-    })
+    if args.out:
+        write_json(args.out, {
+            "n": args.n, "N": args.N, "order": constants.s, "L": constants.L, "U": constants.U,
+            "method": constants.method, "general_position": constants.general_position,
+        })
     print(
         f"rip order={constants.s} L={constants.L:.6f} U={constants.U:.6f} "
         f"method={constants.method} general_position={constants.general_position}"
@@ -143,12 +141,13 @@ def _cmd_tailbound(argv: list[str]) -> int:
     nu_u = tail_iu(inputs)
     nu_l = tail_il(inputs)
     f_res = tail_if(args.delta, args.rho)
-    _write_json(args.out, {
-        "delta": args.delta, "rho": args.rho, "lambda": args.lam,
-        "nu_upper": nu_u.value, "nu_upper_residual": nu_u.residual,
-        "nu_lower": nu_l.value, "nu_lower_residual": nu_l.residual,
-        "f": f_res.value, "f_residual": f_res.residual,
-    })
+    if args.out:
+        write_json(args.out, {
+            "delta": args.delta, "rho": args.rho, "lambda": args.lam,
+            "nu_upper": nu_u.value, "nu_upper_residual": nu_u.residual,
+            "nu_lower": nu_l.value, "nu_lower_residual": nu_l.residual,
+            "f": f_res.value, "f_residual": f_res.residual,
+        })
     print(
         f"tailbound delta={args.delta} rho={args.rho} lambda={args.lam}: "
         f"nu_U={nu_u.value:.12g} (resid {nu_u.residual:.2e}) "
@@ -191,23 +190,26 @@ def _cmd_stability(argv: list[str]) -> int:
         alpha = args.alpha
         if alpha is None:
             alpha, _ = stepsize_midpoint_iht(args.delta, args.rho, provider)
-        result = stability_factor_iht(args.delta, args.rho, alpha, provider)
-        _write_json(args.out, {
-            "variant": "iht", "delta": args.delta, "rho": args.rho, "alpha": alpha,
-            "a": result.a, "xi": result.xi, "alpha_interval": result.alpha_interval,
-        })
+        result = stability_factor_iht(args.delta, args.rho, alpha)
+        interval = stepsize_interval_iht(args.delta, args.rho, provider)
+        if args.out:
+            write_json(args.out, {
+                "variant": "iht", "delta": args.delta, "rho": args.rho, "alpha": alpha,
+                "a": result.a, "xi": result.xi, "alpha_interval": interval,
+            })
         print(
             f"stability iht delta={args.delta} rho={args.rho} alpha={alpha:.6g}: "
-            f"a={result.a:.6g} xi={result.xi:.6g} interval={result.alpha_interval}"
+            f"a={result.a:.6g} xi={result.xi:.6g} interval={interval}"
         )
     else:
         result = stability_factor_niht(
             args.delta, args.rho, args.kappa, provider, xi_variant=args.xi_variant
         )
-        _write_json(args.out, {
-            "variant": "niht", "delta": args.delta, "rho": args.rho, "kappa": args.kappa,
-            "xi_variant": args.xi_variant, "a": result.a, "xi": result.xi,
-        })
+        if args.out:
+            write_json(args.out, {
+                "variant": "niht", "delta": args.delta, "rho": args.rho, "kappa": args.kappa,
+                "xi_variant": args.xi_variant, "a": result.a, "xi": result.xi,
+            })
         print(
             f"stability niht delta={args.delta} rho={args.rho} kappa={args.kappa}: "
             f"a={result.a:.6g} xi={result.xi:.6g} ({args.xi_variant})"

@@ -92,9 +92,6 @@ class SupportSet:
     def __iter__(self):
         return iter(self.indices)
 
-    def __contains__(self, i) -> bool:
-        return i in self.indices
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:

@@ -146,6 +146,10 @@ class ExperimentConfig:
             for value in getattr(self, key) or ():
                 if not 0 < value <= 1:
                     raise ConfigError(f"{key} values must lie in (0, 1], got {value}")
+        for key in ("output_path", "trial_csv_path"):
+            path = getattr(self, key)
+            if path and not Path(path).parent.is_dir():
+                raise ConfigError(f"{key}: directory {str(Path(path).parent)!r} does not exist")
         if not 0 <= self.sigma < math.inf:
             raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.kind == KIND_DISTRIBUTION:
@@ -194,10 +198,6 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(read_config(path))
-
     def to_dict(self) -> dict:
         raw = asdict(self)
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in raw.items()}
@@ -236,18 +236,11 @@ class ExperimentResult:
     trial_rows: list[dict] = field(default_factory=list)
     version: str = __version__
 
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "version": self.version,
-            "config": self.config,
-            "summary": self.summary,
-            "cells": self.cells,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8", newline="\n")
+        write_json(path, {
+            "kind": self.kind, "version": self.version, "config": self.config,
+            "summary": self.summary, "cells": self.cells,
+        })
 
     def save_trials_csv(self, path: str | Path) -> None:
         if not self.trial_rows:
@@ -257,6 +250,11 @@ class ExperimentResult:
         for row in self.trial_rows:
             lines.append(",".join(_csv_field(row[k]) for k in keys))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """``payload`` as key-sorted, indented UTF-8 JSON with LF line ends."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 def _csv_field(value) -> str:
@@ -568,14 +566,14 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
         cell_meta.append({"cell": cell_id, "delta": delta, "rho": rho, "n": n, "N": N, "k": k, "valid": valid})
         if valid:
             tasks.extend((config, solver_config, cell_id, n, N, k, t) for t in range(config.trials))
+    if not tasks:
+        raise ConfigError(f"n={n}: no cell of the grid satisfies 0 < 2k <= n <= N")
     rows = _pmap(_transition_trial, tasks, _worker_count())
-    by_cell: dict[int, list[dict]] = {}
-    for row in rows:
-        by_cell.setdefault(row["cell"], []).append(row)
+    cell_rows = iter(rows)
     for meta in cell_meta:
         cell = dict(meta)
-        trials = sorted(by_cell.get(meta["cell"], []), key=lambda r: r["trial"])
-        if meta["valid"] and trials:
+        if meta["valid"]:
+            trials = [next(cell_rows) for _ in range(config.trials)]
             succ = sum(r["success"] for r in trials)
             cell["success_rate"] = succ / len(trials)
             lo, hi = wilson_interval(succ, len(trials))

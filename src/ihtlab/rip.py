@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -66,45 +67,19 @@ def rip_exact(A: np.ndarray, s: int) -> RipConstants:
     return RipConstants(s=s, L=1.0 - min_eig, U=max_eig - 1.0, method=METHOD_EXACT)
 
 
-def rip_monte_carlo(
-    A: np.ndarray,
-    s: int,
-    trials: int,
-    rng: RngSpec | np.random.Generator,
-    dedup: bool = False,
-) -> RipConstants:
-    """Inner RIP estimates over ``trials`` uniformly sampled supports.
-
-    The estimates never exceed the exact constants; with ``dedup`` the
-    supports are sampled without repetition, so ``trials = C(N, s)``
-    exhausts the enumeration and reproduces ``rip_exact``.
-    """
+def rip_monte_carlo(A: np.ndarray, s: int, trials: int, rng: RngSpec | np.random.Generator) -> RipConstants:
+    """Inner RIP estimates over ``trials`` uniformly sampled supports, drawn
+    lazily; the estimates never exceed the exact constants."""
     A = np.asarray(A, dtype=float)
     N = A.shape[1]
     if not 1 <= s <= min(A.shape):
         raise InvalidArgumentError(f"order s must satisfy 1 <= s <= min(n, N), got {s}")
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    total = math.comb(N, s)
-    if dedup and trials > total:
-        raise InvalidArgumentError(f"cannot draw {trials} distinct supports out of C({N},{s}) = {total}")
     gen = _as_generator(rng)
-    min_eig, max_eig = _gram_eig_range(A, _sampled_supports(gen, N, s, trials, dedup))
+    supports = (tuple(np.sort(gen.choice(N, size=s, replace=False)).tolist()) for _ in range(trials))
+    min_eig, max_eig = _gram_eig_range(A, supports)
     return RipConstants(s=s, L=1.0 - min_eig, U=max_eig - 1.0, method=METHOD_MONTE_CARLO)
-
-
-def _sampled_supports(gen: np.random.Generator, N: int, s: int, trials: int, dedup: bool):
-    """``trials`` sorted uniform supports, drawn lazily; with ``dedup`` a
-    repeated support is drawn again."""
-    seen: set[tuple[int, ...]] = set()
-    while trials:
-        support = tuple(np.sort(gen.choice(N, size=s, replace=False)).tolist())
-        if dedup:
-            if support in seen:
-                continue
-            seen.add(support)
-        trials -= 1
-        yield support
 
 
 class RipBoundProvider:
@@ -191,19 +166,11 @@ class TableRipProvider(RipBoundProvider):
         keys = [(r[0], r[1]) for r in rows]
         if keys != sorted(keys):
             raise TableFormatError(f"{path}: rows must be sorted by (delta, rho)")
-        deltas = sorted(set(r[0] for r in rows))
-        rhos = sorted(set(r[1] for r in rows))
-        if len(rows) != len(deltas) * len(rhos):
+        deltas, rhos = sorted(set(k[0] for k in keys)), sorted(set(k[1] for k in keys))
+        if keys != list(product(deltas, rhos)):
             raise TableFormatError(f"{path}: grid is not rectangular over (delta, rho)")
-        L_grid = np.full((len(deltas), len(rhos)), np.nan)
-        U_grid = np.full_like(L_grid, np.nan)
-        d_index = {d: i for i, d in enumerate(deltas)}
-        r_index = {r: j for j, r in enumerate(rhos)}
-        for d, r, L, U in rows:
-            L_grid[d_index[d], r_index[r]] = L
-            U_grid[d_index[d], r_index[r]] = U
-        if np.any(np.isnan(L_grid)):
-            raise TableFormatError(f"{path}: grid is not rectangular over (delta, rho)")
+        bounds = np.array([r[2:] for r in rows]).reshape(len(deltas), len(rhos), 2)
+        L_grid, U_grid = bounds[..., 0], bounds[..., 1]
         return cls(deltas, rhos, L_grid, U_grid, source=source)
 
     def _cell(self, knots: np.ndarray, value, axis: str) -> tuple[np.ndarray, np.ndarray]:

@@ -49,6 +49,8 @@ class SolverConfig:
         else:
             if not 0 < self.c < 1:
                 raise InvalidArgumentError(f"N-IHT requires c in (0, 1), got {self.c}")
+            if self.kappa == math.inf:
+                raise InvalidArgumentError(f"N-IHT requires a finite kappa, got {self.kappa}")
             if not self.kappa * (1.0 - self.c) > 1.0:
                 raise InvalidArgumentError(
                     f"N-IHT requires kappa > 1/(1-c); got kappa={self.kappa}, c={self.c}"

@@ -65,7 +65,6 @@ def is_stable_point(
     A: np.ndarray,
     b: np.ndarray,
     tol: float = DEFAULT_STABILITY_TOL,
-    k: int | None = None,
 ) -> StablePointReport:
     """Check the two stable-point conditions at absolute tolerance ``tol``.
 
@@ -73,8 +72,6 @@ def is_stable_point(
     magnitude condition compares the smallest on-support entry of x̄ against
     ``alpha_lb`` times the largest off-support gradient magnitude.
     """
-    if k is not None and len(gamma) != k:
-        raise InvalidArgumentError(f"support cardinality {len(gamma)} differs from k={k}")
     x_bar = np.asarray(x_bar, dtype=float)
     if not SupportSet.support_of(x_bar).issubset(gamma):
         raise InvalidArgumentError("x_bar must be supported inside gamma")

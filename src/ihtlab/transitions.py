@@ -43,7 +43,6 @@ class TransitionResult:
 class StabilityResult:
     a: float
     xi: float
-    alpha_interval: tuple[float, float] | None = None
 
 
 def lhs_stable(delta, rho):
@@ -150,9 +149,17 @@ def rho_hat_iht(delta, provider: RipBoundProvider) -> TransitionResult:
 def rho_hat_niht(delta, kappa: float, provider: RipBoundProvider) -> TransitionResult:
     """Phase-transition lower bound for normalised IHT with parameter kappa,
     at one delta or at every delta of an array."""
+    _check_kappa(kappa)
+    return _solve_rho(delta, kappa, provider)
+
+
+def _check_kappa(kappa: float) -> None:
+    """N-IHT needs a finite kappa >= 1: at kappa = inf the guaranteed
+    stepsize 1/(kappa*(1+U)) is 0."""
     if not kappa >= 1.0:
         raise InvalidArgumentError(f"kappa must be >= 1, got {kappa}")
-    return _solve_rho(delta, kappa, provider)
+    if kappa == math.inf:
+        raise InvalidArgumentError(f"kappa must be finite, got {kappa}")
 
 
 def stepsize_interval_iht(delta, rho, provider: RipBoundProvider):
@@ -198,19 +205,16 @@ def _stability_core(delta, rho, alpha, one_plus_a: bool):
     return _unwrap(a), _unwrap(np.sqrt(f_root * a**2 + a**2))
 
 
-def stability_factor_iht(delta, rho, alpha, provider: RipBoundProvider | None = None) -> StabilityResult:
+def stability_factor_iht(delta, rho, alpha) -> StabilityResult:
     """Noise stability factor for IHT at stepsize alpha, over scalars or
     arrays (see ``_stability_core``).
 
     Requires a finite alpha strictly above the stable-point threshold; over
-    arrays a NaN alpha marks a point without a stepsize and gives NaN.  The
-    optional provider fills in the admissible stepsize interval.
+    arrays a NaN alpha marks a point without a stepsize and gives NaN.
     """
     if np.any(np.asarray(alpha) <= 0) or np.ndim(alpha) == 0 and not 0 < alpha < np.inf:
         raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")
-    a, xi = _stability_core(delta, rho, alpha, one_plus_a=True)
-    interval = stepsize_interval_iht(delta, rho, provider) if provider is not None else None
-    return StabilityResult(a=a, xi=xi, alpha_interval=interval)
+    return StabilityResult(*_stability_core(delta, rho, alpha, one_plus_a=True))
 
 
 def stability_factor_niht(
@@ -231,17 +235,15 @@ def stability_factor_niht(
     """
     if xi_variant not in XI_NIHT_VARIANTS:
         raise InvalidArgumentError(f"xi_variant must be one of {XI_NIHT_VARIANTS}")
-    if not kappa >= 1.0:
-        raise InvalidArgumentError(f"kappa must be >= 1, got {kappa}")
-    a, xi = _stability_core(
+    _check_kappa(kappa)
+    return StabilityResult(*_stability_core(
         delta, rho, _alpha_lb(delta, rho, kappa, provider), one_plus_a=(xi_variant == XI_NIHT_WITH_ONE_PLUS_A)
-    )
-    return StabilityResult(a=a, xi=xi, alpha_interval=None)
+    ))
 
 
-def default_delta_grid(num: int = 100, lo: float = 1e-3, hi: float = 1.0) -> np.ndarray:
-    """Log-spaced delta grid matching the qualitative range of the curves."""
-    return np.logspace(math.log10(lo), math.log10(hi), num)
+def default_delta_grid(num: int = 100) -> np.ndarray:
+    """``num`` log-spaced deltas from 1e-3 to 1, the range of the curves."""
+    return np.logspace(-3.0, 0.0, num)
 
 
 def _fmt(value: float) -> str:
@@ -258,7 +260,6 @@ def grid_emit(
     delta_grid,
     rho_grid=None,
     kappa: float = 1.1,
-    alpha: float | None = None,
     xi_variant: str = XI_NIHT_AS_PRINTED,
 ) -> list[str]:
     """Deterministic CSV rows (header first) for one curve or surface.
@@ -289,23 +290,10 @@ def grid_emit(
             f"{_fmt(p)},{_fmt(q)},{_fmt(a)},{_fmt(b)}" for p, q, a, b in zip(d, r, lo, hi)
         ]
     if kind == "xi_iht":
-        stepsize = stepsize_midpoint_iht(d, r, provider)[0] if alpha is None else alpha
-        xi = stability_factor_iht(d, r, stepsize).xi
+        xi = stability_factor_iht(d, r, stepsize_midpoint_iht(d, r, provider)[0]).xi
     else:
         xi = stability_factor_niht(d, r, kappa, provider, xi_variant=xi_variant).xi
     return ["delta,rho,xi"] + [f"{_fmt(p)},{_fmt(q)},{_fmt(x)}" for p, q, x in zip(d, r, xi)]
-
-
-def curve_monotonicity_flags(rows: list[str]) -> list[bool]:
-    """Per-row flags marking whether rho_hat is nondecreasing along the curve."""
-    values = []
-    for row in rows[1:]:
-        fields = row.split(",")
-        values.append(float(fields[1]) if fields[1] else math.nan)
-    flags = [True]
-    for prev, cur in zip(values, values[1:]):
-        flags.append(not (cur < prev))
-    return flags
 
 
 def write_grid_csv(path, rows: list[str]) -> None:

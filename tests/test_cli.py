@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from ihtlab import cli
+from ihtlab import cli, experiments
 from ihtlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run_cli
 from ihtlab.experiments import ExperimentResult
+from ihtlab.rip import default_provider
+from ihtlab.transitions import stepsize_interval_iht
 
 
 def test_unknown_subcommand_exits_64(capsys):
@@ -89,6 +91,31 @@ def test_stability_undefined_exits_3(capsys):
     assert run_cli(["stability", "--delta", "0.5", "--rho", "0.4", "--alpha", "0.5"]) == EXIT_NUMERICAL
 
 
+def test_rip_monte_carlo_writes_json(tmp_path, capsys):
+    out = tmp_path / "rip.json"
+    argv = ["rip", "--method", "monte_carlo", "--trials", "50", "--seed", "3", "--out", str(out)]
+    assert run_cli(argv) == EXIT_OK
+    assert json.loads(out.read_text(encoding="utf-8"))["method"] == "monte_carlo"
+
+
+def test_stability_niht_writes_json(tmp_path, capsys):
+    out = tmp_path / "stab.json"
+    argv = ["stability", "--variant", "niht", "--delta", "0.5", "--rho", "0.008",
+            "--xi-variant", "with_one_plus_a", "--out", str(out)]
+    assert run_cli(argv) == EXIT_OK
+    assert json.loads(out.read_text(encoding="utf-8"))["xi_variant"] == "with_one_plus_a"
+
+
+def test_stability_iht_writes_stepsize_interval(tmp_path, capsys):
+    mid, empty = tmp_path / "mid.json", tmp_path / "empty.json"
+    assert run_cli(["stability", "--delta", "0.5", "--rho", "0.008", "--out", str(mid)]) == EXIT_OK
+    argv = ["stability", "--delta", "0.5", "--rho", "0.05", "--alpha", "5", "--out", str(empty)]
+    assert run_cli(argv) == EXIT_OK
+    lo, hi = stepsize_interval_iht(0.5, 0.008, default_provider())
+    assert json.loads(mid.read_text(encoding="utf-8"))["alpha_interval"] == [lo, hi]
+    assert json.loads(empty.read_text(encoding="utf-8"))["alpha_interval"] is None
+
+
 def test_mc_dist_with_config_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -101,6 +128,18 @@ def test_mc_dist_with_config_and_overrides(tmp_path, capsys):
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["config"]["trials"] == 100  # flag override wins
     assert payload["summary"]["violations_42"] == 0
+
+
+@pytest.mark.parametrize("flag, key", [("--out", "output_path"), ("--trial-csv", "trial_csv_path")])
+def test_mc_dist_missing_output_directory_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, flag, key):
+    def trial(task):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_distribution_trial", trial)
+    argv = ["mc-dist", "--n", "40", "--k", "4", "--overlap", "2", "--trials", "3000", "--seed", "1",
+            flag, str(tmp_path / "missing" / "x")]
+    assert run_cli(argv) == EXIT_CONFIG
+    assert f"config error: {key}: directory" in capsys.readouterr().err
 
 
 def test_mc_dist_unknown_config_key_exits_2(tmp_path, capsys):
@@ -180,6 +219,8 @@ def test_solver_key_of_wrong_type_exits_2(tmp_path, capsys, key, value, expected
     ("mc-transition", "master_seed", -1, "master_seed must be >= 0"),
     ("mc-transition", "delta_grid", [0], "delta_grid values must lie in (0, 1]"),
     ("mc-transition", "rho_grid", [0.05, float("nan")], "rho_grid values must lie in (0, 1]"),
+    ("mc-transition", "n", 0, "n=0: no cell of the grid satisfies 0 < 2k <= n <= N"),
+    ("mc-transition", "n", 1, "n=1: no cell of the grid satisfies 0 < 2k <= n <= N"),
 ])
 def test_config_value_out_of_range_exits_2(tmp_path, capsys, command, key, value, message):
     cfg = tmp_path / "cfg.json"
@@ -251,6 +292,12 @@ NAN, INF = float("nan"), float("inf")
                  "kappa must be >= 1, got nan", id="stability-kappa"),
     pytest.param("phase-bound", None, ["--variant", "niht", "--kappa", "nan", "--out", "curve.csv"],
                  "kappa must be >= 1, got nan", id="phase-bound-kappa"),
+    pytest.param("solve", None, ["--variant", "niht", "--kappa", "inf"], "N-IHT requires a finite kappa, got inf",
+                 id="solve-kappa-infinity"),
+    pytest.param("stability", None, ["--variant", "niht", "--delta", "0.5", "--rho", "0.008", "--kappa", "inf"],
+                 "kappa must be finite, got inf", id="stability-kappa-infinity"),
+    pytest.param("phase-bound", None, ["--variant", "niht", "--kappa", "inf", "--out", "curve.csv"],
+                 "kappa must be finite, got inf", id="phase-bound-kappa-infinity"),
 ])
 def test_non_finite_input_exits_2(tmp_path, capsys, monkeypatch, command, config_changes, flags, message):
     monkeypatch.chdir(tmp_path)

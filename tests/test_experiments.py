@@ -18,6 +18,7 @@ from ihtlab.experiments import (
     mc_distribution_check,
     mc_error_vs_xi,
     mc_recovery_transition,
+    read_config,
     run_experiment,
     wilson_interval,
 )
@@ -102,7 +103,7 @@ class TestConfigValidation:
             "kind": "mc_distribution", "n": 40, "k": 4, "overlap": 2,
             "trials": 5, "master_seed": 0, "sigma": 1.0,
         }), encoding="utf-8")
-        config = ExperimentConfig.from_json_file(path)
+        config = ExperimentConfig.from_dict(read_config(path))
         assert config.n == 40 and config.sigma == 1.0
 
 

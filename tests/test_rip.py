@@ -7,7 +7,6 @@ import pytest
 from ihtlab.core import RngSpec, sample_gaussian_matrix
 from ihtlab.errors import (
     BudgetExceededError,
-    InvalidArgumentError,
     NumericalDomainError,
     TableFormatError,
 )
@@ -92,13 +91,6 @@ class TestRipExact:
 
 
 class TestRipMonteCarlo:
-    def test_dedup_exhaustion_equals_exact(self):
-        A = sample_gaussian_matrix(8, 7, RngSpec(5))
-        exact = rip_exact(A, 2)
-        mc = rip_monte_carlo(A, 2, math.comb(7, 2), RngSpec(6), dedup=True)
-        assert mc.L == pytest.approx(exact.L, abs=1e-14)
-        assert mc.U == pytest.approx(exact.U, abs=1e-14)
-
     def test_single_trial(self):
         A = sample_gaussian_matrix(8, 10, RngSpec(7))
         gen = RngSpec(8).generator()
@@ -119,11 +111,6 @@ class TestRipMonteCarlo:
         mc = rip_monte_carlo(A, 3, 50, RngSpec(12))
         assert mc.U <= exact.U + 1e-14
         assert mc.L <= exact.L + 1e-14
-
-    def test_dedup_overdraw_rejected(self):
-        A = sample_gaussian_matrix(6, 5, RngSpec(13))
-        with pytest.raises(InvalidArgumentError):
-            rip_monte_carlo(A, 2, 11, RngSpec(13), dedup=True)
 
 
 def write_table(path, rows, header="# rip-table v1; source=unit-test"):

@@ -74,8 +74,6 @@ class TestIsStablePoint:
 
     def test_support_mismatch_rejected(self):
         inst = sample_instance(20, 40, 4, 0.0, RngSpec(6))
-        with pytest.raises(InvalidArgumentError):
-            is_stable_point(inst.x_star, SupportSet((0, 1, 2, 3)), 1.0, inst.A, inst.b, k=2)
         bad = np.ones(40)
         with pytest.raises(InvalidArgumentError):
             is_stable_point(bad, inst.true_support, 1.0, inst.A, inst.b)
@@ -230,7 +228,7 @@ def per_support_reports(inst, alpha):
     for idx in combinations(range(inst.N), inst.k):
         gamma = SupportSet(idx)
         x_bar = min_norm_solution(inst.A, inst.b, gamma)
-        report = is_stable_point(x_bar, gamma, alpha, inst.A, inst.b, k=inst.k)
+        report = is_stable_point(x_bar, gamma, alpha, inst.A, inst.b)
         if report.is_stable:
             reports.append(report)
     return reports

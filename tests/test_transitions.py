@@ -9,7 +9,6 @@ from ihtlab.rip import ConstantRipProvider, default_provider
 from ihtlab.transitions import (
     RHO_BRACKET_HI,
     RHO_BRACKET_LO,
-    curve_monotonicity_flags,
     default_delta_grid,
     grid_emit,
     lhs_stable,
@@ -125,10 +124,9 @@ class TestStabilityIht:
 
     def test_anchor_value(self, provider):
         lo, hi = stepsize_interval_iht(0.5, 0.008, provider)
-        result = stability_factor_iht(0.5, 0.008, 0.5 * (lo + hi), provider)
+        result = stability_factor_iht(0.5, 0.008, 0.5 * (lo + hi))
         assert result.a == pytest.approx(4.3148886285921115, rel=1e-9)
         assert result.xi == pytest.approx(4.575175672932638, rel=1e-9)
-        assert result.alpha_interval == (lo, hi)
 
     def test_sigma_never_enters(self, provider):
         # The factor is a function of (delta, rho, alpha) only; calling twice
@@ -207,12 +205,6 @@ class TestGridEmit:
         write_grid_csv(p2, grid_emit("phase_niht", provider, grid, kappa=1.1))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
-
-    def test_monotonicity_flags(self, provider):
-        rows = grid_emit("phase_iht", provider, default_delta_grid(12))
-        flags = curve_monotonicity_flags(rows)
-        assert len(flags) == 12
-        assert all(isinstance(f, bool) for f in flags)
 
     def test_surface_with_undefined_points_empty_fields(self, provider):
         rho_hat = rho_hat_niht(0.5, 1.1, provider).rho_hat
