@@ -28,6 +28,7 @@ from .experiments import (
     KIND_ERROR_VS_XI,
     KIND_TRANSITION,
     ExperimentConfig,
+    check_output_path,
     read_config,
     run_experiment,
     write_json,
@@ -74,6 +75,7 @@ def _cmd_solve(argv: list[str]) -> int:
     parser.add_argument("--coefficient-model", default="gaussian")
     parser.add_argument("--out", type=Path, default=None, help="write the solution as JSON")
     args = parser.parse_args(argv)
+    check_output_path("--out", args.out)
     config = SolverConfig(
         variant=args.variant,
         alpha=args.alpha if args.variant == "iht" else None,
@@ -113,6 +115,7 @@ def _cmd_rip(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
+    check_output_path("--out", args.out)
     A = sample_gaussian_matrix(args.n, args.N, RngSpec(args.seed))
     if args.method == "exact":
         constants = rip_exact(A, args.order)
@@ -137,6 +140,7 @@ def _cmd_tailbound(argv: list[str]) -> int:
     parser.add_argument("--lambda", dest="lam", type=float, default=1.0)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
+    check_output_path("--out", args.out)
     inputs = TailInputs(args.delta, args.rho, args.lam)
     nu_u = tail_iu(inputs)
     nu_l = tail_il(inputs)
@@ -165,6 +169,7 @@ def _cmd_phase_bound(argv: list[str]) -> int:
     parser.add_argument("--grid-points", type=int, default=100)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    check_output_path("--out", args.out)
     provider = load_provider(args.rip_table)
     grid = default_delta_grid(args.grid_points)
     kind = "phase_iht" if args.variant == "iht" else "phase_niht"
@@ -185,6 +190,7 @@ def _cmd_stability(argv: list[str]) -> int:
     parser.add_argument("--rip-table", type=str, default=None)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
+    check_output_path("--out", args.out)
     provider = load_provider(args.rip_table)
     if args.variant == "iht":
         alpha = args.alpha

@@ -145,28 +145,54 @@ class ProblemInstance:
         return float(np.max(np.abs(self.A @ self.x_star + self.e - self.b), initial=0.0))
 
 
-def top_indices(v: np.ndarray, k: int) -> np.ndarray:
-    """Ascending indices of the k largest-magnitude entries of a float vector.
+@dataclass(frozen=True, eq=False)
+class ProblemStack:
+    """Instances that share (n, N), each with its own k and b, stacked:
+    ``A`` is ``(T, n, N)``, ``b`` ``(T, n)`` and ``k`` ``(T,)``."""
 
-    Ties go to the lowest index: a stable sort on descending magnitude keeps
-    it first among equal magnitudes.  NaN ranks below every number.
+    A: np.ndarray
+    b: np.ndarray
+    k: np.ndarray
+
+    @classmethod
+    def of(cls, instance: ProblemInstance) -> "ProblemStack":
+        """The stack of one ``instance``: views of its arrays, no copy."""
+        return cls(np.asarray(instance.A, dtype=float)[None], instance.b[None], np.array([instance.k]))
+
+
+def top_mask(v: np.ndarray, k) -> np.ndarray:
+    """Mask of the k largest-magnitude entries of a float vector, or of the
+    ``k[i]`` largest of each row ``v[i]`` of a ``(T, N)`` stack.
+
+    An entry is kept when its rank in one stable sort of ``-|v|`` along the
+    last axis is below its row's k, so ties go to the lowest index and NaN
+    ranks below every number.
     """
-    if not 1 <= k <= v.shape[0]:
-        raise InvalidArgumentError(f"k must satisfy 1 <= k <= len(x), got k={k}, len={v.shape[0]}")
-    return np.sort(np.argsort(-np.abs(v), kind="stable")[:k])
+    v, k = np.asarray(v, dtype=float), np.asarray(k)
+    N = v.shape[-1]
+    # Python min/max: two ufunc reductions cost more on a handful of k.
+    ks = k.tolist() if k.ndim else [int(k)]
+    k_min, k_max = min(ks, default=1), max(ks, default=0)
+    if k.shape != v.shape[:-1] or k_min < 1 or k_max > N:
+        raise InvalidArgumentError(f"k must satisfy 1 <= k <= len(x), got k={k}, len={N}")
+    order = (-np.abs(v)).argsort(axis=-1, kind="stable")[..., :k_max]
+    mask = np.zeros(v.shape, dtype=bool)
+    if v.ndim == 1:
+        mask[order] = True
+    else:
+        mask[np.arange(len(v))[:, None], order] = True if k_min == k_max else np.arange(k_max) < k[:, None]
+    return mask
 
 
-def hard_threshold(x: np.ndarray, k: int) -> np.ndarray:
+def hard_threshold(x: np.ndarray, k) -> np.ndarray:
     """Keep the k largest-magnitude entries of x and zero the rest.
 
-    Ties are broken towards the lowest index so that the projection is
+    x is a vector with an integer k, or a ``(T, N)`` stack with one k per
+    row.  Ties are broken towards the lowest index so that the projection is
     deterministic.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    idx = top_indices(x, k)
-    out[idx] = x.take(idx)
-    return out
+    return np.where(top_mask(x, k), x, 0.0)
 
 
 def restrict(A: np.ndarray, gamma: SupportSet) -> np.ndarray:

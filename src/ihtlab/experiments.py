@@ -7,7 +7,10 @@ Every trial draws from its own counter-based substreams keyed by
 its overlap terms from stream 1 and its Rayleigh quotients from stream 2,
 recovery-transition trials use stream 3 and noise-bound trials stream 4.  So
 results are byte-identical no matter how many workers execute them.  Worker
-count is controlled only by the ``IHTLAB_WORKERS`` environment variable.
+count is controlled only by the ``IHTLAB_WORKERS`` environment variable.  A
+task is a chunk of distribution trials or a stack of solver trials that share
+(n, N); each slice makes the BLAS/LAPACK calls a lone trial would, so results
+do not depend on the chunking or stacking either.
 """
 from __future__ import annotations
 
@@ -16,13 +19,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, asdict
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .core import (
+    ProblemStack,
     RngSpec,
     SupportSet,
     least_squares_split,
@@ -69,6 +72,12 @@ STABLE_POINT_CHECK_TOL = 1e-6
 # every stack in proportion and save no time: at n = 100, k = 10, r = 5,
 # chunks of 8 took about 10% longer than 16, and chunks of 32 no less.
 DISTRIBUTION_CHUNK = 16
+# Cap on the matrix bytes of one solver stack: mc_transition and
+# mc_error_vs_xi trials that share (n, N) iterate together.  At n = 60 a
+# delta column of 8 trials (at most 8 x 96 KB) is one stack; a trial whose
+# matrix alone is larger, such as n = 400, N = 800 (2.56 MB), runs as a stack
+# of one and holds no more memory than it would alone.
+SOLVER_STACK_BYTES = 1 << 20
 
 _FIELD_SETS = {
     KIND_DISTRIBUTION: (
@@ -101,6 +110,18 @@ _SCALAR_TYPES = {
     "alpha": ((int, float, type(None)), "a number or null"),
     "variant": ((str,), "a string"),
 }
+
+
+def check_output_path(name: str, path: str | Path | None) -> None:
+    """``ConfigError`` naming ``name`` when ``path`` is given and cannot be
+    written as a file: it is a directory, or its directory does not exist."""
+    if not path:
+        return
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"{name}: {str(path)!r} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"{name}: directory {str(path.parent)!r} does not exist")
 
 
 def _check_types(section: dict, prefix: str = "") -> None:
@@ -147,9 +168,7 @@ class ExperimentConfig:
                 if not 0 < value <= 1:
                     raise ConfigError(f"{key} values must lie in (0, 1], got {value}")
         for key in ("output_path", "trial_csv_path"):
-            path = getattr(self, key)
-            if path and not Path(path).parent.is_dir():
-                raise ConfigError(f"{key}: directory {str(Path(path).parent)!r} does not exist")
+            check_output_path(key, getattr(self, key))
         if not 0 <= self.sigma < math.inf:
             raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.kind == KIND_DISTRIBUTION:
@@ -508,30 +527,61 @@ def _cell_shape(n: int, delta: float, rho: float) -> tuple[int, int]:
     return max(n, round(n / delta)), max(1, round(rho * n))
 
 
-def _sample_and_solve(config, solver_config, stream: int, cell_id: int, n: int, N: int, k: int, trial: int):
-    """The instance of one trial, drawn from substream ``(cell_id, trial)`` of
-    ``stream``, the solver's trace on it, and the error norm of the final
-    iterate, which is not finite when the iterates diverged."""
-    gen = RngSpec(config.master_seed, stream).substream(cell_id, trial)
-    instance = sample_instance(n, N, k, config.sigma, gen, config.coefficient_model)
-    trace = run_solver(instance, solver_config)
+def _stacks(n: int, N: int, draws: list) -> list[list]:
+    """``draws`` in order, cut into stacks whose matrices take at most
+    ``SOLVER_STACK_BYTES``, or one draw a stack when one matrix alone does not
+    fit."""
+    size = max(1, SOLVER_STACK_BYTES // (8 * n * N))
+    return [draws[i : i + size] for i in range(0, len(draws), size)]
+
+
+def _solve_stack(config, solver_config, stream: int, n: int, N: int, draws: list):
+    """The stack of the instances of ``draws``, ``(cell_id, k, trial)``
+    triples whose instance comes from substream ``(cell_id, trial)`` of
+    ``stream``; their true signals; the solver's result on the stack; and each
+    final iterate's error norm, which is not finite when the iterates
+    diverged.
+
+    Each instance is drawn into a preallocated stack and dropped, so no more
+    than one is alive beside it; a stack of one is a view of its instance.
+    """
+    instances = (
+        sample_instance(
+            n, N, k, config.sigma, RngSpec(config.master_seed, stream).substream(cell_id, trial),
+            config.coefficient_model,
+        )
+        for cell_id, k, trial in draws
+    )
+    T = len(draws)
+    if T == 1:
+        instance = next(instances)
+        stack, x_star = ProblemStack.of(instance), instance.x_star[None]
+    else:
+        stack = ProblemStack(np.empty((T, n, N)), np.empty((T, n)), np.array([k for _, k, _ in draws]))
+        x_star = np.empty((T, N))
+        for i, instance in enumerate(instances):
+            stack.A[i], stack.b[i], x_star[i] = instance.A, instance.b, instance.x_star
+    result = run_solver(stack, solver_config)
     with np.errstate(over="ignore", invalid="ignore"):
-        err = float(np.linalg.norm(trace.final - instance.x_star))
-    return instance, trace, err
+        errors = [float(np.linalg.norm(x - x0)) for x, x0 in zip(result.final, x_star)]
+    return stack, x_star, result, errors
 
 
-def _transition_trial(task) -> dict:
-    config, solver_config, cell_id, n, N, k, trial = task
-    instance, trace, err = _sample_and_solve(config, solver_config, 3, cell_id, n, N, k, trial)
-    rel = err / float(np.linalg.norm(instance.x_star)) if math.isfinite(err) else math.inf
-    return {
-        "cell": cell_id,
-        "trial": trial,
-        "error": err if math.isfinite(err) else None,
-        "success": bool(rel <= SUCCESS_REL_TOL),
-        "iterations": trace.n_iterations,
-        "termination": trace.termination_reason,
-    }
+def _transition_stack(task) -> list[dict]:
+    config, solver_config, n, N, draws = task
+    _, x_star, result, errors = _solve_stack(config, solver_config, 3, n, N, draws)
+    rows = []
+    for i, ((cell_id, _, trial), err) in enumerate(zip(draws, errors)):
+        rel = err / float(np.linalg.norm(x_star[i])) if math.isfinite(err) else math.inf
+        rows.append({
+            "cell": cell_id,
+            "trial": trial,
+            "error": err if math.isfinite(err) else None,
+            "success": bool(rel <= SUCCESS_REL_TOL),
+            "iterations": int(result.iterations[i]),
+            "termination": result.termination[i],
+        })
+    return rows
 
 
 def fifty_percent_contour(cells: list[dict]) -> list[dict]:
@@ -560,15 +610,21 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
     solver_config = config.solver_config()  # fail fast on a bad solver section
     n = config.n
     tasks, cell_meta, cells = [], [], []
-    for cell_id, (delta, rho) in enumerate(product(config.delta_grid, config.rho_grid)):
-        N, k = _cell_shape(n, delta, rho)
-        valid = 0 < 2 * k <= n <= N
-        cell_meta.append({"cell": cell_id, "delta": delta, "rho": rho, "n": n, "N": N, "k": k, "valid": valid})
-        if valid:
-            tasks.extend((config, solver_config, cell_id, n, N, k, t) for t in range(config.trials))
+    # Cells run delta-major; the trials of one delta column share (n, N).
+    for d, delta in enumerate(config.delta_grid):
+        draws = []
+        for r, rho in enumerate(config.rho_grid):
+            cell_id = d * len(config.rho_grid) + r
+            N, k = _cell_shape(n, delta, rho)
+            valid = 0 < 2 * k <= n <= N
+            cell_meta.append({"cell": cell_id, "delta": delta, "rho": rho, "n": n, "N": N, "k": k, "valid": valid})
+            if valid:
+                draws.extend((cell_id, k, t) for t in range(config.trials))
+        if draws:
+            tasks.extend((config, solver_config, n, N, stack) for stack in _stacks(n, N, draws))
     if not tasks:
         raise ConfigError(f"n={n}: no cell of the grid satisfies 0 < 2k <= n <= N")
-    rows = _pmap(_transition_trial, tasks, _worker_count())
+    rows = [row for stack in _pmap(_transition_stack, tasks, _worker_count()) for row in stack]
     cell_rows = iter(rows)
     for meta in cell_meta:
         cell = dict(meta)
@@ -604,31 +660,32 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
 # noise-bound compliance
 
 
-def _error_trial(task) -> dict:
-    config, solver_config, alpha_lb, n, N, k, trial = task
-    instance, trace, err = _sample_and_solve(config, solver_config, 4, 0, n, N, k, trial)
-    x_bar = trace.final
-    converged = trace.termination_reason != TERMINATION_MAX_ITERS
-    stable = False
-    if converged and np.any(x_bar):
-        gamma = SupportSet.support_of(x_bar)
-        report = is_stable_point(
-            x_bar, gamma, alpha_lb, instance.A, instance.b, tol=STABLE_POINT_CHECK_TOL
-        )
-        stable = report.is_stable
-    elif converged:
-        stable = not np.any(instance.b)
-    if not math.isfinite(err):
-        converged = stable = False
-        err = math.inf
-    return {
-        "trial": trial,
-        "error": err,
-        "converged": bool(converged),
-        "stable": bool(stable),
-        "iterations": trace.n_iterations,
-        "termination": trace.termination_reason,
-    }
+def _error_stack(task) -> list[dict]:
+    config, solver_config, alpha_lb, n, N, draws = task
+    stack, _, result, errors = _solve_stack(config, solver_config, 4, n, N, draws)
+    rows = []
+    for i, ((_, _, trial), err) in enumerate(zip(draws, errors)):
+        x_bar = result.final[i]
+        converged = result.termination[i] != TERMINATION_MAX_ITERS
+        stable = False
+        if converged and np.any(x_bar):
+            gamma = SupportSet.support_of(x_bar)
+            report = is_stable_point(x_bar, gamma, alpha_lb, stack.A[i], stack.b[i], tol=STABLE_POINT_CHECK_TOL)
+            stable = report.is_stable
+        elif converged:
+            stable = not np.any(stack.b[i])
+        if not math.isfinite(err):
+            converged = stable = False
+            err = math.inf
+        rows.append({
+            "trial": trial,
+            "error": err,
+            "converged": bool(converged),
+            "stable": bool(stable),
+            "iterations": int(result.iterations[i]),
+            "termination": result.termination[i],
+        })
+    return rows
 
 
 def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
@@ -667,8 +724,9 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     n = config.n
     N, k = _cell_shape(n, delta, rho)
     bound = stability.xi * config.sigma if config.sigma > 0 else ZERO_NOISE_ERROR_TOL
-    tasks = [(config, solver_config, alpha_lb, n, N, k, t) for t in range(config.trials)]
-    rows = _pmap(_error_trial, tasks, workers)
+    draws = [(0, k, t) for t in range(config.trials)]
+    tasks = [(config, solver_config, alpha_lb, n, N, stack) for stack in _stacks(n, N, draws)]
+    rows = [row for stack in _pmap(_error_stack, tasks, workers) for row in stack]
     for row in rows:
         row["included"] = bool(row["converged"] and row["stable"])
         row["compliant"] = bool(row["included"] and row["error"] <= bound)

@@ -1,11 +1,21 @@
 """Gradient-projection solvers: constant-stepsize IHT and normalised IHT.
 
 Both variants run one iteration, x+ = H_k(x - alpha * grad), from x0 = 0 and
-differ only in the stepsize rule.  ``step`` is that iteration, the one step of
-both variants; ``run_solver`` is the loop that calls it.  The loop computes the
-residual r = A x - b once per iterate and takes both the gradient and the
-recorded objective from it.  Every trace is full: each iterate's x, stepsize,
-objective and shrinkage flag, with its support derived from x on demand.
+differ only in the stepsize rule.  ``run_solver`` is the one loop: it
+iterates a stack of instances that share (n, N), each with its own k and b,
+and takes every slice through ``_step``, the one step of both variants.  Each
+product is one BLAS call per slice, the call that slice alone would make, and
+the hard threshold is one stable argsort per stack iteration, so a slice's
+iterates do not depend on the stack it runs in.  The residual r = A x - b is
+computed once per iterate and gives both the gradient and the objective.  A
+slice leaves the stack when it terminates.
+
+What a run records depends on what it runs.  A stack (``ProblemStack``)
+records, per slice, the final iterate, the iteration count and the
+termination reason: all that the Monte Carlo harness reads.  One instance
+(``ProblemInstance``) runs as a stack of one and records its full trace:
+each iterate's x, stepsize, objective and shrinkage flag, with its support
+derived from x on demand.
 """
 from __future__ import annotations
 
@@ -14,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance, SupportSet, hard_threshold, top_indices
+from .core import ProblemInstance, ProblemStack, SupportSet, hard_threshold, matvec, top_mask, vecdot
 from .errors import InvalidArgumentError, ShrinkageLoopError, StationaryPointError
 
 VARIANT_IHT = "iht"
@@ -112,95 +122,180 @@ class InequalityReport:
         return not self.violations
 
 
-def _linesearch(x, g, gamma, A_gamma, A, k, config) -> tuple[float, bool, np.ndarray]:
-    """N-IHT stepsize on the support index array ``gamma`` from the gradient g.
+@dataclass(eq=False)
+class StackResult:
+    """What a stacked run records of each slice: its final iterate, its
+    iteration count and its termination reason.
 
-    ``A_gamma`` must be a C-ordered copy of ``A[:, gamma]``: the F-ordered
-    result of plain indexing takes another BLAS path and moves the last bit.
+    ``n_iterations`` and ``termination_reason`` give the summary a trace
+    gives, over the whole stack, to code that tallies solver runs.
     """
-    g_gamma = g[gamma]
-    num = float(g_gamma @ g_gamma)
-    den_vec = A_gamma @ g_gamma
-    den = float(den_vec @ den_vec)
-    if num == 0.0 or den == 0.0:
-        raise StationaryPointError("restricted gradient is zero; linesearch stepsize is 0/0")
+
+    final: np.ndarray
+    iterations: np.ndarray
+    termination: list[str]
+
+    @property
+    def n_iterations(self) -> int:
+        """Iterations of all slices together."""
+        return int(self.iterations.sum())
+
+    @property
+    def termination_reason(self) -> str:
+        """The reason every slice terminated for, or "" when they differ."""
+        return self.termination[0] if len(set(self.termination)) == 1 else ""
+
+
+def _linesearch(X, G, A, k, config) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """N-IHT stepsizes of a stack from its gradients G, as ``_step`` returns them.
+
+    Each slice's support gamma is that of x, or, at x = 0, the one the next
+    projection selects.  The Rayleigh quotients are taken together over the
+    slices that share |gamma|, with ``A[:, gamma]`` gathered as a C-ordered
+    ``(T_s, n, |gamma|)`` stack: the F-ordered result of plain indexing takes
+    another BLAS path and moves the last bit.  Each slice whose trial point
+    leaves gamma then shrinks its own stepsize.
+    """
+    T = len(X)
+    support = X != 0.0
+    empty = ~support.any(axis=1)
+    if empty.any():
+        support[empty] = top_mask(G[empty], k[empty])
+    sizes = support.sum(axis=1)
+    num, den = np.empty(T), np.empty(T)
+    for s in set(sizes.tolist()):
+        sel = np.flatnonzero(sizes == s)
+        gamma = np.nonzero(support[sel])[1].reshape(len(sel), s)
+        g_gamma = G[sel[:, None], gamma]
+        A_gamma = np.ascontiguousarray(A.mT[sel[:, None], gamma].mT)
+        den_vec = matvec(A_gamma, g_gamma)
+        num[sel], den[sel] = vecdot(g_gamma, g_gamma), vecdot(den_vec, den_vec)
+    stationary = (num == 0.0) | (den == 0.0)
     alpha = num / den
-    x_trial = hard_threshold(x - alpha * g, k)
-    # A non-finite trial point is returned as is; the kernel ends the run.
-    if not np.isfinite(x_trial).all() or np.array_equal(np.flatnonzero(x_trial), gamma):
-        return alpha, False, x_trial
+    X_trial = hard_threshold(X - alpha[:, None] * G, k)
+    # A non-finite trial point is returned unshrunk; the loop ends its run.
+    shrinking = ~stationary & np.isfinite(X_trial).all(axis=1) & ((X_trial != 0.0) != support).any(axis=1)
+    for i in np.flatnonzero(shrinking):
+        alpha[i], X_trial[i] = _shrink(float(alpha[i]), X_trial[i], X[i], G[i], A[i], int(k[i]), config)
+    return alpha, shrinking, X_trial, stationary
+
+
+def _shrink(alpha, x_trial, x, g, A, k, config) -> tuple[float, np.ndarray]:
+    """Shrink one slice's stepsize by kappa*(1-c) until its trial point
+    H_k(x - alpha * g) passes the sufficient-decrease test; returns the
+    stepsize and the trial point."""
     shrink = config.kappa * (1.0 - config.c)
     for _ in range(MAX_SHRINK_STEPS):
         diff = x_trial - x
         diff_norm2 = float(diff @ diff)
         if diff_norm2 == 0.0:
             # Null trial step: nothing to decrease; accept and let the
-            # caller's step tolerance terminate the run.
-            return alpha, True, x_trial
+            # loop's step tolerance terminate the run.
+            return alpha, x_trial
         a_diff = A @ diff
-        bound = (1.0 - config.c) * diff_norm2 / float(a_diff @ a_diff)
-        if alpha < bound:
-            return alpha, True, x_trial
+        if alpha < (1.0 - config.c) * diff_norm2 / float(a_diff @ a_diff):
+            return alpha, x_trial
         alpha /= shrink
         x_trial = hard_threshold(x - alpha * g, k)
     raise ShrinkageLoopError(f"shrinkage loop did not exit within {MAX_SHRINK_STEPS} reductions")
 
 
-def step(x, r, A, k, config: SolverConfig) -> tuple[float, bool, np.ndarray]:
-    """One iteration x+ = H_k(x - alpha * A^T r) from the residual r = A x - b.
+def _step(X, R, A, k, config: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One iteration x+ = H_k(x - alpha * A^T r) of each slice of a stack from
+    its residual r = A x - b.
 
-    Returns ``(alpha, used_shrinkage, x_next)``.  IHT takes the constant
-    ``config.alpha``.  N-IHT takes the exact-linesearch value, the Rayleigh
-    quotient of the gradient restricted to the support of x, and keeps it when
-    the trial point preserves that support; otherwise it shrinks it by
-    kappa*(1-c) until the sufficient-decrease inequality admits the trial
-    point.  A non-finite trial point is returned unshrunk.
-
-    Raises ``StationaryPointError`` when the restricted gradient vanishes
-    (the linesearch quotient is 0/0); the caller terminates with x.
+    Returns the stepsizes, the shrinkage flags, the next iterates and the
+    mask of stationary slices.  IHT takes the constant ``config.alpha``.
+    N-IHT takes the exact-linesearch value, the Rayleigh quotient of the
+    gradient restricted to the support of x, and keeps it when the trial
+    point preserves that support; otherwise it shrinks it by kappa*(1-c)
+    until the sufficient-decrease inequality admits the trial point.  A
+    slice is stationary when its restricted gradient vanishes (the quotient
+    is 0/0); its next iterate is meaningless and the loop ends its run at x.
     """
-    g = A.T @ r
+    G = matvec(A.mT, R)
     if config.variant == VARIANT_IHT:
-        return config.alpha, False, hard_threshold(x - config.alpha * g, k)
-    # x = 0 carries no support: use the one the next projection selects.
-    gamma = np.flatnonzero(x) if x.any() else top_indices(g, k)
-    return _linesearch(x, g, gamma, A.take(gamma, axis=1), A, k, config)
+        none = np.zeros(len(X), dtype=bool)
+        return np.full(len(X), float(config.alpha)), none, hard_threshold(X - config.alpha * G, k), none
+    return _linesearch(X, G, A, k, config)
 
 
-def run_solver(instance: ProblemInstance, config: SolverConfig) -> SolverTrace:
-    """Run IHT or N-IHT from x0 = 0 until a termination criterion fires.
+def step(x, r, A, k, config: SolverConfig) -> tuple[float, bool, np.ndarray]:
+    """``_step`` on one instance, a stack of one: ``(alpha, used_shrinkage,
+    x_next)``.  Raises ``StationaryPointError`` when the restricted gradient
+    vanishes."""
+    x, r, A = (np.asarray(a, dtype=float)[None] for a in (x, r, A))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alpha, used, x_next, stationary = _step(x, r, A, np.array([k]), config)
+    if stationary[0]:
+        raise StationaryPointError("restricted gradient is zero; linesearch stepsize is 0/0")
+    return float(alpha[0]), bool(used[0]), x_next[0]
 
-    This loop is the iteration kernel of both variants.  A run whose next
+
+def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) -> SolverTrace | StackResult:
+    """Run IHT or N-IHT from x0 = 0 on every slice of a stack until a
+    termination criterion fires for it.
+
+    This loop is the iteration kernel of both variants.  A slice whose next
     iterate is non-finite (a divergent stepsize overflowed) stops early and
-    reports ``max_iters``, the non-convergence reason.
+    reports ``max_iters``, the non-convergence reason; a stationary slice ends
+    at its current iterate.  ``ShrinkageLoopError`` in any slice aborts the
+    run.  A ``ProblemStack`` returns a ``StackResult``.  A ``ProblemInstance``
+    runs as a stack of one and returns its full ``SolverTrace``: each
+    iteration hands the iterate, residual, stepsize and shrinkage flag of its
+    step to the trace.
     """
-    A, b, k = np.asarray(instance.A, dtype=float), instance.b, instance.k
-    trace = SolverTrace()
-    x = np.zeros(instance.N)
-    r = A @ x - b
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.max_iters):
-            try:
-                alpha, used_shrinkage, x_next = step(x, r, A, k, config)
-            except StationaryPointError:
-                trace.termination_reason = TERMINATION_STATIONARY
+    trace = SolverTrace() if isinstance(problem, ProblemInstance) else None
+    stack = ProblemStack.of(problem) if trace is not None else problem
+    A, b, k = stack.A, stack.b, stack.k
+    T, _, N = A.shape
+    final = np.empty((T, N))
+    iterations = np.full(T, config.max_iters)
+    termination = [TERMINATION_MAX_ITERS] * T
+    live = np.arange(T)
+    X = np.zeros((T, N))
+    R = matvec(A, X) - b
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for m in range(config.max_iters):
+            alpha, used, X_next, stationary = _step(X, R, A, k, config)
+            if trace is not None and not stationary[0]:
+                trace.iterates.append(IterateRecord(X[0], float(alpha[0]), 0.5 * float(R[0] @ R[0]), bool(used[0])))
+            # A stationary slice stays at x: its null step ends it below.
+            if stationary.any():
+                X_next[stationary] = X[stationary]
+            diff = X_next - X
+            step_length = np.sqrt(vecdot(diff, diff))
+            X, R = X_next, matvec(A, X_next) - b
+            # Most iterations end no slice: one cheap test skips the per-slice masks.
+            if config.residual_tol == 0 and step_length.min() > config.step_tol and np.isfinite(X).all():
+                continue
+            nonfinite = ~np.isfinite(X).all(axis=1)
+            converged = step_length <= config.step_tol
+            ended = nonfinite | converged
+            if config.residual_tol > 0:
+                small = np.sqrt(vecdot(R, R)) <= config.residual_tol
+                ended |= small
+            if not ended.any():
+                continue
+            for j, i in zip(np.flatnonzero(ended), live[ended]):
+                termination[i] = (
+                    TERMINATION_STATIONARY if stationary[j]
+                    else TERMINATION_MAX_ITERS if nonfinite[j]
+                    else TERMINATION_STEP_TOL if converged[j]
+                    else TERMINATION_RESIDUAL_TOL
+                )
+            final[live[ended]] = X[ended]
+            iterations[live[ended]] = m + ~stationary[ended]
+            keep = ~ended
+            live, A, b, k, X, R = live[keep], A[keep], b[keep], k[keep], X[keep], R[keep]
+            if not live.size:
                 break
-            trace.iterates.append(IterateRecord(x, alpha, 0.5 * float(r @ r), used_shrinkage))
-            diff = x_next - x
-            step_length = math.sqrt(float(diff @ diff))
-            x, r = x_next, A @ x_next - b
-            if not np.isfinite(x).all():
-                trace.termination_reason = TERMINATION_MAX_ITERS
-                break
-            if step_length <= config.step_tol:
-                trace.termination_reason = TERMINATION_STEP_TOL
-                break
-            if config.residual_tol > 0 and np.linalg.norm(r) <= config.residual_tol:
-                trace.termination_reason = TERMINATION_RESIDUAL_TOL
-                break
-        else:
-            trace.termination_reason = TERMINATION_MAX_ITERS
-        trace.iterates.append(IterateRecord(x, math.nan, 0.5 * float(r @ r), False))
+        final[live] = X
+        if trace is None:
+            return StackResult(final, iterations, termination)
+        r = stack.A[0] @ final[0] - stack.b[0]
+        trace.iterates.append(IterateRecord(final[0], math.nan, 0.5 * float(r @ r), False))
+    trace.termination_reason = termination[0]
     return trace
 
 

@@ -142,6 +142,43 @@ def test_mc_dist_missing_output_directory_exits_2_before_any_trial(tmp_path, cap
     assert f"config error: {key}: directory" in capsys.readouterr().err
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before the output path was checked")
+
+
+@pytest.mark.parametrize("argv, work", [
+    pytest.param(["solve", "--n", "20", "--N", "40", "--k", "2"], "run_solver", id="solve"),
+    pytest.param(["rip"], "rip_exact", id="rip"),
+    pytest.param(["tailbound", "--delta", "0.5", "--rho", "0.25"], "tail_iu", id="tailbound"),
+    pytest.param(["phase-bound", "--grid-points", "10"], "grid_emit", id="phase-bound"),
+    pytest.param(["stability", "--delta", "0.5", "--rho", "0.008"], "stepsize_midpoint_iht", id="stability"),
+])
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-parent"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, work, missing):
+    monkeypatch.setattr(cli, work, _no_work)
+    out = tmp_path / "missing" / "out.json" if missing else tmp_path
+    assert run_cli([*argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: --out: " in err
+    assert ("does not exist" if missing else "is a directory") in err
+
+
+@pytest.mark.parametrize("command, trial", [
+    ("mc-dist", "_distribution_trial"),
+    ("mc-transition", "_transition_stack"),
+    ("mc-error", "_error_stack"),
+])
+@pytest.mark.parametrize("flag, key", [("--out", "output_path"), ("--trial-csv", "trial_csv_path")])
+def test_experiment_output_path_that_is_a_directory_exits_2_before_any_trial(
+    tmp_path, capsys, monkeypatch, command, trial, flag, key
+):
+    monkeypatch.setattr(experiments, trial, _no_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(VALID_CONFIGS[command]), encoding="utf-8")
+    assert run_cli([command, "--config", str(cfg), flag, str(tmp_path)]) == EXIT_CONFIG
+    assert f"config error: {key}: {str(tmp_path)!r} is a directory" in capsys.readouterr().err
+
+
 def test_mc_dist_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -16,7 +16,7 @@ from ihtlab.core import (
     sample_gaussian_matrix,
     sample_noise,
     sample_sparse_signal,
-    top_indices,
+    top_mask,
 )
 from ihtlab.errors import InvalidArgumentError, ShapeMismatchError, SingularMatrixError
 
@@ -292,4 +292,4 @@ class TestProblemInstance:
 def test_top_support_matches_threshold():
     gen = RngSpec(16).generator()
     x = gen.standard_normal(15)
-    assert top_indices(x, 4).tolist() == list(SupportSet.support_of(hard_threshold(x, 4)))
+    assert np.flatnonzero(top_mask(x, 4)).tolist() == list(SupportSet.support_of(hard_threshold(x, 4)))

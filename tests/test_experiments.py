@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ihtlab.asymptotics import chi2_cdf
-from ihtlab.core import RngSpec, SupportSet, sample_gaussian_matrix, sample_noise
+from ihtlab.core import RngSpec, SupportSet, sample_gaussian_matrix, sample_instance, sample_noise
 from ihtlab.errors import ConfigError
 from ihtlab import experiments
 from ihtlab.experiments import (
@@ -22,6 +22,7 @@ from ihtlab.experiments import (
     run_experiment,
     wilson_interval,
 )
+from ihtlab.solvers import run_solver
 from ihtlab.stablepoint import stable_condition_terms
 
 
@@ -347,6 +348,45 @@ class TestErrorVsXi:
         )
         with pytest.raises(ConfigError):
             mc_error_vs_xi(config)
+
+
+STACKING_CONFIGS = {
+    # Cells at rho = 0.3 diverge at alpha 0.65; one trial overflows before
+    # max_iters and leaves its stack early.
+    "iht_diverging": {"kind": "mc_transition", "n": 40, "delta_grid": [0.5, 0.8], "rho_grid": [0.1, 0.3],
+                      "trials": 3, "master_seed": 1,
+                      "solver": {"variant": "iht", "alpha": 0.65, "max_iters": 1300}},
+    "niht_shrinking": {"kind": "mc_transition", "n": 40, "delta_grid": [0.5, 0.8], "rho_grid": [0.1, 0.3],
+                       "trials": 3, "master_seed": 1, "solver": {"variant": "niht", "max_iters": 300}},
+    "error": {"kind": "mc_error_vs_xi", "n": 100, "delta": 0.5, "rho": 0.01, "sigma": 0.1,
+              "trials": 8, "master_seed": 31, "solver": {"variant": "iht", "max_iters": 500}},
+}
+
+
+@pytest.mark.parametrize("name", STACKING_CONFIGS)
+def test_rows_independent_of_stacking(name, monkeypatch):
+    # Every trial a stack of one, stacks under the module cap, and whole delta
+    # columns as one stack give equal rows, error column included.
+    config = ExperimentConfig.from_dict(STACKING_CONFIGS[name])
+
+    def rows(stack_bytes):
+        monkeypatch.setattr(experiments, "SOLVER_STACK_BYTES", stack_bytes)
+        return run_experiment(config).trial_rows
+
+    expected = rows(1)
+    assert [row["trial"] for row in expected][:3] == [0, 1, 2]
+    for stack_bytes in (experiments.SOLVER_STACK_BYTES, 1 << 40):
+        assert rows(stack_bytes) == expected
+    if name == "iht_diverging":
+        diverged = [row for row in expected if row["termination"] == "max_iters"]
+        assert any(row["iterations"] < 1300 for row in diverged)
+        assert any(row["error"] is None for row in diverged)
+        assert any(row["error"] is not None for row in diverged)
+    if name == "niht_shrinking":
+        # The trial (cell 1, trial 0) takes shrinkage steps.
+        N, k = experiments._cell_shape(40, 0.5, 0.3)
+        instance = sample_instance(40, N, k, 0.0, RngSpec(1, 3).substream(1, 0))
+        assert any(rec.used_shrinkage for rec in run_solver(instance, config.solver_config()).iterates)
 
 
 class TestReproducibility:

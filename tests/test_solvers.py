@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from ihtlab.core import (
     ProblemInstance,
+    ProblemStack,
     RngSpec,
     SupportSet,
     hard_threshold,
     restrict,
     sample_gaussian_matrix,
     sample_instance,
-    top_indices,
+    top_mask,
 )
 from ihtlab.errors import InvalidArgumentError, ShrinkageLoopError, StationaryPointError
 from ihtlab.rip import rip_exact
@@ -435,10 +436,7 @@ def same_float(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-@st.composite
-def small_runs(draw):
-    n = draw(st.integers(2, 8))
-    N = draw(st.integers(n, 12))
+def draw_instance(draw, n, N):
     k = draw(st.integers(1, n // 2))
     if draw(st.booleans()):
         # Integer-valued A and b force tied magnitudes in the projection.
@@ -451,7 +449,16 @@ def small_runs(draw):
         b = gen.standard_normal(n)
     x_star = np.zeros(N)
     x_star[:k] = 1.0
-    inst = ProblemInstance(A=A, b=b, x_star=x_star, e=b - A @ x_star, k=k)
+    return ProblemInstance(A=A, b=b, x_star=x_star, e=b - A @ x_star, k=k)
+
+
+@st.composite
+def small_stacks(draw):
+    """1-6 instances that share (n, N), each with its own k, A and b, and one
+    solver configuration."""
+    n = draw(st.integers(2, 8))
+    N = draw(st.integers(n, 12))
+    instances = [draw_instance(draw, n, N) for _ in range(draw(st.integers(1, 6)))]
     common = dict(
         max_iters=draw(st.integers(1, 60)),
         step_tol=draw(st.sampled_from([0.0, 1e-10])),
@@ -461,19 +468,40 @@ def small_runs(draw):
         config = iht_config(alpha=draw(st.sampled_from([0.01, 0.1, 0.3, 0.65, 1.0, 1e8])), **common)
     else:
         config = niht_config(**common)
-    return inst, config
+    return instances, config
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_runs())
-def test_kernel_matches_reference_loop_exactly(run):
-    inst, config = run
-    expected = outcome(reference_run, inst.A, inst.b, inst.k, config)
+@given(small_stacks())
+def test_kernel_matches_reference_loop_exactly(drawn):
+    instances, config = drawn
+    expected = [outcome(reference_run, inst.A, inst.b, inst.k, config) for inst in instances]
+
+    # The whole stack, slice by slice: final iterate, iteration count and
+    # termination reason.  A slice whose reference run raises raises the
+    # stack's run, with the exception type of one such slice.
+    stack = ProblemStack(
+        np.stack([inst.A for inst in instances]),
+        np.stack([inst.b for inst in instances]),
+        np.array([inst.k for inst in instances]),
+    )
+    result = outcome(run_solver, stack, config)
+    raised = {e for e in expected if isinstance(e, type)}
+    if raised:
+        assert result in raised
+    else:
+        for i, (records, reason) in enumerate(expected):
+            np.testing.assert_array_equal(result.final[i], records[-1][0])
+            assert result.iterations[i] == len(records) - 1
+            assert result.termination[i] == reason
+
+    # The stack of one: the full trace of the first instance.
+    inst = instances[0]
     trace = outcome(run_solver, inst, config)
-    if isinstance(expected, type):
-        assert trace is expected
+    if isinstance(expected[0], type):
+        assert trace is expected[0]
         return
-    records, reason = expected
+    records, reason = expected[0]
     assert trace.termination_reason == reason
     assert len(trace.iterates) == len(records)
     for rec, (x, alpha, obj, used) in zip(trace.iterates, records):
@@ -497,7 +525,7 @@ SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan
 def test_top_indices_matches_python_ordering(values, data):
     v = np.array(values, dtype=float)
     k = data.draw(st.integers(1, len(values)))
-    idx = top_indices(v, k)
+    idx = np.flatnonzero(top_mask(v, k))
     # Lowest index wins ties; NaN ranks below every number.
     order = sorted(
         range(len(values)),
