@@ -148,11 +148,23 @@ class ProblemInstance:
 @dataclass(frozen=True, eq=False)
 class ProblemStack:
     """Instances that share (n, N), each with its own k and b, stacked:
-    ``A`` is ``(T, n, N)``, ``b`` ``(T, n)`` and ``k`` ``(T,)``."""
+    ``A`` is ``(T, n, N)``, ``b`` ``(T, n)`` and ``k`` ``(T,)``.
+
+    Checked once, here: other shapes raise ``ShapeMismatchError``, and a k
+    that is not integer with 1 <= k <= N raises ``InvalidArgumentError``.
+    """
 
     A: np.ndarray
     b: np.ndarray
     k: np.ndarray
+
+    def __post_init__(self):
+        A, b, k = np.asarray(self.A, dtype=float), np.asarray(self.b, dtype=float), np.asarray(self.k)
+        if A.ndim != 3 or b.shape != A.shape[:2]:
+            raise ShapeMismatchError(f"a stack needs A (T, n, N) and b (T, n), got A {A.shape}, b {b.shape}")
+        _check_k(k, A.shape[:1], A.shape[2])
+        for name, value in (("A", A), ("b", b), ("k", k)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of(cls, instance: ProblemInstance) -> "ProblemStack":
@@ -160,23 +172,54 @@ class ProblemStack:
         return cls(np.asarray(instance.A, dtype=float)[None], instance.b[None], np.array([instance.k]))
 
 
+def _check_k(k: np.ndarray, shape: tuple, N: int) -> None:
+    """Raise ``InvalidArgumentError`` unless k is an integer array of
+    ``shape`` with 1 <= k <= N; bool is not an integer here."""
+    if k.dtype.kind not in "iu" or k.shape != shape or ((k < 1) | (k > N)).any():
+        raise InvalidArgumentError(f"k must be integer (not bool), of shape {shape}, with 1 <= k <= {N}; got k={k}")
+
+
 def top_mask(v: np.ndarray, k) -> np.ndarray:
     """Mask of the k largest-magnitude entries of a float vector, or of the
     ``k[i]`` largest of each row ``v[i]`` of a ``(T, N)`` stack.
 
-    An entry is kept when its rank in one stable sort of ``-|v|`` along the
-    last axis is below its row's k, so ties go to the lowest index and NaN
-    ranks below every number.
+    By definition an entry is kept when its rank in one stable sort of
+    ``-|v|`` along the last axis is below its row's k: ties go to the lowest
+    index and NaN ranks below every number.  It is computed by one value
+    sort, with that stable order as the fallback at a tie or NaN (see
+    ``_top_mask``).  Raises ``InvalidArgumentError`` unless k is an integer
+    (not bool) of shape ``v.shape[:-1]`` with 1 <= k <= N.
     """
     v, k = np.asarray(v, dtype=float), np.asarray(k)
-    N = v.shape[-1]
-    # Python min/max: two ufunc reductions cost more on a handful of k.
-    ks = k.tolist() if k.ndim else [int(k)]
-    k_min, k_max = min(ks, default=1), max(ks, default=0)
-    if k.shape != v.shape[:-1] or k_min < 1 or k_max > N:
-        raise InvalidArgumentError(f"k must satisfy 1 <= k <= len(x), got k={k}, len={N}")
-    order = (-np.abs(v)).argsort(axis=-1, kind="stable")[..., :k_max]
-    mask = np.zeros(v.shape, dtype=bool)
+    _check_k(k, v.shape[:-1], v.shape[-1])
+    return _top_mask(v, k)
+
+
+def _top_mask(v: np.ndarray, k) -> np.ndarray:
+    """``top_mask`` without its checks: k is an integer for a vector and an
+    integer array for a stack.
+
+    One value sort of ``-|v|`` gives each row's k-th value t.  Every entry
+    not above t is marked (NaN too), so each row holds at least its k marks;
+    when the marks number ``sum(k)`` in all, each row holds exactly its k
+    largest magnitudes, with no tie at the k-th to break.  Otherwise, with
+    such a tie or NaN, the ranks of one stable argsort decide, as defined.
+    """
+    a = -np.abs(v)
+    if v.ndim == 1:
+        k_max = total = int(k)
+        t = np.sort(a)[k_max - 1]
+    else:
+        # Python min/max/sum: three ufunc reductions cost more on a handful of k.
+        ks = k.tolist()
+        k_min, k_max, total = min(ks, default=1), max(ks, default=0), sum(ks)
+        s = np.sort(a, axis=-1)
+        t = s[:, k_max - 1 : k_max] if k_min == k_max else s[np.arange(len(s)), k - 1][:, None]
+    mask = ~(a > t)
+    if np.count_nonzero(mask) == total:
+        return mask
+    order = a.argsort(axis=-1, kind="stable")[..., :k_max]
+    mask[...] = False
     if v.ndim == 1:
         mask[order] = True
     else:
@@ -193,6 +236,11 @@ def hard_threshold(x: np.ndarray, k) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     return np.where(top_mask(x, k), x, 0.0)
+
+
+def _hard_threshold(x: np.ndarray, k) -> np.ndarray:
+    """``hard_threshold`` of a float x without the checks of k."""
+    return np.where(_top_mask(x, k), x, 0.0)
 
 
 def restrict(A: np.ndarray, gamma: SupportSet) -> np.ndarray:

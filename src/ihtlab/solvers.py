@@ -4,9 +4,12 @@ Both variants run one iteration, x+ = H_k(x - alpha * grad), from x0 = 0 and
 differ only in the stepsize rule.  ``run_solver`` is the one loop: it
 iterates a stack of instances that share (n, N), each with its own k and b,
 and takes every slice through ``_step``, the one step of both variants.  Each
-product is one BLAS call per slice, the call that slice alone would make, and
-the hard threshold is one stable argsort per stack iteration, so a slice's
-iterates do not depend on the stack it runs in.  The residual r = A x - b is
+product is one BLAS call per slice, the call that slice alone would make.
+The hard threshold is one value sort per stack iteration, with an exact
+fallback to the stable order (lowest index first) at a tie or NaN, so a
+slice's iterates do not depend on the stack it runs in.  The number k of
+each slice is checked once, when its ``ProblemStack`` is built; the kernel
+selects without checks.  The residual r = A x - b is
 computed once per iterate and gives both the gradient and the objective.  A
 slice leaves the stack when it terminates.
 
@@ -24,7 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance, ProblemStack, SupportSet, hard_threshold, matvec, top_mask, vecdot
+# hard_threshold is imported for callers of ``solvers.hard_threshold``; the
+# kernel calls the unchecked forms, as k is checked when the stack is built.
+from .core import (
+    ProblemInstance, ProblemStack, SupportSet, _check_k, _hard_threshold, _top_mask, hard_threshold, matvec, vecdot,
+)
 from .errors import InvalidArgumentError, ShrinkageLoopError, StationaryPointError
 
 VARIANT_IHT = "iht"
@@ -160,7 +167,7 @@ def _linesearch(X, G, A, k, config) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     support = X != 0.0
     empty = ~support.any(axis=1)
     if empty.any():
-        support[empty] = top_mask(G[empty], k[empty])
+        support[empty] = _top_mask(G[empty], k[empty])
     sizes = support.sum(axis=1)
     num, den = np.empty(T), np.empty(T)
     for s in set(sizes.tolist()):
@@ -172,7 +179,7 @@ def _linesearch(X, G, A, k, config) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         num[sel], den[sel] = vecdot(g_gamma, g_gamma), vecdot(den_vec, den_vec)
     stationary = (num == 0.0) | (den == 0.0)
     alpha = num / den
-    X_trial = hard_threshold(X - alpha[:, None] * G, k)
+    X_trial = _hard_threshold(X - alpha[:, None] * G, k)
     # A non-finite trial point is returned unshrunk; the loop ends its run.
     shrinking = ~stationary & np.isfinite(X_trial).all(axis=1) & ((X_trial != 0.0) != support).any(axis=1)
     for i in np.flatnonzero(shrinking):
@@ -196,27 +203,30 @@ def _shrink(alpha, x_trial, x, g, A, k, config) -> tuple[float, np.ndarray]:
         if alpha < (1.0 - config.c) * diff_norm2 / float(a_diff @ a_diff):
             return alpha, x_trial
         alpha /= shrink
-        x_trial = hard_threshold(x - alpha * g, k)
+        x_trial = _hard_threshold(x - alpha * g, k)
     raise ShrinkageLoopError(f"shrinkage loop did not exit within {MAX_SHRINK_STEPS} reductions")
 
 
-def _step(X, R, A, k, config: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _step(
+    X, R, A, k, config: SolverConfig
+) -> tuple[np.ndarray | float, np.ndarray | bool, np.ndarray, np.ndarray | None]:
     """One iteration x+ = H_k(x - alpha * A^T r) of each slice of a stack from
     its residual r = A x - b.
 
     Returns the stepsizes, the shrinkage flags, the next iterates and the
-    mask of stationary slices.  IHT takes the constant ``config.alpha``.
-    N-IHT takes the exact-linesearch value, the Rayleigh quotient of the
-    gradient restricted to the support of x, and keeps it when the trial
-    point preserves that support; otherwise it shrinks it by kappa*(1-c)
-    until the sufficient-decrease inequality admits the trial point.  A
-    slice is stationary when its restricted gradient vanishes (the quotient
-    is 0/0); its next iterate is meaningless and the loop ends its run at x.
+    mask of stationary slices.  IHT takes the constant ``config.alpha`` and
+    returns it, False and None in place of the per-slice stepsizes, flags and
+    mask: it never shrinks and no slice is stationary.  N-IHT takes the
+    exact-linesearch value, the Rayleigh quotient of the gradient restricted
+    to the support of x, and keeps it when the trial point preserves that
+    support; otherwise it shrinks it by kappa*(1-c) until the
+    sufficient-decrease inequality admits the trial point.  A slice is
+    stationary when its restricted gradient vanishes (the quotient is 0/0);
+    its next iterate is meaningless and the loop ends its run at x.
     """
     G = matvec(A.mT, R)
     if config.variant == VARIANT_IHT:
-        none = np.zeros(len(X), dtype=bool)
-        return np.full(len(X), float(config.alpha)), none, hard_threshold(X - config.alpha * G, k), none
+        return config.alpha, False, _hard_threshold(X - config.alpha * G, k), None
     return _linesearch(X, G, A, k, config)
 
 
@@ -225,11 +235,13 @@ def step(x, r, A, k, config: SolverConfig) -> tuple[float, bool, np.ndarray]:
     x_next)``.  Raises ``StationaryPointError`` when the restricted gradient
     vanishes."""
     x, r, A = (np.asarray(a, dtype=float)[None] for a in (x, r, A))
+    k = np.array([k])
+    _check_k(k, (1,), A.shape[-1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        alpha, used, x_next, stationary = _step(x, r, A, np.array([k]), config)
-    if stationary[0]:
+        alpha, used, x_next, stationary = _step(x, r, A, k, config)
+    if stationary is not None and stationary[0]:
         raise StationaryPointError("restricted gradient is zero; linesearch stepsize is 0/0")
-    return float(alpha[0]), bool(used[0]), x_next[0]
+    return float(np.ravel(alpha)[0]), bool(np.ravel(used)[0]), x_next[0]
 
 
 def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) -> SolverTrace | StackResult:
@@ -258,17 +270,22 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for m in range(config.max_iters):
             alpha, used, X_next, stationary = _step(X, R, A, k, config)
-            if trace is not None and not stationary[0]:
-                trace.iterates.append(IterateRecord(X[0], float(alpha[0]), 0.5 * float(R[0] @ R[0]), bool(used[0])))
+            if trace is not None and (stationary is None or not stationary[0]):
+                alpha_0, used_0 = float(np.ravel(alpha)[0]), bool(np.ravel(used)[0])
+                trace.iterates.append(IterateRecord(X[0], alpha_0, 0.5 * float(R[0] @ R[0]), used_0))
             # A stationary slice stays at x: its null step ends it below.
-            if stationary.any():
+            if stationary is not None and stationary.any():
                 X_next[stationary] = X[stationary]
             diff = X_next - X
             step_length = np.sqrt(vecdot(diff, diff))
             X, R = X_next, matvec(A, X_next) - b
-            # Most iterations end no slice: one cheap test skips the per-slice masks.
-            if config.residual_tol == 0 and step_length.min() > config.step_tol and np.isfinite(X).all():
+            # Most iterations end no slice: one cheap test of the step lengths
+            # skips the per-slice masks.  X was finite, so a non-finite X_next
+            # gives a non-finite step length.
+            if config.residual_tol == 0 and config.step_tol < step_length.min() and step_length.max() < math.inf:
                 continue
+            if stationary is None:
+                stationary = np.zeros(len(X), dtype=bool)
             nonfinite = ~np.isfinite(X).all(axis=1)
             converged = step_length <= config.step_tol
             ended = nonfinite | converged

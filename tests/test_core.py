@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from ihtlab.core import (
     ProblemInstance,
+    ProblemStack,
     RngSpec,
     SupportSet,
     hard_threshold,
@@ -40,6 +41,14 @@ class TestHardThreshold:
             hard_threshold(np.array([1.0, 2.0]), 0)
         with pytest.raises(InvalidArgumentError):
             hard_threshold(np.array([1.0, 2.0]), 3)
+
+    @pytest.mark.parametrize("k", [2.5, True, np.float64(2.0), np.array([1.0, 2.0])])
+    def test_non_integer_k_refused(self, k):
+        # Bool is no integer here, as in the config's scalar rule.
+        x = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]) if np.ndim(k) else np.array([1.0, 2.0, 3.0])
+        for select in (hard_threshold, top_mask):
+            with pytest.raises(InvalidArgumentError, match="k must be integer"):
+                select(x, k)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30), st.data())
     def test_idempotent(self, values, data):
@@ -287,6 +296,39 @@ class TestProblemInstance:
     def test_nonzero_count_enforced(self):
         with pytest.raises(InvalidArgumentError):
             ProblemInstance.from_parts(np.eye(4), np.array([1.0, 0, 0, 0]), np.zeros(4), k=2)
+
+
+class TestProblemStack:
+    def stack(self, A=None, b=None, k=None):
+        return ProblemStack(np.zeros((3, 4, 6)) if A is None else A, np.zeros((3, 4)) if b is None else b,
+                            np.array([1, 2, 6]) if k is None else k)
+
+    def test_valid_stack(self):
+        stack = self.stack()
+        assert stack.A.shape == (3, 4, 6) and stack.b.shape == (3, 4) and stack.k.tolist() == [1, 2, 6]
+
+    def test_A_must_be_three_dimensional(self):
+        with pytest.raises(ShapeMismatchError):
+            self.stack(A=np.zeros((4, 6)), b=np.zeros(4))
+
+    def test_b_must_be_one_row_per_slice(self):
+        # A shared b of shape (n,) would broadcast into every slice.
+        with pytest.raises(ShapeMismatchError):
+            self.stack(b=np.zeros(4))
+        with pytest.raises(ShapeMismatchError):
+            self.stack(b=np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("k", [np.array([1.0, 2.0, 3.0]), np.array([True, True, True]), np.array([1, 2]),
+                                   np.array(2), np.array([0, 1, 2]), np.array([1, 2, 7])])
+    def test_k_must_be_integers_in_range_one_per_slice(self, k):
+        with pytest.raises(InvalidArgumentError, match="k must be integer"):
+            self.stack(k=k)
+
+    def test_stack_of_one_views_its_instance(self):
+        inst = ProblemInstance.from_parts(np.eye(4, 6), np.array([1.0, 0, 0, 0, 0, 0]), np.zeros(4), k=1)
+        stack = ProblemStack.of(inst)
+        assert np.shares_memory(stack.A, inst.A) and np.shares_memory(stack.b, inst.b)
+        assert stack.A.shape == (1, 4, 6) and stack.b.shape == (1, 4) and stack.k.tolist() == [1]
 
 
 def test_top_support_matches_threshold():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ihtlab.core import (
     ProblemInstance,
@@ -517,18 +517,47 @@ def test_kernel_matches_reference_loop_exactly(drawn):
 SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()), min_size=1, max_size=12),
-    st.data(),
-)
-def test_top_indices_matches_python_ordering(values, data):
-    v = np.array(values, dtype=float)
-    k = data.draw(st.integers(1, len(values)))
-    idx = np.flatnonzero(top_mask(v, k))
-    # Lowest index wins ties; NaN ranks below every number.
+ENTRIES = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+
+
+def python_top(values, k):
+    """The k kept indices by definition: lowest index wins ties; NaN ranks
+    below every number."""
     order = sorted(
         range(len(values)),
         key=lambda i: (math.isnan(values[i]), 0.0 if math.isnan(values[i]) else -abs(values[i]), i),
     )
-    assert idx.tolist() == sorted(order[:k])
+    return sorted(order[:k])
+
+
+@st.composite
+def selections(draw):
+    """A vector with its k, and a (T, N) stack of rows with one k per row.
+    Stack entries come from a pool of at most three values and their
+    negatives, or are free, so magnitudes repeat at the k-th and both the
+    value-sort selection and its stable-order fallback run."""
+    values = draw(st.lists(ENTRIES, min_size=1, max_size=12))
+    k = draw(st.integers(1, len(values)))
+    N = draw(st.integers(1, 12))
+    pool = draw(st.lists(ENTRIES, min_size=1, max_size=3))
+    entry = st.one_of(st.sampled_from(pool), st.sampled_from(pool).map(lambda x: -x), ENTRIES)
+    rows = draw(st.lists(st.lists(entry, min_size=N, max_size=N), min_size=1, max_size=5))
+    ks = draw(st.one_of(
+        st.lists(st.integers(1, N), min_size=len(rows), max_size=len(rows)),
+        st.integers(1, N).map(lambda j: [j] * len(rows)),
+    ))
+    return values, k, rows, ks
+
+
+@settings(max_examples=300, deadline=None)
+@given(selections())
+# A tie at the k-th magnitude in row 0; NaN below the k-th number in row 1.
+@example(([1.0, -1.0], 1, [[1.0, -3.0, 3.0, 2.0], [math.nan, 1.0, math.nan, 5.0]], [1, 3]))
+# A tie with one mark too many in row 0, a NaN k-th value in row 1.
+@example(([math.nan], 1, [[1.0, 1.0], [math.nan, math.nan]], [1, 1]))
+def test_top_mask_matches_python_ordering(drawn):
+    values, k, rows, ks = drawn
+    assert np.flatnonzero(top_mask(np.array(values, dtype=float), k)).tolist() == python_top(values, k)
+    mask = top_mask(np.array(rows, dtype=float), np.array(ks))
+    for row, k_row, row_mask in zip(rows, ks, mask):
+        assert np.flatnonzero(row_mask).tolist() == python_top(row, k_row)
