@@ -4,7 +4,8 @@ uniform asymptotics that back the large-deviation analysis.
 The three tail-bound functions are roots of strictly monotone equations.  They
 take scalars or arrays, and one vectorised, safeguarded Newton kernel
 (``_newton_root``) solves them all to float precision, or raises a
-``NumericalDomainError`` that names the point where it cannot.
+``NumericalDomainError`` that names the point where it cannot.  Only the
+chi-square and F CDFs load ``scipy.special``, and only when called.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.special as sp
 
 from .errors import InvalidArgumentError, NumericalDomainError
 
@@ -70,16 +70,16 @@ def _unwrap(value):
 
 
 def _entropy(p):
-    # xlog1py keeps the (1-p) term exact where 1-p rounds to one.
-    return -sp.xlogy(p, p) - sp.xlog1py(1.0 - p, -p)
+    """-p ln p - (1-p) ln(1-p) for p in [0, 1]; log1p(-p) keeps the (1-p) term
+    exact where 1-p rounds to one.  The clamps move p only at 0 and 1, where
+    they make the zero term 0 times a finite log: H(0) = H(1) = 0."""
+    return -p * np.log(np.maximum(p, 5e-324)) - (1.0 - p) * np.log1p(-np.minimum(p, 1.0 - 2.0**-53))
 
 
 def shannon_entropy(p: float) -> float:
     """Natural-log Shannon entropy of a Bernoulli(p), with H(0) = H(1) = 0."""
     if not 0 <= p <= 1:
         raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
     return float(_entropy(p))
 
 
@@ -98,10 +98,21 @@ def _x_minus_log1p(x):
 
 
 def _phi_inverse(t, sign: float):
-    """The x of the sign of ``sign`` with phi(x) = t, in closed form through
-    Lambert's W; sign*sqrt(2t) below t = 1e-8, where W loses accuracy."""
-    x = -1.0 - sp.lambertw(-np.exp(-1.0 - t), -1 if sign > 0 else 0).real
-    return np.where(t < 1e-8, sign * np.sqrt(2.0 * t), x)
+    """A Newton start: the x of the sign of ``sign`` with phi(x) = t >= 0, to
+    about 1e-12 relative.  The series in p = sign*sqrt(2t) below t = 1e-3;
+    above, two Halley steps on e^u - u = c, c = 1 + t, u = ln(1+x), started
+    from that series below t = 2, else from u = ln(c + ln c) or -c (sign < 0)."""
+    p = sign * np.sqrt(2.0 * t)
+    series = p * (1.0 + p * (1.0 / 3.0 + p * (1.0 / 36.0 + p * (-1.0 / 270.0 + p * (1.0 / 4320.0 + p / 17010.0)))))
+    c = 1.0 + t
+    # np.where drops the diverged series (large t) and the 0/0 step (t = 0).
+    with np.errstate(invalid="ignore"):
+        u = np.where(t < 2.0, np.log1p(series), np.log(c + np.log(c)) if sign > 0 else -c)
+        for _ in range(2):
+            e = np.exp(u)
+            h, h1 = e - u - c, e - 1.0
+            u = u - 2.0 * h * h1 / (2.0 * h1 * h1 - h * e)
+    return np.where(t < 1e-3, series, np.expm1(u))
 
 
 def _newton_root(name, g, gprime, target, lo, hi, x0, point, params=()) -> RootResult:
@@ -227,7 +238,9 @@ def chi2_cdf(x, dof):
         raise InvalidArgumentError("chi-square CDF requires x >= 0")
     if np.any(np.asarray(dof) < 1):
         raise InvalidArgumentError("degrees of freedom must be >= 1")
-    out = sp.gammainc(np.asarray(dof, dtype=float) / 2.0, x / 2.0)
+    from scipy.special import gammainc
+
+    out = gammainc(np.asarray(dof, dtype=float) / 2.0, x / 2.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -240,7 +253,9 @@ def f_cdf(x, d1, d2):
         raise InvalidArgumentError("degrees of freedom must be >= 1")
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)
-    out = sp.betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
+    from scipy.special import betainc
+
+    out = betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
     return float(out) if out.ndim == 0 else out
 
 

@@ -88,7 +88,9 @@ def _cmd_solve(argv: list[str]) -> int:
         args.n, args.N, args.k, args.sigma, RngSpec(args.seed), args.coefficient_model
     )
     trace = run_solver(instance, config)
-    err = float(np.linalg.norm(trace.final - instance.x_star))
+    # A diverged iterate has no finite error; write_json records it as null.
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = float(np.linalg.norm(trace.final - instance.x_star))
     if args.out:
         write_json(args.out, {
             "error": err,

@@ -272,8 +272,11 @@ class ExperimentResult:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    """``payload`` as key-sorted, indented UTF-8 JSON with LF line ends."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
+    """``payload`` as key-sorted, indented, strict UTF-8 JSON with LF line
+    ends; a NaN or infinite float, at any depth, is written as ``null``."""
+    finite = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    text = json.dumps(finite, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def _csv_field(value) -> str:

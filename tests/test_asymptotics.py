@@ -5,8 +5,9 @@ import pytest
 from decimal import Decimal, localcontext
 
 from hypothesis import given, settings, strategies as st
-from scipy.special import betainc, gammainc, gammaincc
+from scipy.special import betainc, gammainc, gammaincc, lambertw, xlog1py, xlogy
 
+from ihtlab import asymptotics
 from ihtlab.asymptotics import (
     RootResult,
     TailInputs,
@@ -25,6 +26,7 @@ from ihtlab.asymptotics import (
 )
 from ihtlab.core import RngSpec
 from ihtlab.errors import InvalidArgumentError, NumericalDomainError
+from ihtlab.transitions import default_delta_grid
 
 
 def bisect(g, target, lo, hi, iters=200):
@@ -53,6 +55,71 @@ class TestShannonEntropy:
     def test_domain(self):
         with pytest.raises(InvalidArgumentError):
             shannon_entropy(1.5)
+
+
+# p from 1e-300 to 1/2 and 1 - p from 1e-16 to 1/2.
+ENTROPY_GRID = np.concatenate([
+    np.logspace(-300.0, np.log10(0.5), 100_001), 1.0 - np.logspace(-16.0, np.log10(0.5), 50_001)
+])
+
+
+def test_entropy_within_two_ulps_of_scipy_form():
+    scipy_form = -xlogy(ENTROPY_GRID, ENTROPY_GRID) - xlog1py(1.0 - ENTROPY_GRID, -ENTROPY_GRID)
+    assert np.all(np.abs(asymptotics._entropy(ENTROPY_GRID) - scipy_form) <= 2 * np.spacing(scipy_form))
+
+
+def test_entropy_within_two_ulps_of_decimal_oracle():
+    p = ENTROPY_GRID[::1001]
+    with localcontext() as ctx:
+        # Enough digits that 1 - p keeps p down to 1e-300.
+        ctx.prec = 340
+        exact = np.array([float(decimal_entropy(Decimal(v))) for v in p])
+    assert np.all(np.abs(asymptotics._entropy(p) - exact) <= 2 * np.spacing(exact))
+
+
+def test_entropy_is_zero_at_both_ends_of_an_array():
+    h = asymptotics._entropy(np.array([0.0, 1.0, 0.5]))
+    assert h[0] == 0.0 and h[1] == 0.0 and h[2] == pytest.approx(math.log(2), rel=1e-15)
+
+
+def lambertw_start(t, sign):
+    """phi^{-1}(t) of the sign of ``sign`` through Lambert's W: x = -1 -
+    W(-e^{-1-t}) on branch -1 for x > 0 and branch 0 for x < 0, and
+    sign*sqrt(2t) below t = 1e-8."""
+    x = -1.0 - lambertw(-np.exp(-1.0 - t), -1 if sign > 0 else 0).real
+    return np.where(t < 1e-8, sign * np.sqrt(2.0 * t), x)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_phi_inverse_matches_lambert_w_form(sign):
+    t = np.logspace(-8.0, 3.0, 20_001)
+    # The W form needs e^{-1-t} to be a normal float, and rounding that
+    # argument costs it about eps/t relative near the branch point t = 0.
+    t = t[np.exp(-1.0 - t) >= np.finfo(float).tiny]
+    reference = lambertw_start(t, sign)
+    relative = np.abs(asymptotics._phi_inverse(t, sign) / reference - 1.0)
+    assert np.all(relative <= 1e-10 + np.finfo(float).eps / t)
+
+
+def test_phi_inverse_beyond_lambert_w_range():
+    t = np.linspace(710.0, 1e3, 50)
+    assert np.all(np.abs(asymptotics._x_minus_log1p(asymptotics._phi_inverse(t, 1.0)) - t) <= 4 * np.spacing(t))
+    # 1 + x = e^{-1-t} underflows: x rounds to -1.
+    assert np.all(asymptotics._phi_inverse(t, -1.0) == -1.0)
+
+
+def test_newton_iterations_within_one_percent_of_lambert_w_start(monkeypatch):
+    def total_iterations():
+        total = 0
+        for d in default_delta_grid(100):
+            for r in np.logspace(-4.0, np.log10(0.5), 12):
+                total += tail_iu(TailInputs(d, r, 1.0 - r)).iterations + tail_iu(TailInputs(d, r, r)).iterations
+                total += tail_il(TailInputs(d, r, 1.0 - r)).iterations + tail_if(d, r).iterations
+        return total
+
+    numpy_start = total_iterations()
+    monkeypatch.setattr(asymptotics, "_phi_inverse", lambertw_start)
+    assert numpy_start <= 1.01 * total_iterations()
 
 
 class TestTailUpper:

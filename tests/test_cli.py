@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ihtlab
 from ihtlab import cli, experiments
 from ihtlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run_cli
 from ihtlab.experiments import ExperimentResult
@@ -389,3 +394,55 @@ def test_mc_transition_small(tmp_path, capsys):
 def test_help_exits_cleanly():
     assert run_cli(["--help"]) == EXIT_OK
     assert run_cli([]) == EXIT_USAGE
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this ihtlab."""
+    src = str(Path(ihtlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_solve_diverged_iterate_writes_strict_json(tmp_path):
+    # IHT at alpha = 0.9 diverges here: the error and the objective overflow.
+    out = tmp_path / "s.json"
+    proc = run_python("-m", "ihtlab.cli", "solve", "--n", "60", "--N", "200", "--k", "20", "--alpha", "0.9",
+                      "--seed", "3", "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in strict JSON")
+
+    payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert payload["error"] is None and payload["objective"] is None
+    assert None in payload["x"]
+
+
+def test_cli_and_provider_load_no_scipy():
+    proc = run_python("-c", (
+        "import sys, ihtlab.cli, ihtlab.rip; ihtlab.rip.default_provider(); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    ))
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
+def test_commands_but_mc_dist_run_with_scipy_blocked(tmp_path):
+    # A None entry in sys.modules makes every import of scipy raise ImportError.
+    code = """
+import sys
+sys.modules["scipy"] = None
+from ihtlab.cli import run_cli
+out = sys.argv[1]
+for argv in (
+    ["solve", "--n", "40", "--N", "80", "--k", "3", "--alpha", "0.6"],
+    ["solve", "--variant", "niht", "--n", "40", "--N", "80", "--k", "3"],
+    ["rip"],
+    ["tailbound", "--delta", "0.5", "--rho", "0.25"],
+    ["phase-bound", "--grid-points", "10", "--out", out + "/iht.csv"],
+    ["phase-bound", "--variant", "niht", "--grid-points", "10", "--out", out + "/niht.csv"],
+    ["stability", "--delta", "0.5", "--rho", "0.008"],
+):
+    assert run_cli(argv) == 0, argv
+"""
+    proc = run_python("-c", code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
