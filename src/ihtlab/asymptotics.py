@@ -22,10 +22,9 @@ RESIDUAL_TOL = 1e-12
 # as many spacings.
 ROOT_SPACINGS = 4.0
 MAX_ITERATIONS = 200
-# Powers k = 0..9 and coefficients 1/(2k+3) of the series of x - ln(1+x) in
-# z = x/(2+x), to float precision for |x| < 1/4.
-_PHI_POWERS = np.arange(10)
-_PHI_SERIES = 1.0 / (2.0 * _PHI_POWERS + 3.0)
+# Coefficients 1/(2k+3), k = 0..9, of the series of x - ln(1+x) in powers
+# of z^2, z = x/(2+x), to float precision for |x| < 1/4.
+_PHI_SERIES = 1.0 / (2.0 * np.arange(10) + 3.0)
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,18 @@ def shannon_entropy(p: float) -> float:
 
 def _x_minus_log1p(x):
     """phi(x) = x - ln(1+x) for x > -1, to a few ulps also near 0, where the
-    two terms cancel: for |x| < 1/4 it is 2z^2 [1/(1-z) - z (1/3 + z^2/5 +
-    ...)] with z = x/(2+x), free of cancellation."""
+    two terms cancel: for |x| < 1/4 it is 2w [1/(1-z) - z (1/3 + w/5 + ...)]
+    with z = x/(2+x), w = z^2, and the series (1/3 + w/5) + w^2 (Horner)."""
     small = np.abs(x) < 0.25
     if not small.any():
         return x - np.log1p(x)
     xs = x * small
     z = xs / (2.0 + xs)
     w = z * z
-    series = (w[..., None] ** _PHI_POWERS * _PHI_SERIES).sum(axis=-1)
+    tail = _PHI_SERIES[-1]
+    for c in _PHI_SERIES[-2:1:-1]:
+        tail = tail * w + c
+    series = (_PHI_SERIES[0] + _PHI_SERIES[1] * w) + w * w * tail
     return np.where(small, 2.0 * w * (1.0 / (1.0 - z) - z * series), x - np.log1p(x))
 
 

@@ -96,8 +96,8 @@ _FIELD_SETS = {
 
 # Declared JSON type of each scalar key, at the top level or in the solver
 # section, checked before any value is used; true and false count as neither
-# integers nor numbers, and a number must be finite (JSON NaN and Infinity are
-# not).
+# integers nor numbers, and a number must be a finite float (JSON NaN and
+# Infinity are not, nor is an integer past the float range).
 _SCALAR_TYPES = {
     **dict.fromkeys(("n", "k", "overlap", "trials", "master_seed", "max_iters"), ((int,), "an integer")),
     **dict.fromkeys(
@@ -114,14 +114,19 @@ _SCALAR_TYPES = {
 
 def check_output_path(name: str, path: str | Path | None) -> None:
     """``ConfigError`` naming ``name`` when ``path`` is given and cannot be
-    written as a file: it is a directory, or its directory does not exist."""
+    written as a file: a directory, in no directory, too long, or with a NUL."""
     if not path:
         return
     path = Path(path)
-    if path.is_dir():
-        raise ConfigError(f"{name}: {str(path)!r} is a directory")
-    if not path.parent.is_dir():
-        raise ConfigError(f"{name}: directory {str(path.parent)!r} does not exist")
+    try:
+        if "\0" in str(path):
+            raise ValueError("embedded null byte")
+        if path.is_dir():
+            raise ConfigError(f"{name}: {str(path)!r} is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"{name}: directory {str(path.parent)!r} does not exist")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _check_types(section: dict, prefix: str = "") -> None:
@@ -130,7 +135,7 @@ def _check_types(section: dict, prefix: str = "") -> None:
         value = section[key]
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ConfigError(f"{prefix}{key} must be {expected}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        if float in allowed and value is not None and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{prefix}{key} must be finite, got {value!r}")
 
 
@@ -195,7 +200,7 @@ class ExperimentConfig:
         if "kind" not in data:
             raise ConfigError("config is missing the 'kind' key")
         kind = data["kind"]
-        if kind not in _FIELD_SETS:
+        if kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
         required, optional = _FIELD_SETS[kind]
         unknown = set(data) - required - optional
@@ -236,10 +241,10 @@ class ExperimentConfig:
 
 def read_config(path: str | Path) -> dict:
     """The JSON object in a config file; ``ConfigError`` when the file cannot
-    be read, is not UTF-8 JSON, or holds something other than an object."""
+    be read or parsed as UTF-8 JSON, or holds something other than an object."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must contain a JSON object")

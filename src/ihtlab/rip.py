@@ -119,12 +119,13 @@ class TableRipProvider(RipBoundProvider):
         self._validate()
 
     def _validate(self):
-        if np.any(np.diff(self.deltas) <= 0) or np.any(np.diff(self.rhos) <= 0):
-            raise TableFormatError("table axes must be strictly increasing")
+        for a in (self.deltas, self.rhos):
+            if not (a.size >= 2 and np.all(a[1:] > a[:-1]) and math.isfinite(float(a[-1]) - float(a[0]))):
+                raise TableFormatError("table axes need two or more increasing knots over a finite span")
         if self.L_grid.shape != (len(self.deltas), len(self.rhos)) or self.U_grid.shape != self.L_grid.shape:
             raise TableFormatError("bound grids must be rectangular over the axes")
-        if np.any(self.L_grid < 0) or np.any(self.U_grid < 0):
-            raise TableFormatError("bounds must be nonnegative")
+        if not (np.all(self.L_grid >= 0) and np.all(self.U_grid >= 0) and np.all(np.isfinite(self.U_grid))):
+            raise TableFormatError("bounds must be finite and nonnegative")
         if np.any(self.L_grid >= 1):
             raise TableFormatError("lower-constant bounds must be < 1")
         # RIP constants grow with the order, so each bound must be

@@ -17,10 +17,11 @@ from .rip import RipBoundProvider
 
 RHO_BRACKET_LO = 1e-8
 RHO_BRACKET_HI = 0.5
-# Rho points one lockstep step of ``_solve_rho`` evaluates, split among the
-# deltas still unresolved.  Per-call overhead, not per-point work, sets the
-# cost of a step of this size, so fewer deltas get more points each.
+# Rho points a delta in one lockstep step of ``_solve_rho``: 64 split among the
+# unresolved deltas, but at least 6.  Per-call overhead sets the cost of a step
+# of up to a few hundred points: a 100-delta curve takes 16 steps, not 58.
 RHO_POINTS_PER_STEP = 64
+RHO_POINTS_FLOOR = 6
 
 XI_NIHT_AS_PRINTED = "as_printed"
 XI_NIHT_WITH_ONE_PLUS_A = "with_one_plus_a"
@@ -91,8 +92,9 @@ def _solve_rho(delta, kappa: float, provider: RipBoundProvider) -> TransitionRes
     The left side increases and the right side does not, so each crossing is
     unique.  Every delta keeps its bracket, with the difference of the sides
     and the F root at its ends.  A step evaluates ``_rho_points`` in each
-    bracket (one point is bisection), the F roots started on the line between
-    their values at the ends, and keeps the cell where the sign changes.  A
+    bracket, as many as RHO_POINTS_PER_STEP // (unresolved deltas) but at
+    least RHO_POINTS_FLOOR, the F roots started on the line between their
+    values at the ends, and keeps the cell where the sign changes.  A
     delta drops out once its midpoint is not strictly inside its bracket; that
     midpoint, one of the ends, is its root.  A left side below the right on
     the whole bracket saturates at rho = 1/2; one above has no crossing.
@@ -106,7 +108,7 @@ def _solve_rho(delta, kappa: float, provider: RipBoundProvider) -> TransitionRes
         return np.stack(np.broadcast_arrays(rho, lhs - _alpha_lb(d, rho, kappa, provider), f_root), -1)
 
     # The first step evaluates the bracket ends too.
-    m = max(1, RHO_POINTS_PER_STEP // max(flat.size, 1))
+    m = max(RHO_POINTS_FLOOR, RHO_POINTS_PER_STEP // max(flat.size, 1))
     cells = evaluate(flat[:, None], np.linspace(RHO_BRACKET_LO, RHO_BRACKET_HI, m + 2))
     if np.any(cells[:, 0, 1] > 0):
         raise NumericalDomainError(
@@ -126,7 +128,7 @@ def _solve_rho(delta, kappa: float, provider: RipBoundProvider) -> TransitionRes
         active = active[(lo < 0.5 * (lo + hi)) & (0.5 * (lo + hi) < hi)]
         if active.size:
             (a, ga, fa), (b, gb, fb) = ends[active, 0].T[:, :, None], ends[active, 1].T[:, :, None]
-            points = _rho_points(a, b, ga, gb, max(1, RHO_POINTS_PER_STEP // active.size))
+            points = _rho_points(a, b, ga, gb, max(RHO_POINTS_FLOOR, RHO_POINTS_PER_STEP // active.size))
             cells = evaluate(flat[active, None], points, fa + (fb - fa) * (points - a) / (b - a))
             cells = np.concatenate([ends[active, :1], cells, ends[active, 1:]], axis=1)
     lo, hi = ends[:, 0, 0], ends[:, 1, 0]

@@ -82,6 +82,32 @@ def test_entropy_is_zero_at_both_ends_of_an_array():
     assert h[0] == 0.0 and h[1] == 0.0 and h[2] == pytest.approx(math.log(2), rel=1e-15)
 
 
+# x from -0.3 to 0.3, both branches of _x_minus_log1p, and |x| down to 1e-30,
+# where phi(x) = x - ln(1+x) is about x^2/2.
+PHI_GRID = np.concatenate([
+    np.linspace(-0.3, 0.3, 2401), np.logspace(-30.0, np.log10(0.3), 1000), -np.logspace(-30.0, np.log10(0.3), 1000)
+])
+
+
+def test_x_minus_log1p_within_five_ulps_of_decimal_oracle():
+    with localcontext() as ctx:
+        # 60 digits lost to cancellation at |x| = 1e-30, 60 kept.
+        ctx.prec = 120
+        exact = np.array([float(Decimal(v) - (1 + Decimal(v)).ln()) for v in PHI_GRID])
+    assert np.all(np.abs(asymptotics._x_minus_log1p(PHI_GRID) - exact) <= 5 * np.spacing(exact))
+
+
+def test_x_minus_log1p_within_two_ulps_of_power_table_form():
+    """The series by Horner against the same series summed from a table of
+    the powers w^k, the form it replaced."""
+    x = np.random.default_rng(0).uniform(-0.25, 0.25, 240_000)
+    z = x / (2.0 + x)
+    w = z * z
+    table = (w[:, None] ** np.arange(10) * asymptotics._PHI_SERIES).sum(axis=-1)
+    reference = 2.0 * w * (1.0 / (1.0 - z) - z * table)
+    assert np.all(np.abs(asymptotics._x_minus_log1p(x) - reference) <= 2 * np.spacing(reference))
+
+
 def lambertw_start(t, sign):
     """phi^{-1}(t) of the sign of ``sign`` through Lambert's W: x = -1 -
     W(-e^{-1-t}) on branch -1 for x > 0 and branch 0 for x < 0, and

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ihtlab.asymptotics import chi2_cdf
 from ihtlab.core import RngSpec, SupportSet, sample_gaussian_matrix, sample_instance, sample_noise
@@ -22,7 +24,7 @@ from ihtlab.experiments import (
     run_experiment,
     wilson_interval,
 )
-from ihtlab.solvers import run_solver
+from ihtlab.solvers import SolverConfig, run_solver
 from ihtlab.stablepoint import stable_condition_terms
 
 
@@ -98,6 +100,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown solver keys"):
             config.solver_config()
 
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown experiment kind"):
+            ExperimentConfig.from_dict({"kind": []})
+
+    @pytest.mark.parametrize("path", ["a" * 300, "a\0b.json"], ids=["name-too-long", "nul-byte"])
+    def test_output_path_the_file_system_refuses_is_a_config_error(self, path):
+        with pytest.raises(ConfigError, match="output_path"):
+            ExperimentConfig.from_dict(
+                {"kind": "mc_distribution", "n": 40, "k": 4, "overlap": 2,
+                 "trials": 5, "master_seed": 0, "output_path": path}
+            )
+
+    def test_integer_past_float_range_refused(self):
+        with pytest.raises(ConfigError, match="sigma must be finite"):
+            ExperimentConfig.from_dict(
+                {"kind": "mc_distribution", "n": 40, "k": 4, "overlap": 2,
+                 "trials": 5, "master_seed": 0, "sigma": 10**400}
+            )
+
+    def test_integer_too_long_to_parse_refused(self, tmp_path):
+        # Python refuses to convert integers of more than 4,300 digits.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"kind": "mc_distribution", "n": 1' + "0" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            read_config(path)
+
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -106,6 +134,66 @@ class TestConfigValidation:
         }), encoding="utf-8")
         config = ExperimentConfig.from_dict(read_config(path))
         assert config.n == 40 and config.sigma == 1.0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+# Values near the valid ranges and a huge integer.
+CONFIG_VALUES = (
+    st.integers(-2, 120) | st.floats(-0.5, 1.5) | st.sampled_from([10**400, 1e308, -0.0])
+    | st.lists(st.integers(-2, 2) | st.floats(-0.5, 1.5) | JSON_VALUES, max_size=3)
+    | JSON_VALUES
+)
+# Paths with names up to and past the usual 255-byte limit.
+PATHS = st.lists(
+    st.text(min_size=1) | st.sampled_from([255, 256, 5000]).map("a".__mul__), min_size=1, max_size=3
+).map("/".join)
+SOLVER_SECTIONS = st.dictionaries(
+    st.sampled_from([f.name for f in fields(SolverConfig)]) | st.text(max_size=6),
+    st.sampled_from(["iht", "niht"]) | CONFIG_VALUES,
+    max_size=5,
+) | JSON_VALUES
+CONFIG_KEYS = sorted(set().union(*(r | o for r, o in experiments._FIELD_SETS.values())) - {"kind"}) + ["bogus"]
+KEY_VALUES = {
+    key: SOLVER_SECTIONS if key == "solver" else PATHS if key.endswith("path") else CONFIG_VALUES
+    for key in CONFIG_KEYS
+}
+VALID_CONFIGS = (
+    {"kind": "mc_distribution", "n": 40, "k": 4, "overlap": 2, "trials": 5, "master_seed": 0},
+    {"kind": "mc_transition", "n": 40, "delta_grid": [0.5], "rho_grid": [0.1], "trials": 5,
+     "master_seed": 0, "solver": {"variant": "niht"}},
+    {"kind": "mc_error_vs_xi", "n": 100, "delta": 0.5, "rho": 0.01, "sigma": 0.1, "trials": 2,
+     "master_seed": 1, "solver": {"variant": "iht", "alpha": 0.5}},
+)
+# Free dicts, and valid configs with one or two keys changed, which reach the
+# checks behind the key and type checks.
+CONFIG_DICTS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(experiments.KINDS) | JSON_VALUES}, optional=KEY_VALUES
+) | st.builds(
+    lambda base, changes: {**base, **changes},
+    st.sampled_from(VALID_CONFIGS),
+    st.lists(st.sampled_from(CONFIG_KEYS), min_size=1, max_size=2, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({key: KEY_VALUES[key] for key in keys})
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(CONFIG_DICTS)
+def test_any_config_dict_is_a_config_or_a_config_error(data):
+    try:
+        config = ExperimentConfig.from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
+    if config.solver is not None:
+        try:
+            assert isinstance(config.solver_config(), SolverConfig)
+        except ConfigError:
+            pass
 
 
 @pytest.fixture(scope="module")

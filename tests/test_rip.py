@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ihtlab.core import RngSpec, sample_gaussian_matrix
 from ihtlab.errors import (
@@ -11,6 +12,7 @@ from ihtlab.errors import (
     TableFormatError,
 )
 from ihtlab.rip import (
+    TABLE_HEADER_PREFIX,
     ConstantRipProvider,
     TableRipProvider,
     default_provider,
@@ -176,6 +178,17 @@ class TestProviders:
         with pytest.raises(TableFormatError):
             TableRipProvider.from_file(write_table(tmp_path / "bad.csv", rows))
 
+    @pytest.mark.parametrize("rows", [
+        ["0.1,0.0,0.0,0.0", "0.1,1.0,0.3,0.9"],
+        ["0.1,0.0,0.0,0.0", "0.1,1.0,0.3,nan", "0.9,0.0,0.0,0.0", "0.9,1.0,0.3,0.9"],
+        ["0.1,0.0,0.0,0.0", "0.1,1.0,0.3,inf", "0.9,0.0,0.0,0.0", "0.9,1.0,0.3,inf"],
+        ["0.1,0.0,0.0,0.0", "0.1,inf,0.3,0.9", "0.9,0.0,0.0,0.0", "0.9,inf,0.3,0.9"],
+        ["-1e308,0.0,0.0,0.0", "-1e308,1.0,0.3,0.9", "1e308,0.0,0.0,0.0", "1e308,1.0,0.3,0.9"],
+    ], ids=["one-delta", "nan-bound", "infinite-bound", "infinite-knot", "span-overflows"])
+    def test_tables_that_cannot_interpolate_rejected(self, tmp_path, rows):
+        with pytest.raises(TableFormatError):
+            TableRipProvider.from_file(write_table(tmp_path / "bad.csv", rows))
+
     def test_default_table_loads_and_is_monotone(self):
         provider = default_provider()
         assert provider.provider_id.startswith("table(")
@@ -185,3 +198,52 @@ class TestProviders:
             assert all(b >= a - 1e-12 for a, b in zip(us, us[1:]))
             ls = [provider.query(delta, r)[0] for r in rhos]
             assert all(0 <= v < 1 for v in ls)
+
+
+VALID_FIELDS = ["0", "0.1", "0.5", "0.9"]
+TABLE_FIELDS = st.sampled_from(VALID_FIELDS + ["1", "2", "-1", "nan", "inf", "-inf", "1e400"]) | st.floats().map(repr)
+
+
+@st.composite
+def grid_tables(draw):
+    """A header and the rows of a rectangular grid: a valid table, apart from
+    axes of one knot, with one field or none replaced by any number; or a grid
+    of any numbers."""
+    valid = draw(st.booleans())
+    fields = st.sampled_from(VALID_FIELDS) if valid else TABLE_FIELDS
+
+    def column(n, unique=False):
+        drawn = draw(st.lists(fields, min_size=n, max_size=n, unique_by=float if unique else None))
+        return sorted(drawn, key=float) if valid else drawn
+
+    deltas, rhos = column(draw(st.integers(1, 3)), True), column(draw(st.integers(1, 3)), True)
+    rows = [[d, r, L, U] for d in deltas for r, L, U in zip(rhos, column(len(rhos)), column(len(rhos)))]
+    if valid and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 3))] = draw(TABLE_FIELDS)
+    return "\n".join([f"{TABLE_HEADER_PREFIX}; source=fuzz"] + [",".join(row) for row in rows])
+
+
+TABLE_TEXTS = grid_tables() | st.builds(
+    lambda header, rows: "\n".join([header] + rows),
+    st.sampled_from([f"{TABLE_HEADER_PREFIX}; source=fuzz", TABLE_HEADER_PREFIX]) | st.text(max_size=30),
+    st.lists(st.lists(TABLE_FIELDS, min_size=4, max_size=4).map(",".join) | st.text(max_size=20), max_size=6),
+)
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(TABLE_TEXTS.map(lambda text: text.encode("utf-8", "surrogatepass")) | st.binary(max_size=60))
+def test_any_table_file_is_a_provider_or_a_format_error(tmp_path, content):
+    path = tmp_path / "table.csv"
+    path.write_bytes(content)
+    try:
+        provider = TableRipProvider.from_file(path)
+    except TableFormatError:
+        return
+    # A provider answers at every knot with the bounds of the file, 0 <= L < 1
+    # and finite U >= 0, and between knots with finite nonnegative bounds.
+    for i, delta in enumerate(provider.deltas):
+        for j, rho in enumerate(provider.rhos):
+            L, U = provider.query(delta, rho)
+            assert (L, U) == (provider.L_grid[i, j], provider.U_grid[i, j]) and 0 <= L < 1 and 0 <= U < math.inf
+    L, U = provider.query(*(0.5 * axis[0] + 0.5 * axis[-1] for axis in (provider.deltas, provider.rhos)))
+    assert 0 <= L < math.inf and 0 <= U < math.inf

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ihtlab import transitions
 from ihtlab.errors import InvalidArgumentError, StabilityUndefinedError
 from ihtlab.rip import ConstantRipProvider, default_provider
 from ihtlab.transitions import (
     RHO_BRACKET_HI,
     RHO_BRACKET_LO,
+    RHO_POINTS_FLOOR,
+    RHO_POINTS_PER_STEP,
     default_delta_grid,
     grid_emit,
     lhs_stable,
@@ -272,10 +275,15 @@ def bisection_rho_hat(delta: float, kappa: float, provider) -> float:
 
 
 DELTAS = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4)
+# More deltas than RHO_POINTS_PER_STEP // RHO_POINTS_FLOOR, so every step
+# gives each unresolved delta the floor of points.
+FLOOR_DELTAS = default_delta_grid(14).tolist()
 
 
 @settings(max_examples=10, deadline=None)
 @given(DELTAS, st.sampled_from(["phase_iht", "phase_niht"]))
+@example(FLOOR_DELTAS, "phase_iht")
+@example(FLOOR_DELTAS, "phase_niht")
 def test_batched_phase_rows_match_per_delta_bisection(deltas, kind):
     provider = default_provider()
     kappa = 1.1 if kind == "phase_niht" else 1.0
@@ -286,6 +294,34 @@ def test_batched_phase_rows_match_per_delta_bisection(deltas, kind):
         assert d == delta
         assert rho_hat == pytest.approx(bisection_rho_hat(delta, kappa, provider), rel=1e-12)
         assert residual <= 1e-10
+
+
+def record_calls(monkeypatch, name):
+    """Replace ``transitions.<name>`` by a wrapper; returns the list of the
+    positional arguments of each call."""
+    calls, function = [], getattr(transitions, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(transitions, name, wrapper)
+    return calls
+
+
+def test_hundred_delta_curve_within_twenty_steps(provider, monkeypatch):
+    # Bisection, one point a delta and step, took 58 evaluations.
+    calls = record_calls(monkeypatch, "_lhs")
+    rho_hat_iht(default_delta_grid(100), provider)
+    assert len(calls) <= 20
+    # Every evaluation gives each of its deltas the floor of points.
+    assert all(np.shape(rho)[-1] >= RHO_POINTS_FLOOR for _, rho, *_ in calls)
+
+
+def test_one_delta_gets_every_point_of_a_step(provider, monkeypatch):
+    calls = record_calls(monkeypatch, "_rho_points")
+    rho_hat_iht(0.5, provider)
+    assert calls and all(m == RHO_POINTS_PER_STEP for *_, m in calls)
 
 
 @settings(max_examples=10, deadline=None)
