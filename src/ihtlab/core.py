@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
@@ -27,6 +27,17 @@ ENUMERATION_BUDGET = 2_000_000
 ENUMERATION_CHUNK = 256
 
 
+# The constants of numpy's SeedSequence hash, which ``RngSpec.substream_keys`` runs.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a nonnegative int, least significant first."""
+    return [value >> 32 * i & _MASK32 for i in range(max(1, -(-value.bit_length() // 32)))]
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Identifies one reproducible random stream.
@@ -39,6 +50,10 @@ class RngSpec:
     master_seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if self.master_seed < 0 or self.stream_id < 0:
+            raise InvalidArgumentError(f"seed and stream id must be >= 0, got {self.master_seed}, {self.stream_id}")
+
     def generator(self) -> np.random.Generator:
         return self.substream()
 
@@ -47,6 +62,40 @@ class RngSpec:
             entropy=self.master_seed, spawn_key=(self.stream_id, *keys)
         )
         return np.random.Generator(np.random.Philox(seq))
+
+    def substream_keys(self, cell_id: int, trials) -> np.ndarray:
+        """The ``(T, 2)`` uint64 Philox keys of ``substream(cell_id, t)`` for
+        each t of ``trials``: numpy's SeedSequence hash on uint32 lanes, all
+        trials at once.  ``InvalidArgumentError`` for a negative cell id or a
+        trial outside [0, 2^32), whose entropy would take another word count."""
+        t = np.asarray(trials)
+        if cell_id < 0 or t.ndim != 1 or t.size and (t.dtype.kind not in "iu" or t.min() < 0 or t.max() > _MASK32):
+            raise InvalidArgumentError(f"keys need cell_id >= 0 and integer trials in [0, 2^32), cell_id={cell_id}")
+        run = _words(self.master_seed)
+        words = run + [0] * (4 - len(run)) + _words(self.stream_id) + _words(cell_id)
+        entropy = [np.full(t.shape, w, np.uint32) for w in words] + [t.astype(np.uint32)]
+        const, mult = _INIT_A, _MULT_A
+
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & _MASK32
+            value = value * np.uint32(const)
+            return value ^ (value >> 16)
+
+        def mix(x, y):
+            value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+            return value ^ (value >> 16)
+
+        # Fill the pool of four words, mix them together, then mix in the rest.
+        pool = [hashmix(w) for w in entropy[:4]]
+        for src, dst in permutations(range(4), 2):
+            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in entropy[4:]:
+            pool = [mix(p, hashmix(w)) for p in pool]
+        const, mult = _INIT_B, _MULT_B
+        state = [hashmix(p) for p in pool]
+        return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _as_generator(rng: RngSpec | np.random.Generator) -> np.random.Generator:

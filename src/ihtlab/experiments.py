@@ -5,7 +5,9 @@ Each experiment kind builds one task list and maps it once over the workers.
 Every trial draws from its own counter-based substreams keyed by
 ``(master_seed, stream_id, cell_id, trial_id)``: a distribution trial takes
 its overlap terms from stream 1 and its Rayleigh quotients from stream 2,
-recovery-transition trials use stream 3 and noise-bound trials stream 4.  So
+recovery-transition trials use stream 3 and noise-bound trials stream 4.  A
+distribution run keys the Philox streams of all its trials in one hash
+(``RngSpec.substream_keys``), which gives the streams ``substream`` would.  So
 results are byte-identical no matter how many workers execute them.  Worker
 count is controlled only by the ``IHTLAB_WORKERS`` environment variable.  A
 task is a chunk of distribution trials or a stack of solver trials that share
@@ -14,6 +16,7 @@ do not depend on the chunking or stacking either.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -30,9 +33,7 @@ from .core import (
     SupportSet,
     least_squares_split,
     matvec,
-    sample_gaussian_matrix,
     sample_instance,
-    sample_noise,
     vecdot,
 )
 from .errors import ConfigError, IhtLabError, StabilityUndefinedError
@@ -372,29 +373,44 @@ def _pmap(fn, tasks: list, workers: int):
 # distributional validation
 
 
+@functools.lru_cache(maxsize=2)  # the full chunks' stacks and the ragged last chunk's
+def _chunk_stacks(T: int, n: int, k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stream 1's ``(T, n (k+r+1))`` and stream 2's ``(T, 2, n, k)`` draw stacks, reused chunk after chunk:
+    one set a process, so two threads of one process must not run chunks of one shape at once."""
+    return np.empty((T, n * (k + r + 1))), np.empty((T, 2, n, k))
+
+
 def _distribution_trial(task) -> tuple[list[dict], tuple[np.ndarray, ...]]:
     """One chunk of draws: each trial's CSV row, from stream 1, and the
     trials' Rayleigh quotients ``(r1, r2, r3, r3_ref)``, from stream 2.
 
-    Each trial draws from its own substreams into stacks, and every product,
-    norm, SVD and solve then runs once over the stack.  Each slice makes the
-    BLAS/LAPACK call of a lone trial, so the rows do not depend on chunking.
+    Trial i draws its streams 1 and 2, keyed by ``keys[i]``, in one call
+    each into the stacks, and every product, norm, SVD and solve then runs
+    once over the stack.  Each slice makes the BLAS/LAPACK call of a lone
+    trial, so the rows do not depend on chunking.
     The left-hand sides come from the QR of ``least_squares_split``; the
     right-hand sides of the noise bounds (4.3) and (4.4) are rebuilt from two
     thin SVDs, of A_gamma and of the difference columns projected off its
     range, so each violation flag compares two factorisations.
     """
-    config, z, z_ray, trials = task
+    config, z, z_ray, trials, keys = task
     n, k, r, sigma = config.n, config.k, config.overlap, config.sigma
-    T = len(trials)
-    cols, e, blocks = np.empty((T, n, k + r)), np.empty((T, n)), np.empty((T, 2, n, k))
-    for i, trial in enumerate(trials):
-        gen = RngSpec(config.master_seed, 1).substream(0, trial)
-        cols[i] = sample_gaussian_matrix(n, k + r, gen)
-        e[i] = sample_noise(n, sigma, gen)
-        gen = RngSpec(config.master_seed, 2).substream(0, trial)
-        blocks[i, 0] = sample_gaussian_matrix(n, k, gen)
-        blocks[i, 1] = sample_gaussian_matrix(n, k, gen)
+    T, m = len(trials), n * (k + r)
+    drawn = m + n if sigma > 0 else m
+    draws, blocks = _chunk_stacks(T, n, k, r)
+    bitgen = np.random.Philox(0)
+    gen, state = np.random.Generator(bitgen), bitgen.state  # counter 0, buffer_pos 4
+    for i in range(T):
+        for key, out in ((keys[i, 0], draws[i, :drawn]), (keys[i, 1], blocks[i])):
+            state["state"]["key"] = key
+            bitgen.state = state
+            gen.standard_normal(out=out)
+    # Generator.normal's arithmetic, loc + scale * z, in place.
+    unit = 1.0 / np.sqrt(n)
+    for stack, scale in ((draws[:, :m], unit), (draws[:, m:drawn], sigma / np.sqrt(n)), (blocks, unit)):
+        stack *= scale
+        stack += 0.0
+    cols, e = draws[:, :m].reshape(T, n, k + r), draws[:, m:]
     A_gamma, A_diff = cols[..., :k], cols[..., k:]
     z_norm2 = float(z @ z)
 
@@ -477,8 +493,11 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
     x_diff = gen0.standard_normal(r)
     z_ray = gen0.standard_normal(k)
 
+    # Every trial's stream 1 and 2 keys, in one hash each: (trials, 2, 2).
+    keys = np.stack([RngSpec(config.master_seed, s).substream_keys(0, range(config.trials)) for s in (1, 2)], 1)
     tasks = [
-        (config, x_diff, z_ray, range(start, min(start + DISTRIBUTION_CHUNK, config.trials)))
+        (config, x_diff, z_ray, range(start, min(start + DISTRIBUTION_CHUNK, config.trials)),
+         keys[start : start + DISTRIBUTION_CHUNK])
         for start in range(0, config.trials, DISTRIBUTION_CHUNK)
     ]
     chunks, rayleigh = zip(*_pmap(_distribution_trial, tasks, _worker_count()))

@@ -48,6 +48,12 @@ def test_solve_invalid_kappa_names_constraint(capsys):
     assert "kappa > 1/(1-c)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["solve", "--n", "20", "--N", "40", "--k", "2"], ["rip"]], ids=["solve", "rip"])
+def test_negative_seed_is_config_error(capsys, argv):
+    assert run_cli([*argv, "--seed", "-1"]) == EXIT_CONFIG
+    assert "config error: seed and stream id must be >= 0" in capsys.readouterr().err
+
+
 def test_solve_writes_json(tmp_path, capsys):
     out = tmp_path / "sol.json"
     code = run_cli(["solve", "--n", "40", "--N", "80", "--k", "2", "--alpha", "0.6",

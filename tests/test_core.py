@@ -228,6 +228,43 @@ class TestGaussianMatrix:
         assert not np.array_equal(a, b)
 
 
+def _words(bits: int):
+    """Integers in [0, 2^bits) drawn so that each word count up to ``bits/32`` turns up."""
+    return st.integers(0, bits).flatmap(lambda b: st.integers(0, 2**b - 1))
+
+
+class TestSubstreamKeys:
+    @given(seed=_words(200), stream=_words(70), cell=_words(70),
+           trials=st.lists(st.integers(0, 2**32 - 1), max_size=5).map(lambda t: [0, 2**32 - 1, *t]))
+    def test_equal_to_seed_sequence_state(self, seed, stream, cell, trials):
+        keys = RngSpec(seed, stream).substream_keys(cell, trials)
+        expected = [np.random.SeedSequence(entropy=seed, spawn_key=(stream, cell, t)).generate_state(2, np.uint64)
+                    for t in trials]
+        assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
+        np.testing.assert_array_equal(keys, expected)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128, 2**200])
+    def test_seed_of_each_word_count_keys_its_substream(self, seed):
+        # Seeds of 1, 2, 3, 4 and more than 4 words; more than 4 spill past
+        # the pool of four and are mixed in after it.
+        key = RngSpec(seed, 2**33 + 1).substream_keys(2**40 + 3, [7])[0]
+        expected = RngSpec(seed, 2**33 + 1).substream(2**40 + 3, 7)
+        assert expected.bit_generator.state["state"]["key"].tolist() == key.tolist()
+
+    def test_no_trials(self):
+        assert RngSpec(1).substream_keys(0, range(0)).shape == (0, 2)
+
+    @pytest.mark.parametrize("cell, trials", [(-1, [0]), (0, [-1]), (0, [2**32]), (0, [2**70]), (0, [0.5])])
+    def test_refuses_keys_out_of_range(self, cell, trials):
+        with pytest.raises(InvalidArgumentError):
+            RngSpec(1).substream_keys(cell, trials)
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1)])
+    def test_refuses_negative_seed_or_stream(self, seed, stream):
+        with pytest.raises(InvalidArgumentError):
+            RngSpec(seed, stream)
+
+
 class TestSparseSignal:
     def test_unit_model_full_support(self):
         x = sample_sparse_signal(10, 10, "unit", RngSpec(9))

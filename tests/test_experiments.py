@@ -28,6 +28,12 @@ from ihtlab.solvers import SolverConfig, run_solver
 from ihtlab.stablepoint import stable_condition_terms
 
 
+def _chunk(config, z, z_ray, trials):
+    """A distribution chunk task with the stream 1 and 2 keys of its trials."""
+    keys = [RngSpec(config.master_seed, s).substream_keys(0, trials) for s in (1, 2)]
+    return config, z, z_ray, trials, np.stack(keys, axis=1)
+
+
 class TestStatisticsHelpers:
     def test_ks_statistic_exact_fit(self):
         gen = RngSpec(1).generator()
@@ -243,7 +249,7 @@ class TestDistributionCheck:
              "trials": 1, "master_seed": 41, "sigma": sigma}
         )
         z = np.array([0.8, -1.3])
-        [row], _ = experiments._distribution_trial((config, z, np.ones(k), range(1)))
+        [row], _ = experiments._distribution_trial(_chunk(config, z, np.ones(k), range(1)))
         gen = RngSpec(41, 1).substream(0, 0)
         A = sample_gaussian_matrix(n, k + r, gen)
         e = sample_noise(n, sigma, gen)
@@ -269,7 +275,7 @@ class TestDistributionCheck:
             {"kind": "mc_distribution", "n": n, "k": k, "overlap": r,
              "trials": 1, "master_seed": 23, "sigma": sigma}
         )
-        [row], _ = experiments._distribution_trial((config, np.array([1.0, -0.4, 0.7]), np.ones(k), range(1)))
+        [row], _ = experiments._distribution_trial(_chunk(config, np.array([1.0, -0.4, 0.7]), np.ones(k), range(1)))
         gen = RngSpec(23, 1).substream(0, 0)
         A = sample_gaussian_matrix(n, k + r, gen)
         e = sample_noise(n, sigma, gen)
@@ -295,7 +301,7 @@ class TestDistributionCheck:
         z, z_ray = np.array([0.6, -1.1]), np.array([1.0, -0.5, 0.25, 2.0])
 
         def run(size):
-            chunks = [experiments._distribution_trial((config, z, z_ray, range(t, min(t + size, trials))))
+            chunks = [experiments._distribution_trial(_chunk(config, z, z_ray, range(t, min(t + size, trials))))
                       for t in range(0, trials, size)]
             rows = [row for chunk, _ in chunks for row in chunk]
             return rows, [np.concatenate(column).tolist() for column in zip(*(ray for _, ray in chunks))]
@@ -305,6 +311,44 @@ class TestDistributionCheck:
         assert len(rayleigh) == 4 and all(len(column) == trials for column in rayleigh)
         for size in (1, trials):
             assert run(size) == (rows, rayleigh)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    def test_chunk_draws_equal_per_trial_substreams(self, sigma):
+        # The chunk stacks hold, bit for bit, what each trial's own substream
+        # generators draw through sample_gaussian_matrix and sample_noise:
+        # stream 1 the columns, then the noise, and stream 2 two blocks.
+        n, k, r, trials = 30, 4, 2, range(5, 12)
+        config = ExperimentConfig.from_dict(
+            {"kind": "mc_distribution", "n": n, "k": k, "overlap": r,
+             "trials": 20, "master_seed": 2**40 + 9, "sigma": sigma}
+        )
+        experiments._distribution_trial(_chunk(config, np.array([0.6, -1.1]), np.ones(k), trials))
+        draws, blocks = experiments._chunk_stacks(len(trials), n, k, r)
+        m = n * (k + r)
+        for i, trial in enumerate(trials):
+            gen = RngSpec(config.master_seed, 1).substream(0, trial)
+            assert draws[i, :m].tobytes() == sample_gaussian_matrix(n, k + r, gen).tobytes()
+            if sigma > 0:
+                assert draws[i, m:].tobytes() == sample_noise(n, sigma, gen).tobytes()
+            gen = RngSpec(config.master_seed, 2).substream(0, trial)
+            pair = [sample_gaussian_matrix(n, k, gen) for _ in range(2)]
+            assert blocks[i].tobytes() == np.stack(pair).tobytes()
+
+    def test_builds_no_seed_sequence_per_trial(self, monkeypatch):
+        built = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("spawn_key"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        config = ExperimentConfig.from_dict(
+            {"kind": "mc_distribution", "n": 40, "k": 4, "overlap": 2,
+             "trials": 2000, "master_seed": 5, "sigma": 1.0}
+        )
+        assert mc_distribution_check(config).summary["trials"] == 2000
+        assert built == [(0, 0)]  # stream 0, for the run's shared vectors
 
     def test_noiseless_config_skips_noise_terms(self):
         config = ExperimentConfig.from_dict(
