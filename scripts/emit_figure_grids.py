@@ -28,10 +28,10 @@ def main() -> None:
     parser.add_argument("--grid-points", type=int, default=100)
     args = parser.parse_args()
 
-    provider = load_provider(args.rip_table)
-    args.outdir.mkdir(parents=True, exist_ok=True)
     delta_grid = default_delta_grid(args.grid_points)
     rho_grid = np.linspace(0.001, 0.5, args.grid_points)
+    provider = load_provider(args.rip_table)
+    args.outdir.mkdir(parents=True, exist_ok=True)
 
     jobs = [
         ("phase_iht.csv", grid_emit("phase_iht", provider, delta_grid)),

@@ -200,11 +200,17 @@ def tail_il(inputs: TailInputs) -> RootResult:
 def _if_excess(f, lo, rho):
     """ln(1+f) - rho*ln(f) - H(rho) as the Bernoulli divergence
     rho*phi(v/lo) + (1-rho)*phi(-v), v = (f-lo)/(1+f), lo = rho/(1-rho): no
-    cancellation near its minimum at f = lo.  Where v nears one, ln(1-v) is
-    taken from 1-v = (1+lo)/(1+f), which keeps the digits that v loses."""
+    cancellation near its minimum at f = lo.  Where v/lo nears minus one or v
+    nears one, the logs are taken from 1+v/lo = (f/lo)(1-v) and
+    1-v = (1+lo)/(1+f), which keep the digits that v loses."""
     v = (f - lo) / (1.0 + f)
-    phi = _x_minus_log1p(np.stack([v / lo, -v]))
-    return rho * phi[0] + (1.0 - rho) * np.where(v < 0.5, phi[1], -v - np.log((1.0 + lo) / (1.0 + f)))
+    x = np.stack([v / lo, -v])
+    # The clamp keeps phi finite where the logs below replace it.
+    phi = _x_minus_log1p(np.maximum(x, -0.5))
+    log_1mv = np.log((1.0 + lo) / (1.0 + f))
+    if x[0].min() <= -0.5:
+        phi[0] = np.where(x[0] > -0.5, phi[0], x[0] - np.log(f / lo) - log_1mv)
+    return rho * phi[0] + (1.0 - rho) * np.where(v < 0.5, phi[1], -v - log_1mv)
 
 
 def tail_if(delta, rho) -> RootResult:
@@ -235,30 +241,26 @@ def _if_root(delta, rho, start=None) -> RootResult:
 
 def chi2_cdf(x, dof):
     """Chi-square CDF with ``dof`` degrees of freedom."""
-    x = np.asarray(x, dtype=float)
+    x, dof = np.asarray(x, dtype=float), np.asarray(dof, dtype=float)
     if np.any(x < 0):
         raise InvalidArgumentError("chi-square CDF requires x >= 0")
-    if np.any(np.asarray(dof) < 1):
+    if np.any(dof < 1):
         raise InvalidArgumentError("degrees of freedom must be >= 1")
     from scipy.special import gammainc
 
-    out = gammainc(np.asarray(dof, dtype=float) / 2.0, x / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return _unwrap(gammainc(dof / 2.0, x / 2.0))
 
 
 def f_cdf(x, d1, d2):
     """F-distribution CDF with (d1, d2) degrees of freedom."""
-    x = np.asarray(x, dtype=float)
+    x, d1, d2 = (np.asarray(v, dtype=float) for v in (x, d1, d2))
     if np.any(x < 0):
         raise InvalidArgumentError("F CDF requires x >= 0")
-    if np.any(np.asarray(d1) < 1) or np.any(np.asarray(d2) < 1):
+    if np.any(d1 < 1) or np.any(d2 < 1):
         raise InvalidArgumentError("degrees of freedom must be >= 1")
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
     from scipy.special import betainc
 
-    out = betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
-    return float(out) if out.ndim == 0 else out
+    return _unwrap(betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2)))
 
 
 def scaled_f_cdf(x, k: int, n: int):
@@ -271,10 +273,10 @@ def temme_gamma_eta(s: float, t: float, branch: str) -> tuple[float, float]:
     """Uniform-asymptotic leading term for the regularized incomplete gamma.
 
     For the upper branch (0 < s < t) returns ``eta > 0`` with
-    ``eta^2/2 = t/s - 1 - ln(t/s)`` and the approximation
+    ``eta^2/2 = phi((t-s)/s) = t/s - 1 - ln(t/s)`` and the approximation
     ``Q(s, t) ~ 0.5*erfc(eta*sqrt(s/2))``; the lower branch (s > t > 0)
-    mirrors the sign and approximates P(s, t).  The residual decays like
-    ``s^{-1/2} * exp(-s*eta^2/2)`` at fixed t/s.
+    mirrors the sign and approximates P(s, t) by the same term.  The residual
+    decays like ``s^{-1/2} * exp(-s*eta^2/2)`` at fixed t/s.
     """
     if branch not in ("Q", "P"):
         raise InvalidArgumentError(f"branch must be 'Q' or 'P', got {branch!r}")
@@ -282,16 +284,8 @@ def temme_gamma_eta(s: float, t: float, branch: str) -> tuple[float, float]:
         raise InvalidArgumentError(f"branch 'Q' requires 0 < s < t, got s={s}, t={t}")
     if branch == "P" and not s > t > 0:
         raise InvalidArgumentError(f"branch 'P' requires s > t > 0, got s={s}, t={t}")
-    mu = t / s
-    eta_sq = 2.0 * (mu - 1.0 - math.log(mu))
-    eta_abs = math.sqrt(max(eta_sq, 0.0))
-    if branch == "Q":
-        eta = eta_abs
-        leading = 0.5 * math.erfc(eta * math.sqrt(s / 2.0))
-    else:
-        eta = -eta_abs
-        leading = 0.5 * math.erfc(-eta * math.sqrt(s / 2.0))
-    return eta, leading
+    eta = math.sqrt(2.0 * _x_minus_log1p((t - s) / s))
+    return (eta if branch == "Q" else -eta), 0.5 * math.erfc(eta * math.sqrt(s / 2.0))
 
 
 def temme_beta_eta(d1: float, d2: float, beta: float) -> tuple[float, float]:
@@ -300,37 +294,33 @@ def temme_beta_eta(d1: float, d2: float, beta: float) -> tuple[float, float]:
     ``eta`` has magnitude sqrt(2*KL((p, 1-p) || (beta, 1-beta))) with
     p = d1/(d1+d2) and the sign of ``beta - p``; the approximation is
     ``I_beta(d1, d2) ~ 0.5*erfc(-eta*sqrt((d1+d2)/2))``, which vanishes
-    below the concentration point p and tends to one above it.
+    below the concentration point p and tends to one above it.  The
+    divergence is the F-bound excess at f = beta/(1-beta).
     """
     if not d1 > d2 > 0:
         raise InvalidArgumentError(f"requires d1 > d2 > 0, got d1={d1}, d2={d2}")
     if not 0 < beta < 1:
         raise InvalidArgumentError(f"beta must lie in (0, 1), got {beta}")
     p = d1 / (d1 + d2)
-    neg_half_eta_sq = p * math.log(beta / p) + (1.0 - p) * math.log((1.0 - beta) / (1.0 - p))
-    eta = math.copysign(math.sqrt(max(-2.0 * neg_half_eta_sq, 0.0)), beta - p)
-    leading = 0.5 * math.erfc(-eta * math.sqrt((d1 + d2) / 2.0))
-    return eta, leading
+    eta = math.copysign(math.sqrt(2.0 * _if_excess(beta / (1.0 - beta), p / (1.0 - p), p)), beta - p)
+    return eta, 0.5 * math.erfc(-eta * math.sqrt((d1 + d2) / 2.0))
 
 
 def chi2_rate(nu: float, gamma: float, branch: str) -> float:
     """Exponential decay rate of normalised chi-square tails.
 
-    ``(1/n) ln P(X >= 1+nu) -> -(gamma/2)[nu - ln(1+nu)]`` on the upper
-    branch and ``(1/n) ln P(X <= 1-nu) -> -(gamma/2)[-nu - ln(1-nu)]`` on
-    the lower branch, where X ~ chi^2_l / l and l/n -> gamma.
+    ``(1/n) ln P(X >= 1+nu) -> -(gamma/2) phi(nu)`` on the upper branch and
+    ``(1/n) ln P(X <= 1-nu) -> -(gamma/2) phi(-nu)`` on the lower branch,
+    where phi(x) = x - ln(1+x), X ~ chi^2_l / l and l/n -> gamma.
     """
-    if not 0 < gamma <= 1:
-        raise InvalidArgumentError(f"gamma must lie in (0, 1], got {gamma}")
-    if branch == "upper":
-        if nu <= 0:
-            raise InvalidArgumentError("upper branch requires nu > 0")
-        return -(gamma / 2.0) * (nu - math.log1p(nu))
-    if branch == "lower":
-        if not 0 < nu < 1:
-            raise InvalidArgumentError("lower branch requires nu in (0, 1)")
-        return -(gamma / 2.0) * (-nu - math.log1p(-nu))
-    raise InvalidArgumentError(f"branch must be 'upper' or 'lower', got {branch!r}")
+    _check_range("gamma", gamma, 1.0)
+    if branch not in ("upper", "lower"):
+        raise InvalidArgumentError(f"branch must be 'upper' or 'lower', got {branch!r}")
+    if branch == "upper" and not nu > 0:
+        raise InvalidArgumentError("upper branch requires nu > 0")
+    if branch == "lower" and not 0 < nu < 1:
+        raise InvalidArgumentError("lower branch requires nu in (0, 1)")
+    return -(gamma / 2.0) * float(_x_minus_log1p(nu if branch == "upper" else -nu))
 
 
 def f_rate(f: float, rho: float) -> float:
@@ -342,15 +332,14 @@ def f_rate(f: float, rho: float) -> float:
     """
     if not 0 < rho < 1:
         raise InvalidArgumentError(f"rho must lie in (0, 1), got {rho}")
-    if f <= rho / (1.0 - rho):
-        raise InvalidArgumentError(f"requires f > rho/(1-rho) = {rho / (1.0 - rho)}, got {f}")
-    return 0.5 * (math.log1p(f) - rho * math.log(f) - shannon_entropy(rho))
+    lo = rho / (1.0 - rho)
+    if not f > lo:
+        raise InvalidArgumentError(f"requires f > rho/(1-rho) = {lo}, got {f}")
+    return 0.5 * float(_if_excess(f, lo, rho))
 
 
 def binom_entropy_limit(delta: float, rho: float) -> float:
     """Growth exponent of the support count: (1/n) ln C(N, k) -> H(delta*rho)/delta."""
-    if not 0 < delta <= 1:
-        raise InvalidArgumentError(f"delta must lie in (0, 1], got {delta}")
-    if not 0 < rho <= 1:
-        raise InvalidArgumentError(f"rho must lie in (0, 1], got {rho}")
+    _check_range("delta", delta, 1.0)
+    _check_range("rho", rho, 1.0)
     return shannon_entropy(delta * rho) / delta

@@ -3,8 +3,8 @@
 Subcommands: solve, rip, tailbound, phase-bound, stability, mc-transition,
 mc-dist, mc-error.  Each accepts an optional JSON config plus flag overrides,
 writes CSV/JSON where asked, and prints a one-line summary.  Exit codes:
-0 success, 2 configuration error, 3 numerical-domain error, 64 unknown
-subcommand.
+0 success, 2 configuration error (also a request past an enumeration
+budget), 3 numerical-domain error, 64 unknown subcommand.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 from .asymptotics import TailInputs, tail_if, tail_il, tail_iu
 from .core import RngSpec, sample_gaussian_matrix, sample_instance
 from .errors import (
+    BudgetExceededError,
     ConfigError,
     IhtLabError,
     InvalidArgumentError,
@@ -293,7 +294,7 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         # argparse reports flag misuse on stderr and raises SystemExit(2).
         return EXIT_CONFIG if exc.code else EXIT_OK
-    except (ConfigError, TableFormatError, InvalidArgumentError, OSError) as exc:
+    except (ConfigError, TableFormatError, InvalidArgumentError, BudgetExceededError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalDomainError, IhtLabError) as exc:

@@ -515,7 +515,8 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
         "ks_critical_99": crit,
         "ks_f_ratio": ks_statistic(column["f_sample"], lambda x: scaled_f_cdf(x, k, n)),
         "f_ratio_mean": float(np.mean(column["f_sample"])),
-        "f_ratio_mean_expected": k / (n - k - 1),
+        # The F(k, n-k+1) law has no finite mean at n - k = 1.
+        "f_ratio_mean_expected": k / (n - k - 1) if n - k > 1 else math.inf,
         "ks_r_quadratic": ks_statistic(column["r_sample"], lambda x: chi2_cdf(x * (n - k), n - k)),
         "violations_42": int(column["viol_42"].sum()),
     }

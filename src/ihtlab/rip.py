@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .asymptotics import _unwrap
 from .core import RngSpec, _as_generator, all_supports, column_stacks
 from .errors import InvalidArgumentError, NumericalDomainError, TableFormatError
 
@@ -194,7 +195,7 @@ class TableRipProvider(RipBoundProvider):
         out = []
         for grid in (self.L_grid, self.U_grid):
             value = sum(w * grid[k] for w, k in zip(weights, ((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1))))
-            out.append(value.item() if value.ndim == 0 else value)
+            out.append(_unwrap(value))
         return out[0], out[1]
 
 

@@ -245,6 +245,8 @@ def stability_factor_niht(
 
 def default_delta_grid(num: int = 100) -> np.ndarray:
     """``num`` log-spaced deltas from 1e-3 to 1, the range of the curves."""
+    if num < 1:
+        raise InvalidArgumentError(f"a delta grid needs at least one point, got {num}")
     return np.logspace(-3.0, 0.0, num)
 
 

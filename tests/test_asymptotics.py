@@ -250,6 +250,23 @@ class TestCdfOracles:
         for d in (2, 5, 10):
             assert f_cdf(1.0, d, d) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("cdf, args, message", [
+        (chi2_cdf, (-0.5, 3), "chi-square CDF requires x >= 0"),
+        (chi2_cdf, ([0.5, -1e-300], 3), "chi-square CDF requires x >= 0"),
+        (chi2_cdf, (0.5, 0), "degrees of freedom must be >= 1"),
+        (f_cdf, (-0.5, 3, 4), "F CDF requires x >= 0"),
+        (f_cdf, (0.5, 0.5, 4), "degrees of freedom must be >= 1"),
+        (f_cdf, (0.5, 3, [4, 0]), "degrees of freedom must be >= 1"),
+    ])
+    def test_refuses_negative_x_and_dof_below_one(self, cdf, args, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            cdf(*args)
+
+    def test_scalar_in_python_float_out(self):
+        assert type(chi2_cdf(1.0, 3)) is float
+        assert type(f_cdf(1.0, 3, 4)) is float
+        assert chi2_cdf(np.array([1.0]), 3).shape == (1,)
+
     def test_dkw_band_chi2(self):
         gen = RngSpec(21).generator()
         m = 1_000_000
@@ -320,6 +337,15 @@ class TestTemmeGamma:
         with pytest.raises(InvalidArgumentError):
             temme_gamma_eta(5.0, 10.0, "P")
 
+    @pytest.mark.parametrize("s, t, branch", [(10.0, 10.0001, "Q"), (10.0, 9.9999, "P"), (3.0, 300.0, "Q")])
+    def test_eta_matches_decimal_oracle(self, s, t, branch):
+        # eta^2/2 = phi(t/s - 1); near t = s the two terms of phi cancel.
+        eta, leading = temme_gamma_eta(s, t, branch)
+        assert type(eta) is float and type(leading) is float
+        exact = decimal_eta(lambda: decimal_phi(Decimal(t) / Decimal(s) - 1), t - s)
+        assert eta == pytest.approx(exact, rel=1e-14, abs=0)
+        assert leading == pytest.approx(0.5 * math.erfc(abs(exact) * math.sqrt(s / 2)), rel=1e-12, abs=0)
+
 
 class TestTemmeBeta:
     def test_sign_change_point(self):
@@ -335,6 +361,23 @@ class TestTemmeBeta:
         eta_lo, _ = temme_beta_eta(20.0, 10.0, 0.5)
         eta_hi, _ = temme_beta_eta(20.0, 10.0, 0.9)
         assert eta_lo < 0 < eta_hi
+
+    @pytest.mark.parametrize("d1, d2, beta", [
+        (20.0, 10.0, (2 / 3) * (1 + 1e-6)),
+        (600.0, 400.0, 0.6 * (1 - 1e-5)),
+        (20.0, 10.0, 0.8),
+        (20.0, 10.0, 1e-20),
+        (20.0, 10.0, 1 - 1e-12),
+    ])
+    def test_eta_matches_decimal_oracle(self, d1, d2, beta):
+        # Near beta = p the two logs of the divergence cancel; at beta = 1e-20
+        # beta/(1-beta) is far below p/(1-p), where 1 + v/lo nears zero.
+        with np.errstate(all="raise"):
+            eta, _ = temme_beta_eta(d1, d2, beta)
+        p = Decimal(d1) / Decimal(d1 + d2)
+        b = Decimal(beta)
+        exact = decimal_eta(lambda: p * (p / b).ln() + (1 - p) * ((1 - p) / (1 - b)).ln(), beta - float(p))
+        assert eta == pytest.approx(exact, rel=1e-9, abs=0)
 
     def test_leading_term_tracks_incomplete_beta(self):
         # Proportional family d1 = 0.6 m, d2 = 0.4 m at fixed beta.
@@ -398,6 +441,43 @@ class TestRates:
     def test_f_rate_domain(self):
         with pytest.raises(InvalidArgumentError):
             f_rate(0.2, 0.25)
+        with pytest.raises(InvalidArgumentError, match=r"requires f > rho/\(1-rho\)"):
+            f_rate(float("nan"), 0.25)
+
+    @pytest.mark.parametrize("branch, sign", [("upper", 1), ("lower", -1)])
+    def test_chi2_rate_small_nu_matches_decimal_oracle(self, branch, sign):
+        # The rate is O(nu^2) at nu = 1e-9: nu - ln(1+nu) cancels 9 digits.
+        rate = chi2_rate(1e-9, 0.5, branch)
+        assert type(rate) is float
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = float(-Decimal(0.5) / 2 * decimal_phi(sign * Decimal(1e-9)))
+        assert rate == pytest.approx(exact, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("f, rho", [(0.25 / 0.75 * (1 + 1e-6), 0.25), (1e20, 0.25), (30.0, 0.9)])
+    def test_f_rate_matches_decimal_oracle(self, f, rho):
+        # Just above f = rho/(1-rho) the rate is O(1e-12) and its logs cancel;
+        # the relative error left is the rounding of rho/(1-rho) itself.
+        with np.errstate(all="raise"):
+            rate = f_rate(f, rho)
+        assert type(rate) is float
+        with localcontext() as ctx:
+            ctx.prec = 60
+            F, R = Decimal(f), Decimal(rho)
+            exact = float(((1 + F).ln() - R * F.ln() - decimal_entropy(R)) / 2)
+        assert rate == pytest.approx(exact, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.5, 0.0, "upper"), r"gamma must lie in \(0, 1\], got 0.0"),
+        ((0.5, 1.5, "upper"), r"gamma must lie in \(0, 1\], got 1.5"),
+        ((0.5, 1.0, "middle"), "branch must be 'upper' or 'lower', got 'middle'"),
+        ((0.0, 1.0, "upper"), r"upper branch requires nu > 0"),
+        ((float("nan"), 1.0, "upper"), r"upper branch requires nu > 0"),
+        ((1.0, 1.0, "lower"), r"lower branch requires nu in \(0, 1\)"),
+    ])
+    def test_chi2_rate_refusals(self, args, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            chi2_rate(*args)
 
 
 class TestBinomEntropyLimit:
@@ -411,6 +491,15 @@ class TestBinomEntropyLimit:
 
     def test_vanishes_at_small_rho(self):
         assert binom_entropy_limit(0.5, 1e-9) <= 1e-7
+
+    @pytest.mark.parametrize("delta, rho, message", [
+        (0.0, 0.5, r"delta must lie in \(0, 1\], got 0.0"),
+        (0.5, 1.5, r"rho must lie in \(0, 1\], got 1.5"),
+        (0.5, float("nan"), r"rho must lie in \(0, 1\], got nan"),
+    ])
+    def test_domain(self, delta, rho, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            binom_entropy_limit(delta, rho)
 
 
 def test_root_result_value_inside_bracket():
@@ -473,6 +562,17 @@ def decimal_root(g, target, lo: float, hi: float) -> float:
 
 def decimal_entropy(p):
     return -p * p.ln() - (1 - p) * (1 - p).ln()
+
+
+def decimal_phi(x):
+    return x - (1 + x).ln()
+
+
+def decimal_eta(half_eta_sq, sign: float) -> float:
+    """sqrt(2 * half_eta_sq()) with the sign of ``sign``, in 60-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return math.copysign(float((2 * half_eta_sq()).sqrt()), sign)
 
 
 # Points of the transition analysis: delta in (0, 1], rho in (0, 1/2] and

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -84,6 +85,32 @@ def test_phase_bound_rerun_byte_identical(tmp_path):
     assert run_cli(["phase-bound", "--grid-points", "12", "--out", str(a)]) == EXIT_OK
     assert run_cli(["phase-bound", "--grid-points", "12", "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_phase_bound_grid_points_below_one_exits_2_before_any_work(tmp_path, capsys, monkeypatch, points):
+    monkeypatch.setattr(cli, "grid_emit", _no_work)
+    out = tmp_path / "curve.csv"
+    assert run_cli(["phase-bound", "--grid-points", points, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: a delta grid needs at least one point, got {points}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rip_past_enumeration_budget_is_config_error(capsys):
+    assert run_cli(["rip", "--n", "40", "--N", "100", "--order", "10"]) == EXIT_CONFIG
+    assert "config error: C(100,10) = 17310309456440 exceeds the enumeration budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["0", "1"])
+def test_mc_dist_without_finite_expected_mean_writes_null(tmp_path, capsys, sigma):
+    # At n - k = 1 the scaled F(k, n-k+1) law has no finite mean.
+    out = tmp_path / "dist.json"
+    argv = ["mc-dist", "--n", "2", "--k", "1", "--overlap", "1", "--trials", "20", "--seed", "1",
+            "--sigma", sigma, "--out", str(out)]
+    assert run_cli(argv) == EXIT_OK
+    summary = json.loads(out.read_text(encoding="utf-8"))["summary"]
+    assert summary["f_ratio_mean_expected"] is None
+    assert math.isfinite(summary["f_ratio_mean"])
 
 
 def test_phase_bound_bad_table_exits_2(tmp_path, capsys):
@@ -269,6 +296,10 @@ def test_solver_key_of_wrong_type_exits_2(tmp_path, capsys, key, value, expected
     ("mc-transition", "rho_grid", [0.05, float("nan")], "rho_grid values must lie in (0, 1]"),
     ("mc-transition", "n", 0, "n=0: no cell of the grid satisfies 0 < 2k <= n <= N"),
     ("mc-transition", "n", 1, "n=1: no cell of the grid satisfies 0 < 2k <= n <= N"),
+    ("mc-transition", "delta_grid", [], "mc_transition needs nonempty delta_grid and rho_grid"),
+    ("mc-transition", "rho_grid", [], "mc_transition needs nonempty delta_grid and rho_grid"),
+    ("mc-transition", "solver", {"max_iters": 50}, "solver section with a 'variant' key is required"),
+    ("mc-error", "solver", {"max_iters": 50}, "solver section with a 'variant' key is required"),
 ])
 def test_config_value_out_of_range_exits_2(tmp_path, capsys, command, key, value, message):
     cfg = tmp_path / "cfg.json"

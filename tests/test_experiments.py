@@ -463,6 +463,15 @@ class TestErrorVsXi:
         assert 1.5 <= ratio <= 2.5
         assert summaries[1]["error_bound"] == pytest.approx(2 * summaries[0]["error_bound"])
 
+    def test_unknown_solver_variant_is_config_error(self):
+        config = ExperimentConfig.from_dict(
+            {"kind": "mc_error_vs_xi", "n": 100, "delta": 0.5, "rho": 0.004,
+             "sigma": 0.1, "trials": 5, "master_seed": 10,
+             "solver": {"variant": "cosamp", "max_iters": 100}}
+        )
+        with pytest.raises(ConfigError, match="unknown solver variant 'cosamp'"):
+            mc_error_vs_xi(config)
+
     def test_stability_undefined_is_config_error(self):
         config = ExperimentConfig.from_dict(
             {"kind": "mc_error_vs_xi", "n": 100, "delta": 0.5, "rho": 0.4,
