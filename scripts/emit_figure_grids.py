@@ -8,25 +8,28 @@ Writes, into --outdir:
   xi_iht.csv         stability-factor surface for IHT (interval-midpoint alpha)
   xi_niht.csv        stability-factor surface for N-IHT
 
-All outputs are deterministic; rerunning reproduces identical bytes.
+All outputs are deterministic; rerunning reproduces identical bytes.  Exit
+codes are the CLI's: 0 success, 2 configuration error, 3 numerical error.
 """
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from ihtlab.cli import EXIT_OK, run_mapped
 from ihtlab.rip import load_provider
 from ihtlab.transitions import default_delta_grid, grid_emit, write_grid_csv
 
 
-def main() -> None:
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("figure_grids"))
     parser.add_argument("--rip-table", type=str, default=None)
     parser.add_argument("--kappa", type=float, default=1.1)
     parser.add_argument("--delta", type=float, default=0.5, help="column for the stepsize grid")
     parser.add_argument("--grid-points", type=int, default=100)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     delta_grid = default_delta_grid(args.grid_points)
     rho_grid = np.linspace(0.001, 0.5, args.grid_points)
@@ -44,7 +47,8 @@ def main() -> None:
         path = args.outdir / name
         write_grid_csv(path, rows)
         print(f"wrote {path} ({len(rows) - 1} rows)")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_mapped(main, sys.argv[1:]))

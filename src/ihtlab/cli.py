@@ -289,8 +289,13 @@ def run_cli(argv: list[str]) -> int:
         print(f"unknown subcommand {command!r}", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return EXIT_USAGE
+    return run_mapped(handler, argv[1:])
+
+
+def run_mapped(handler, argv: list[str]) -> int:
+    """``handler(argv)``'s exit code; a refusal prints one line on stderr, not a traceback."""
     try:
-        return handler(argv[1:])
+        return handler(argv)
     except SystemExit as exc:
         # argparse reports flag misuse on stderr and raises SystemExit(2).
         return EXIT_CONFIG if exc.code else EXIT_OK

@@ -19,7 +19,7 @@ RHO_BRACKET_LO = 1e-8
 RHO_BRACKET_HI = 0.5
 # Rho points a delta in one lockstep step of ``_solve_rho``: 64 split among the
 # unresolved deltas, but at least 6.  Per-call overhead sets the cost of a step
-# of up to a few hundred points: a 100-delta curve takes 16 steps, not 58.
+# of up to a few hundred points: a 100-delta curve takes 9-10 steps, not 58.
 RHO_POINTS_PER_STEP = 64
 RHO_POINTS_FLOOR = 6
 
@@ -70,16 +70,21 @@ def _alpha_lb(delta, rho, kappa: float, provider: RipBoundProvider):
     return 1.0 / (kappa * (1.0 + U))
 
 
-def _rho_points(a, b, ga, gb, m: int) -> np.ndarray:
+def _rho_points(a, b, ga, gb, error, m: int) -> np.ndarray:
     """``m`` sorted rho points in each bracket [a, b] (columns) with values
     ga <= 0 < gb: equally spaced and, from four points on, two fifths of them
-    on each side of the regula falsi point at 10^-1, 10^-1.5, ... of the
-    bracket width, so that the next bracket is about as wide as that point's
-    error."""
-    offsets = 10.0 ** -(1.0 + 0.5 * np.arange(2 * (m - 1) // 5)) * (b - a)
-    uniform = m - 2 * offsets.shape[-1]
+    on each side of the regula falsi point at 10^-1, 10^-1.5, ... of a width:
+    30 times the falsi point's estimated ``error`` (the bracket width where it
+    is not finite), so that the next bracket is a few times that error, in
+    [10^-4, 1] times the bracket width and no less than keeps the last point
+    10^-13 of it from the falsi point, which a 64-point ladder needs in full."""
+    k = 2 * (m - 1) // 5
+    floor = max(1e-4, 10.0 ** (0.5 * k - 12.5)) * (b - a)
+    width = np.where(np.isfinite(error), np.clip(30.0 * error, floor, b - a), b - a)
+    offsets = 10.0 ** -(1.0 + 0.5 * np.arange(k)) * width
+    uniform = m - 2 * k
     points = a + (b - a) * (np.arange(1, uniform + 1) / (uniform + 1))
-    if offsets.size:
+    if k:
         falsi = a - ga * (b - a) / (gb - ga)
         points = np.sort(np.clip(np.concatenate([points, falsi - offsets, falsi + offsets], axis=1), a, b), axis=1)
     return points
@@ -94,10 +99,13 @@ def _solve_rho(delta, kappa: float, provider: RipBoundProvider) -> TransitionRes
     and the F root at its ends.  A step evaluates ``_rho_points`` in each
     bracket, as many as RHO_POINTS_PER_STEP // (unresolved deltas) but at
     least RHO_POINTS_FLOOR, the F roots started on the line between their
-    values at the ends, and keeps the cell where the sign changes.  A
-    delta drops out once its midpoint is not strictly inside its bracket; that
-    midpoint, one of the ends, is its root.  A left side below the right on
-    the whole bracket saturates at rho = 1/2; one above has no crossing.
+    values at the ends, and keeps the cell where the sign changes.  That cell
+    and the point beside it estimate the error of the cell's regula falsi
+    point, and the next points close in on it at that distance, so brackets
+    shrink superlinearly.  A delta drops out once its midpoint is not strictly
+    inside its bracket; that midpoint, one of the ends, is its root.  A left
+    side below the right on the whole bracket saturates at rho = 1/2; one above
+    has no crossing.
     """
     delta = np.asarray(delta, dtype=float)
     flat = delta.ravel()
@@ -116,21 +124,26 @@ def _solve_rho(delta, kappa: float, provider: RipBoundProvider) -> TransitionRes
             f"(provider {provider.provider_id})"
         )
     saturated = cells[:, -1, 1] < 0
-    ends = cells[:, [0, -1]]
+    # The bracket ends, then a point beside the bracket (set in the loop).
+    ends = cells[:, [0, -1, 0]]
     active = np.flatnonzero(~saturated)
     cells = cells[active]
     while active.size:
         above = ~(cells[:, 1:, 1] <= 0)
         above[:, -1] = True
-        first = np.argmax(above, axis=1)[:, None] + [0, 1]
-        ends[active] = cells[np.arange(active.size)[:, None], first]
+        first = np.argmax(above, axis=1)[:, None]
+        ends[active] = cells[np.arange(active.size)[:, None], first + np.where(first > 0, [0, 1, -1], [0, 1, 2])]
         lo, hi = ends[active, 0, 0], ends[active, 1, 0]
         active = active[(lo < 0.5 * (lo + hi)) & (0.5 * (lo + hi) < hi)]
         if active.size:
-            (a, ga, fa), (b, gb, fb) = ends[active, 0].T[:, :, None], ends[active, 1].T[:, :, None]
-            points = _rho_points(a, b, ga, gb, max(RHO_POINTS_FLOOR, RHO_POINTS_PER_STEP // active.size))
+            (a, ga, fa), (b, gb, fb), (c, gc, _) = ends[active].transpose(1, 2, 0)[..., None]
+            # |g''/(2g')|*(falsi - a)*(b - falsi) by divided differences; NaN or inf at a repeated point.
+            slope = (gb - ga) / (b - a)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                error = np.abs(((gc - gb) / (c - b) - slope) / (c - a)) * -ga * gb / slope**3
+            points = _rho_points(a, b, ga, gb, error, max(RHO_POINTS_FLOOR, RHO_POINTS_PER_STEP // active.size))
             cells = evaluate(flat[active, None], points, fa + (fb - fa) * (points - a) / (b - a))
-            cells = np.concatenate([ends[active, :1], cells, ends[active, 1:]], axis=1)
+            cells = np.concatenate([ends[active, :1], cells, ends[active, 1:2]], axis=1)
     lo, hi = ends[:, 0, 0], ends[:, 1, 0]
     rho_hat = np.where(saturated, RHO_BRACKET_HI, 0.5 * (lo + hi))
     residual = np.abs(np.where(rho_hat == lo, ends[:, 0, 1], ends[:, 1, 1]))
@@ -250,9 +263,10 @@ def default_delta_grid(num: int = 100) -> np.ndarray:
     return np.logspace(-3.0, 0.0, num)
 
 
-def _fmt(value: float) -> str:
-    """A CSV field: 17 significant digits, empty for NaN (undefined)."""
-    return "" if math.isnan(value) else f"{value:.17g}"
+def _csv_rows(header: str, *columns) -> list[str]:
+    """``header``, then one row per point: 17 significant digits a field, empty for NaN (undefined)."""
+    template = ",".join(["%.17g"] * len(columns))
+    return [header] + [(template % row).replace("nan", "") for row in zip(*(c.tolist() for c in columns))]
 
 
 GRID_KINDS = ("phase_iht", "phase_niht", "xi_iht", "xi_niht", "stepsize_iht")
@@ -282,22 +296,17 @@ def grid_emit(
             res = rho_hat_iht(deltas, provider)
         else:
             res = rho_hat_niht(deltas, kappa, provider)
-        return ["delta,rho_hat,residual"] + [
-            f"{_fmt(d)},{_fmt(r)},{_fmt(e)}" for d, r, e in zip(deltas, res.rho_hat, res.residual)
-        ]
+        return _csv_rows("delta,rho_hat,residual", deltas, res.rho_hat, res.residual)
     if rho_grid is None:
         raise InvalidArgumentError(f"grid kind {kind!r} requires a rho grid")
     d, r = (v.ravel() for v in np.meshgrid(deltas, np.asarray(rho_grid, dtype=float), indexing="ij"))
     if kind == "stepsize_iht":
-        lo, hi = stepsize_interval_iht(d, r, provider)
-        return ["delta,rho,alpha_lo,alpha_hi"] + [
-            f"{_fmt(p)},{_fmt(q)},{_fmt(a)},{_fmt(b)}" for p, q, a, b in zip(d, r, lo, hi)
-        ]
+        return _csv_rows("delta,rho,alpha_lo,alpha_hi", d, r, *stepsize_interval_iht(d, r, provider))
     if kind == "xi_iht":
         xi = stability_factor_iht(d, r, stepsize_midpoint_iht(d, r, provider)[0]).xi
     else:
         xi = stability_factor_niht(d, r, kappa, provider, xi_variant=xi_variant).xi
-    return ["delta,rho,xi"] + [f"{_fmt(p)},{_fmt(q)},{_fmt(x)}" for p, q, x in zip(d, r, xi)]
+    return _csv_rows("delta,rho,xi", d, r, xi)
 
 
 def write_grid_csv(path, rows: list[str]) -> None:

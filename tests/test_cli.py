@@ -483,3 +483,15 @@ for argv in (
 """
     proc = run_python("-c", code, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_emit_figure_grids_refusals_are_one_line_and_exit_2(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "emit_figure_grids.py"
+    missing, outdir = tmp_path / "missing.csv", tmp_path / "grids"
+    for flags, message in (
+        (["--grid-points", "0"], "a delta grid needs at least one point, got 0"),
+        (["--rip-table", str(missing)], f"[Errno 2] No such file or directory: '{missing}'"),
+    ):
+        proc = run_python(str(script), *flags, "--outdir", str(outdir))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CONFIG, "", f"config error: {message}\n")
+    assert not outdir.exists()

@@ -235,6 +235,21 @@ class TestGridEmit:
             grid_emit("phase_bogus", provider, [0.5])
 
 
+def field(value: float) -> str:
+    """One CSV field formatted on its own: the reference for ``_csv_rows``."""
+    return "" if math.isnan(value) else f"{value:.17g}"
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_csv_rows_match_fields_formatted_one_by_one(width):
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300,
+              0.1, 1 / 3, -7.0, 1e300, 123456789.125, float.fromhex("0x1.fffffffffffffp+1023")]
+    rng = np.random.default_rng(width)
+    columns = [np.array(values)[rng.permutation(len(values))] for _ in range(width)]
+    expected = ["h"] + [",".join(field(v) for v in row) for row in zip(*columns)]
+    assert transitions._csv_rows("h", *columns) == expected
+
+
 def test_stability_defined_exactly_where_expected(provider):
     # IHT: the factor exists at the interval midpoint iff the interval is
     # nonempty; N-IHT: the factor exists iff rho is below its transition.
@@ -280,10 +295,22 @@ DELTAS = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4)
 FLOOR_DELTAS = default_delta_grid(14).tolist()
 
 
+def random_log_grid(seed: int, n: int) -> np.ndarray:
+    """``n`` sorted deltas drawn log-uniformly from [1e-3, 1]."""
+    return np.sort(10.0 ** np.random.default_rng([seed, n]).uniform(-3.0, 0.0, n))
+
+
+RANDOM_30, RANDOM_100 = (random_log_grid(7, n).tolist() for n in (30, 100))
+
+
 @settings(max_examples=10, deadline=None)
 @given(DELTAS, st.sampled_from(["phase_iht", "phase_niht"]))
 @example(FLOOR_DELTAS, "phase_iht")
 @example(FLOOR_DELTAS, "phase_niht")
+@example(RANDOM_30, "phase_iht")
+@example(RANDOM_30, "phase_niht")
+@example(RANDOM_100, "phase_iht")
+@example(RANDOM_100, "phase_niht")
 def test_batched_phase_rows_match_per_delta_bisection(deltas, kind):
     provider = default_provider()
     kappa = 1.1 if kind == "phase_niht" else 1.0
@@ -316,6 +343,49 @@ def test_hundred_delta_curve_within_twenty_steps(provider, monkeypatch):
     assert len(calls) <= 20
     # Every evaluation gives each of its deltas the floor of points.
     assert all(np.shape(rho)[-1] >= RHO_POINTS_FLOOR for _, rho, *_ in calls)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.1])
+@pytest.mark.parametrize("grid", ["default", 1, 2, 3])
+def test_hundred_delta_curve_within_twelve_steps(provider, monkeypatch, kappa, grid):
+    # The fixed ladder of rho points took 16-17 evaluations.
+    deltas = default_delta_grid(100) if grid == "default" else random_log_grid(grid, 100)
+    calls = record_calls(monkeypatch, "_lhs")
+    res = rho_hat_niht(deltas, kappa, provider)
+    assert len(calls) <= 12
+    assert np.all(res.residual <= 1e-10)
+
+
+def ladder_points(a, b, ga, gb, width, m):
+    """The rho points at 10^-1, 10^-1.5, ... of ``width`` around the falsi
+    point, the bracket width when the falsi point's error is not known."""
+    offsets = 10.0 ** -(1.0 + 0.5 * np.arange(2 * (m - 1) // 5)) * width
+    uniform = m - 2 * offsets.shape[-1]
+    points = a + (b - a) * (np.arange(1, uniform + 1) / (uniform + 1))
+    if offsets.size:
+        falsi = a - ga * (b - a) / (gb - ga)
+        points = np.sort(np.clip(np.concatenate([points, falsi - offsets, falsi + offsets], axis=1), a, b), axis=1)
+    return points
+
+
+@pytest.mark.parametrize("m", [RHO_POINTS_FLOOR, 12, 32, RHO_POINTS_PER_STEP])
+def test_rho_points_offsets_from_falsi_error(m):
+    a, b = np.array([[0.1], [0.2]]), np.array([[0.11], [0.3]])
+    ga, gb = np.array([[-0.3], [-1e-3]]), np.array([[0.7], [2.0]])
+    w = b - a
+    falsi = a - ga * w / (gb - ga)
+    for error in (np.inf, np.nan):
+        expected = ladder_points(a, b, ga, gb, w, m)
+        assert np.array_equal(transitions._rho_points(a, b, ga, gb, np.full_like(a, error), m), expected)
+    # With no error the ladder sits at its floor, 10^-4 of the bracket (one
+    # delta's 64 points keep the whole bracket), and falls no lower.
+    k = 2 * (m - 1) // 5
+    floor = 1.0 if m == RHO_POINTS_PER_STEP else 1e-4
+    points = transitions._rho_points(a, b, ga, gb, np.zeros_like(a), m)
+    assert np.allclose(points, ladder_points(a, b, ga, gb, floor * w, m), rtol=0, atol=1e-12 * w)
+    assert np.all(np.abs(points - falsi) >= 10.0 ** -(0.5 + 0.5 * k) * floor * w - 2 * np.spacing(falsi))
+    # A large error gives the offsets of the bracket width, no wider.
+    assert np.array_equal(transitions._rho_points(a, b, ga, gb, np.full_like(a, 1e3), m), expected)
 
 
 def test_one_delta_gets_every_point_of_a_step(provider, monkeypatch):
