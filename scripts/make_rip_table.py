@@ -59,7 +59,9 @@ def main() -> None:
         print(f"rho={rho:5.2f}  s={s:4d}  L={L_vals[-1]:.6f}  U={U_vals[-1]:.6f}")
 
     # RIP constants are nondecreasing in the order; enforce on the noisy
-    # estimates so the table passes the loader's monotonicity validation.
+    # estimates.  The loader requires it of U; L only fills the v1 format's
+    # L column, which the loader ignores, and is kept monotone and below 1
+    # so the column stays a valid lower-constant estimate.
     L_vals = np.maximum.accumulate(L_vals)
     U_vals = np.maximum.accumulate(U_vals)
     L_vals = np.minimum(L_vals, 1.0 - 1e-9)

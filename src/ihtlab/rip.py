@@ -1,10 +1,11 @@
 """Restricted-isometry constants: exact enumeration, Monte Carlo inner
-estimates, and a pluggable provider for asymptotic Gaussian bound tables.
+estimates, and a pluggable provider of the asymptotic Gaussian upper bound.
 
-The analytic asymptotic bound expressions are external to this package; they
-enter only through a ``RipBoundProvider`` backed by a data table (or a
-constant override for testing).  The shipped default table is produced by
-large-n Monte Carlo simulation; see ``scripts/make_rip_table.py``.
+The asymptotic upper bound U(delta, rho) is the one bound the transition
+curves and the N-IHT stepsize read; it enters only through a
+``RipBoundProvider`` backed by a data table (or a constant override for
+testing).  The shipped default table is produced by large-n Monte Carlo
+simulation; see ``scripts/make_rip_table.py``.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .errors import InvalidArgumentError, NumericalDomainError, TableFormatError
 
 METHOD_EXACT = "exact"
 METHOD_MONTE_CARLO = "monte_carlo"
-METHOD_PROVIDER_TABLE = "provider_table"
 
 TABLE_HEADER_PREFIX = "# rip-table v1"
 
@@ -84,36 +84,34 @@ def rip_monte_carlo(A: np.ndarray, s: int, trials: int, rng: RngSpec | np.random
 
 
 class RipBoundProvider:
-    """Supplies asymptotic bounds (L(delta, rho), U(delta, rho)) on Gaussian
-    RIP constants in the proportional-growth limit."""
+    """Supplies an asymptotic upper bound U(delta, rho) on the Gaussian
+    upper RIP constant of order rho*n in the proportional-growth limit."""
 
     provider_id: str
 
-    def query(self, delta: float, rho: float) -> tuple[float, float]:
+    def query(self, delta, rho):
         raise NotImplementedError
 
 
 class ConstantRipProvider(RipBoundProvider):
-    """Returns fixed (L, U) everywhere; for testing and degenerate cases."""
+    """Returns a fixed U everywhere; for testing and degenerate cases."""
 
-    def __init__(self, L: float, U: float):
-        if L < 0 or U < 0 or L >= 1:
-            raise InvalidArgumentError("constant bounds require 0 <= L < 1 and U >= 0")
-        self.L = L
+    def __init__(self, U: float):
+        if not 0 <= U < math.inf:
+            raise InvalidArgumentError(f"a constant bound requires finite U >= 0, got {U}")
         self.U = U
-        self.provider_id = f"constant(L={L},U={U})"
+        self.provider_id = f"constant(U={U})"
 
-    def query(self, delta: float, rho: float) -> tuple[float, float]:
-        return self.L, self.U
+    def query(self, delta, rho):
+        return self.U
 
 
 class TableRipProvider(RipBoundProvider):
-    """Bilinear interpolation over a rectangular (delta, rho) bound table."""
+    """Bilinear interpolation of U over a rectangular (delta, rho) table."""
 
-    def __init__(self, deltas, rhos, L_grid, U_grid, source: str):
+    def __init__(self, deltas, rhos, U_grid, source: str):
         self.deltas = np.asarray(deltas, dtype=float)
         self.rhos = np.asarray(rhos, dtype=float)
-        self.L_grid = np.asarray(L_grid, dtype=float)
         self.U_grid = np.asarray(U_grid, dtype=float)
         self.source = source
         self.provider_id = f"table({source})"
@@ -123,17 +121,14 @@ class TableRipProvider(RipBoundProvider):
         for a in (self.deltas, self.rhos):
             if not (a.size >= 2 and np.all(a[1:] > a[:-1]) and math.isfinite(float(a[-1]) - float(a[0]))):
                 raise TableFormatError("table axes need two or more increasing knots over a finite span")
-        if self.L_grid.shape != (len(self.deltas), len(self.rhos)) or self.U_grid.shape != self.L_grid.shape:
-            raise TableFormatError("bound grids must be rectangular over the axes")
-        if not (np.all(self.L_grid >= 0) and np.all(self.U_grid >= 0) and np.all(np.isfinite(self.U_grid))):
+        if self.U_grid.shape != (len(self.deltas), len(self.rhos)):
+            raise TableFormatError("the bound grid must be rectangular over the axes")
+        if not (np.all(self.U_grid >= 0) and np.all(np.isfinite(self.U_grid))):
             raise TableFormatError("bounds must be finite and nonnegative")
-        if np.any(self.L_grid >= 1):
-            raise TableFormatError("lower-constant bounds must be < 1")
-        # RIP constants grow with the order, so each bound must be
-        # nondecreasing along rho at fixed delta.
-        for name, grid in (("L", self.L_grid), ("U", self.U_grid)):
-            if np.any(np.diff(grid, axis=1) < 0):
-                raise TableFormatError(f"{name} bounds must be nondecreasing in rho at fixed delta")
+        # RIP constants grow with the order, so U must be nondecreasing
+        # along rho at fixed delta.
+        if np.any(np.diff(self.U_grid, axis=1) < 0):
+            raise TableFormatError("U bounds must be nondecreasing in rho at fixed delta")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TableRipProvider":
@@ -171,9 +166,9 @@ class TableRipProvider(RipBoundProvider):
         deltas, rhos = sorted(set(k[0] for k in keys)), sorted(set(k[1] for k in keys))
         if keys != list(product(deltas, rhos)):
             raise TableFormatError(f"{path}: grid is not rectangular over (delta, rho)")
-        bounds = np.array([r[2:] for r in rows]).reshape(len(deltas), len(rhos), 2)
-        L_grid, U_grid = bounds[..., 0], bounds[..., 1]
-        return cls(deltas, rhos, L_grid, U_grid, source=source)
+        # The v1 L column is parsed above as a number and then ignored.
+        U_grid = np.array([r[3] for r in rows]).reshape(len(deltas), len(rhos))
+        return cls(deltas, rhos, U_grid, source=source)
 
     def _cell(self, knots: np.ndarray, value, axis: str) -> tuple[np.ndarray, np.ndarray]:
         value = np.asarray(value, dtype=float)
@@ -187,16 +182,13 @@ class TableRipProvider(RipBoundProvider):
         return i, t
 
     def query(self, delta, rho):
-        """Bilinear (L, U) at (delta, rho); scalars or arrays that broadcast
+        """Bilinear U at (delta, rho); scalars or arrays that broadcast
         together, with a domain error for any point outside the hull."""
         i, t = self._cell(self.deltas, delta, "delta")
         j, u = self._cell(self.rhos, rho, "rho")
         weights = ((1 - t) * (1 - u), (1 - t) * u, t * (1 - u), t * u)
-        out = []
-        for grid in (self.L_grid, self.U_grid):
-            value = sum(w * grid[k] for w, k in zip(weights, ((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1))))
-            out.append(_unwrap(value))
-        return out[0], out[1]
+        cells = ((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1))
+        return _unwrap(sum(w * self.U_grid[k] for w, k in zip(weights, cells)))
 
 
 def default_provider() -> TableRipProvider:

@@ -66,8 +66,7 @@ def _lhs(delta, rho, f_start=None):
 def _alpha_lb(delta, rho, kappa: float, provider: RipBoundProvider):
     """Guaranteed lower N-IHT stepsize 1/(kappa*(1+U(delta, 2*rho))); at
     kappa = 1 the upper end of the admissible IHT stepsize interval."""
-    _, U = provider.query(delta, 2.0 * rho)
-    return 1.0 / (kappa * (1.0 + U))
+    return 1.0 / (kappa * (1.0 + provider.query(delta, 2.0 * rho)))
 
 
 def _rho_points(a, b, ga, gb, error, m: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ihtlab.core import RngSpec, sample_gaussian_matrix
 from ihtlab.errors import (
     BudgetExceededError,
+    InvalidArgumentError,
     NumericalDomainError,
     TableFormatError,
 )
@@ -122,9 +123,14 @@ def write_table(path, rows, header="# rip-table v1; source=unit-test"):
 
 class TestProviders:
     def test_constant_override(self):
-        provider = ConstantRipProvider(0.5, 0.5)
-        assert provider.query(0.123, 0.456) == (0.5, 0.5)
-        assert provider.query(0.9, 0.01) == (0.5, 0.5)
+        provider = ConstantRipProvider(0.5)
+        assert provider.query(0.123, 0.456) == 0.5
+        assert provider.query(0.9, 0.01) == 0.5
+
+    @pytest.mark.parametrize("U", [math.nan, math.inf, -0.1])
+    def test_constant_bound_must_be_finite_and_nonnegative(self, U):
+        with pytest.raises(InvalidArgumentError):
+            ConstantRipProvider(U)
 
     def test_knot_exactness(self, tmp_path):
         rows = [
@@ -136,12 +142,18 @@ class TestProviders:
             "0.9,1.0,0.35,1.1",
         ]
         provider = TableRipProvider.from_file(write_table(tmp_path / "t.csv", rows))
-        assert provider.query(0.1, 0.5) == (0.2, 0.4)
-        assert provider.query(0.9, 1.0) == (0.35, 1.1)
+        assert provider.query(0.1, 0.5) == 0.4
+        assert provider.query(0.9, 1.0) == 1.1
         # Bilinear midpoint.
-        L, U = provider.query(0.5, 0.75)
-        assert L == pytest.approx((0.2 + 0.3 + 0.25 + 0.35) / 4)
-        assert U == pytest.approx((0.4 + 0.9 + 0.5 + 1.1) / 4)
+        assert provider.query(0.5, 0.75) == pytest.approx((0.4 + 0.9 + 0.5 + 1.1) / 4)
+
+    @pytest.mark.parametrize("L", ["nan", "2", "-1"])
+    def test_l_column_is_parsed_and_ignored(self, tmp_path, L):
+        rows = ["0.1,0.0,{},0.0", "0.1,1.0,{},0.9", "0.9,0.0,{},0.1", "0.9,1.0,{},1.1"]
+        valid = TableRipProvider.from_file(write_table(tmp_path / "valid.csv", [r.format("0.3") for r in rows]))
+        odd = TableRipProvider.from_file(write_table(tmp_path / "odd.csv", [r.format(L) for r in rows]))
+        deltas, rhos = np.meshgrid(np.linspace(0.1, 0.9, 7), np.linspace(0.0, 1.0, 9))
+        assert odd.query(deltas, rhos).tobytes() == valid.query(deltas, rhos).tobytes()
 
     def test_out_of_hull(self, tmp_path):
         rows = ["0.1,0.0,0.0,0.0", "0.1,1.0,0.3,0.9", "0.9,0.0,0.0,0.0", "0.9,1.0,0.3,0.9"]
@@ -194,10 +206,8 @@ class TestProviders:
         assert provider.provider_id.startswith("table(")
         rhos = np.linspace(0.0, 1.0, 21)
         for delta in (0.001, 0.3, 1.0):
-            us = [provider.query(delta, r)[1] for r in rhos]
-            assert all(b >= a - 1e-12 for a, b in zip(us, us[1:]))
-            ls = [provider.query(delta, r)[0] for r in rhos]
-            assert all(0 <= v < 1 for v in ls)
+            us = provider.query(delta, rhos)
+            assert np.all(np.diff(us) >= -1e-12)
 
 
 VALID_FIELDS = ["0", "0.1", "0.5", "0.9"]
@@ -239,11 +249,11 @@ def test_any_table_file_is_a_provider_or_a_format_error(tmp_path, content):
         provider = TableRipProvider.from_file(path)
     except TableFormatError:
         return
-    # A provider answers at every knot with the bounds of the file, 0 <= L < 1
-    # and finite U >= 0, and between knots with finite nonnegative bounds.
+    # A provider answers at every knot with the U of the file, finite and
+    # >= 0, and between knots with a finite nonnegative U.
     for i, delta in enumerate(provider.deltas):
         for j, rho in enumerate(provider.rhos):
-            L, U = provider.query(delta, rho)
-            assert (L, U) == (provider.L_grid[i, j], provider.U_grid[i, j]) and 0 <= L < 1 and 0 <= U < math.inf
-    L, U = provider.query(*(0.5 * axis[0] + 0.5 * axis[-1] for axis in (provider.deltas, provider.rhos)))
-    assert 0 <= L < math.inf and 0 <= U < math.inf
+            U = provider.query(delta, rho)
+            assert U == provider.U_grid[i, j] and 0 <= U < math.inf
+    U = provider.query(*(0.5 * axis[0] + 0.5 * axis[-1] for axis in (provider.deltas, provider.rhos)))
+    assert 0 <= U < math.inf

@@ -49,13 +49,13 @@ class TestLhsStable:
 
 class TestRhoHat:
     def test_degenerate_provider_solves_lhs_equals_one(self):
-        res = rho_hat_iht(0.5, ConstantRipProvider(0.0, 0.0))
+        res = rho_hat_iht(0.5, ConstantRipProvider(0.0))
         assert lhs_stable(0.5, res.rho_hat) == pytest.approx(1.0, abs=1e-9)
         assert res.residual <= 1e-10
 
     def test_decreasing_in_upper_bound(self):
-        base = rho_hat_iht(0.5, ConstantRipProvider(0.0, 0.3)).rho_hat
-        shifted = rho_hat_iht(0.5, ConstantRipProvider(0.0, 0.4)).rho_hat
+        base = rho_hat_iht(0.5, ConstantRipProvider(0.3)).rho_hat
+        shifted = rho_hat_iht(0.5, ConstantRipProvider(0.4)).rho_hat
         assert shifted < base
 
     def test_requery_residual(self, provider):
@@ -63,7 +63,7 @@ class TestRhoHat:
             res = rho_hat_iht(delta, provider)
             if res.saturated:
                 continue
-            _, U = provider.query(delta, 2 * res.rho_hat)
+            U = provider.query(delta, 2 * res.rho_hat)
             assert abs(lhs_stable(delta, res.rho_hat) - 1.0 / (1.0 + U)) <= 1e-10
 
     def test_anchor_value(self, provider):
@@ -164,7 +164,7 @@ class TestStabilityNiht:
 
     def test_kappa_one_matches_iht_a_at_matched_alpha(self, provider):
         rho = 0.008
-        _, U = provider.query(0.5, 2 * rho)
+        U = provider.query(0.5, 2 * rho)
         alpha = 1.0 / (1.0 + U)
         niht = stability_factor_niht(0.5, rho, 1.0, provider)
         iht = stability_factor_iht(0.5, rho, alpha)
@@ -268,7 +268,7 @@ def test_stability_defined_exactly_where_expected(provider):
 
 def test_saturation_flag_with_tiny_upper_bound():
     # An (unrealistically) tiny upper bound pushes the crossing beyond 1/2.
-    provider = ConstantRipProvider(0.0, 1e-6)
+    provider = ConstantRipProvider(1e-6)
     res = rho_hat_iht(1e-3, provider)
     if res.saturated:
         assert res.rho_hat == 0.5
@@ -279,7 +279,7 @@ def test_saturation_flag_with_tiny_upper_bound():
 def bisection_rho_hat(delta: float, kappa: float, provider) -> float:
     """Per-delta reference: plain scalar bisection of the transition equation."""
     def g(rho):
-        return lhs_stable(delta, rho) - 1.0 / (kappa * (1.0 + provider.query(delta, 2.0 * rho)[1]))
+        return lhs_stable(delta, rho) - 1.0 / (kappa * (1.0 + provider.query(delta, 2.0 * rho)))
 
     lo, hi = RHO_BRACKET_LO, RHO_BRACKET_HI
     if g(hi) < 0:
