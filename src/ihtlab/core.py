@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidArgumentError, ShapeMismatchError, SingularMatrixError
 
-# Condition-number estimate above which a least-squares subproblem is
-# treated as rank deficient.  Exact general position holds almost surely
-# for Gaussian ensembles but not in floating point.
+# 2-norm condition number of R (``np.linalg.cond``, from its singular values,
+# not an estimate) above which a least-squares subproblem is treated as rank
+# deficient.  Exact general position holds almost surely for Gaussian
+# ensembles but not in floating point.
 RANK_DEFICIENCY_CONDITION = 1e12
 
 COEFFICIENT_MODELS = ("unit", "gaussian", "uniform")
@@ -379,8 +380,8 @@ def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> list[tuple[np.
     sides ``(..., m)``; a matrix is a stack of one.  Each slice is factored
     once by a thin QR, A_gamma = QR, and each v yields ``(y, w)`` with
     ``y = R^{-1} Q^T v`` and ``w = v - Q Q^T v``, slice by slice.  Raises
-    ``SingularMatrixError`` for the first slice whose condition estimate of R
-    exceeds ``RANK_DEFICIENCY_CONDITION``.
+    ``SingularMatrixError`` for the first slice whose R has a 2-norm condition
+    number (``np.linalg.cond``) above ``RANK_DEFICIENCY_CONDITION``.
     """
     Q, solved = _qr_solve(A_gamma, rhs)
     return [(y, v - matvec(Q, c)) for v, c, y in solved]

@@ -49,11 +49,13 @@ from .stablepoint import is_stable_point
 from .transitions import (
     XI_NIHT_AS_PRINTED,
     _alpha_lb,
+    _csv_rows,
     rho_hat_iht,
     rho_hat_niht,
     stability_factor_iht,
     stability_factor_niht,
     stepsize_midpoint_iht,
+    write_grid_csv,
 )
 
 KIND_DISTRIBUTION = "mc_distribution"
@@ -254,11 +256,14 @@ def read_config(path: str | Path) -> dict:
 
 @dataclass
 class ExperimentResult:
+    """An experiment's summary, its cells (mc_transition) and its per-trial results as columns:
+    ``trial_columns`` maps each name to an array, one entry per trial in trial order."""
+
     kind: str
     config: dict
     summary: dict
     cells: list[dict] = field(default_factory=list)
-    trial_rows: list[dict] = field(default_factory=list)
+    trial_columns: dict[str, np.ndarray] = field(default_factory=dict)
     version: str = __version__
 
     def save(self, path: str | Path) -> None:
@@ -268,13 +273,9 @@ class ExperimentResult:
         })
 
     def save_trials_csv(self, path: str | Path) -> None:
-        if not self.trial_rows:
-            return
-        keys = sorted(self.trial_rows[0])
-        lines = [",".join(keys)]
-        for row in self.trial_rows:
-            lines.append(",".join(_csv_field(row[k]) for k in keys))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        """The trial columns as CSV: the sorted names, then one ``_csv_rows`` row per trial."""
+        keys = sorted(self.trial_columns)
+        write_grid_csv(path, _csv_rows(",".join(keys), *(self.trial_columns[key] for key in keys)))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -285,12 +286,9 @@ def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
-def _csv_field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _concatenated(chunks: list[dict]) -> dict[str, np.ndarray]:
+    """The columns of the chunks' column dicts, each joined in chunk order."""
+    return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +378,14 @@ def _chunk_stacks(T: int, n: int, k: int, r: int) -> tuple[np.ndarray, np.ndarra
     return np.empty((T, n * (k + r + 1))), np.empty((T, 2, n, k))
 
 
-def _distribution_trial(task) -> tuple[list[dict], tuple[np.ndarray, ...]]:
-    """One chunk of draws: each trial's CSV row, from stream 1, and the
-    trials' Rayleigh quotients ``(r1, r2, r3, r3_ref)``, from stream 2.
+def _distribution_trial(task) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, ...]]:
+    """One chunk of draws: the trials' CSV columns, from stream 1, and their
+    Rayleigh quotients ``(r1, r2, r3, r3_ref)``, from stream 2.
 
     Trial i draws its streams 1 and 2, keyed by ``keys[i]``, in one call
     each into the stacks, and every product, norm, SVD and solve then runs
     once over the stack.  Each slice makes the BLAS/LAPACK call of a lone
-    trial, so the rows do not depend on chunking.
+    trial, so the columns do not depend on chunking.
     The left-hand sides come from the QR of ``least_squares_split``; the
     right-hand sides of the noise bounds (4.3) and (4.4) are rebuilt from two
     thin SVDs, of A_gamma and of the difference columns projected off its
@@ -419,7 +417,7 @@ def _distribution_trial(task) -> tuple[list[dict], tuple[np.ndarray, ...]]:
     quad = vecdot(v, w) / z_norm2
     lhs_full = _norm(matvec(A_diff.mT, w)) / math.sqrt(z_norm2)
     columns = {
-        "trial": list(trials),
+        "trial": np.asarray(trials),
         "f_sample": vecdot(y, y) / z_norm2,
         "lhs_42": lhs_full,
         "quad_42": quad,
@@ -453,8 +451,6 @@ def _distribution_trial(task) -> tuple[list[dict], tuple[np.ndarray, ...]]:
                 "t_sample": h_norm2 * n / sigma**2,
             }
         )
-    values = [np.asarray(column).tolist() for column in columns.values()]
-    rows = [dict(zip(columns, row)) for row in zip(*values)]
 
     # Rayleigh quotients of fresh n-by-k Gaussian blocks against z_ray.
     B, B2 = blocks[:, 0], blocks[:, 1]
@@ -463,7 +459,7 @@ def _distribution_trial(task) -> tuple[list[dict], tuple[np.ndarray, ...]]:
     G = B.mT @ B
     Gz = G @ z_ray
     G2 = B2.mT @ B2
-    return rows, (
+    return columns, (
         vecdot(Bz, Bz) / ray_norm2 * n,
         ray_norm2 / vecdot(z_ray, np.linalg.solve(G, z_ray[:, None])[..., 0]) * n,
         vecdot(Gz, Gz) / ray_norm2,
@@ -501,10 +497,8 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
         for start in range(0, config.trials, DISTRIBUTION_CHUNK)
     ]
     chunks, rayleigh = zip(*_pmap(_distribution_trial, tasks, _worker_count()))
-    rows = [row for chunk in chunks for row in chunk]
+    columns = _concatenated(chunks)
     r1, r2, r3, r3_ref = (np.concatenate(column) for column in zip(*rayleigh))
-
-    column = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     m = config.trials
     crit = ks_critical_value(m)
     summary = {
@@ -513,21 +507,21 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
         "overlap": r,
         "trials": m,
         "ks_critical_99": crit,
-        "ks_f_ratio": ks_statistic(column["f_sample"], lambda x: scaled_f_cdf(x, k, n)),
-        "f_ratio_mean": float(np.mean(column["f_sample"])),
+        "ks_f_ratio": ks_statistic(columns["f_sample"], lambda x: scaled_f_cdf(x, k, n)),
+        "f_ratio_mean": float(np.mean(columns["f_sample"])),
         # The F(k, n-k+1) law has no finite mean at n - k = 1.
         "f_ratio_mean_expected": k / (n - k - 1) if n - k > 1 else math.inf,
-        "ks_r_quadratic": ks_statistic(column["r_sample"], lambda x: chi2_cdf(x * (n - k), n - k)),
-        "violations_42": int(column["viol_42"].sum()),
+        "ks_r_quadratic": ks_statistic(columns["r_sample"], lambda x: chi2_cdf(x * (n - k), n - k)),
+        "violations_42": int(columns["viol_42"].sum()),
     }
     if config.sigma > 0:
         summary.update(
             {
-                "ks_g_noise": ks_statistic(column["g_sample"], lambda x: scaled_f_cdf(x, k, n)),
-                "ks_s_noise": ks_statistic(column["s_sample"], lambda x: chi2_cdf(x * (n - k), n - k)),
-                "ks_t_noise": ks_statistic(column["t_sample"], lambda x: chi2_cdf(x, r)),
-                "violations_43": int(column["viol_43"].sum()),
-                "violations_44": int(column["viol_44"].sum()),
+                "ks_g_noise": ks_statistic(columns["g_sample"], lambda x: scaled_f_cdf(x, k, n)),
+                "ks_s_noise": ks_statistic(columns["s_sample"], lambda x: chi2_cdf(x * (n - k), n - k)),
+                "ks_t_noise": ks_statistic(columns["t_sample"], lambda x: chi2_cdf(x, r)),
+                "violations_43": int(columns["viol_43"].sum()),
+                "violations_44": int(columns["viol_44"].sum()),
             }
         )
     summary.update(
@@ -540,7 +534,7 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
         }
     )
     result = ExperimentResult(
-        kind=config.kind, config=config.to_dict(), summary=summary, trial_rows=rows
+        kind=config.kind, config=config.to_dict(), summary=summary, trial_columns=columns
     )
     _persist(result, config)
     return result
@@ -591,25 +585,24 @@ def _solve_stack(config, solver_config, stream: int, n: int, N: int, draws: list
             stack.A[i], stack.b[i], x_star[i] = instance.A, instance.b, instance.x_star
     result = run_solver(stack, solver_config)
     with np.errstate(over="ignore", invalid="ignore"):
-        errors = [float(np.linalg.norm(x - x0)) for x, x0 in zip(result.final, x_star)]
+        errors = _norm(result.final - x_star)
     return stack, x_star, result, errors
 
 
-def _transition_stack(task) -> list[dict]:
+def _transition_stack(task) -> dict[str, np.ndarray]:
+    """One stack's trial columns; a diverged trial's error is NaN."""
     config, solver_config, n, N, draws = task
     _, x_star, result, errors = _solve_stack(config, solver_config, 3, n, N, draws)
-    rows = []
-    for i, ((cell_id, _, trial), err) in enumerate(zip(draws, errors)):
-        rel = err / float(np.linalg.norm(x_star[i])) if math.isfinite(err) else math.inf
-        rows.append({
-            "cell": cell_id,
-            "trial": trial,
-            "error": err if math.isfinite(err) else None,
-            "success": bool(rel <= SUCCESS_REL_TOL),
-            "iterations": int(result.iterations[i]),
-            "termination": result.termination[i],
-        })
-    return rows
+    cell, _, trial = np.array(draws).T
+    finite = np.isfinite(errors)
+    return {
+        "cell": cell,
+        "trial": trial,
+        "error": np.where(finite, errors, np.nan),
+        "success": finite & (errors / _norm(x_star) <= SUCCESS_REL_TOL),
+        "iterations": result.iterations,
+        "termination": np.array(result.termination),
+    }
 
 
 def fifty_percent_contour(cells: list[dict]) -> list[dict]:
@@ -652,19 +645,21 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
             tasks.extend((config, solver_config, n, N, stack) for stack in _stacks(n, N, draws))
     if not tasks:
         raise ConfigError(f"n={n}: no cell of the grid satisfies 0 < 2k <= n <= N")
-    rows = [row for stack in _pmap(_transition_stack, tasks, _worker_count()) for row in stack]
-    cell_rows = iter(rows)
+    columns = _concatenated(_pmap(_transition_stack, tasks, _worker_count()))
+    # The valid cells' trials, one cell a row.
+    per_cell = zip(*(columns[key].reshape(-1, config.trials) for key in ("success", "error")))
     for meta in cell_meta:
         cell = dict(meta)
         if meta["valid"]:
-            trials = [next(cell_rows) for _ in range(config.trials)]
-            succ = sum(r["success"] for r in trials)
-            cell["success_rate"] = succ / len(trials)
-            lo, hi = wilson_interval(succ, len(trials))
+            success, errors = next(per_cell)
+            succ = int(success.sum())
+            cell["success_rate"] = succ / config.trials
+            lo, hi = wilson_interval(succ, config.trials)
             cell["wilson_lo"], cell["wilson_hi"] = lo, hi
             cell["successes"] = succ
-            errors = np.array([r["error"] for r in trials if r["error"] is not None])
-            cell["diverged"] = sum(r["error"] is None for r in trials)
+            diverged = np.isnan(errors)
+            errors = errors[~diverged]
+            cell["diverged"] = int(diverged.sum())
             if len(errors):
                 cell["mean_error"] = float(np.mean(errors))
                 cell["error_q50"] = float(np.quantile(errors, 0.5))
@@ -678,7 +673,7 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
         "contour_50": fifty_percent_contour(cells),
     }
     result = ExperimentResult(
-        kind=config.kind, config=config.to_dict(), summary=summary, cells=cells, trial_rows=rows
+        kind=config.kind, config=config.to_dict(), summary=summary, cells=cells, trial_columns=columns
     )
     _persist(result, config)
     return result
@@ -688,32 +683,30 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
 # noise-bound compliance
 
 
-def _error_stack(task) -> list[dict]:
+def _error_stack(task) -> dict[str, np.ndarray]:
+    """One stack's trial columns; a diverged trial has error inf and is neither converged nor stable."""
     config, solver_config, alpha_lb, n, N, draws = task
     stack, _, result, errors = _solve_stack(config, solver_config, 4, n, N, draws)
-    rows = []
-    for i, ((_, _, trial), err) in enumerate(zip(draws, errors)):
+    termination = np.array(result.termination)
+    converged = termination != TERMINATION_MAX_ITERS
+    stable = np.zeros(len(draws), dtype=bool)
+    for i in np.flatnonzero(converged):
         x_bar = result.final[i]
-        converged = result.termination[i] != TERMINATION_MAX_ITERS
-        stable = False
-        if converged and np.any(x_bar):
+        if np.any(x_bar):
             gamma = SupportSet.support_of(x_bar)
             report = is_stable_point(x_bar, gamma, alpha_lb, stack.A[i], stack.b[i], tol=STABLE_POINT_CHECK_TOL)
-            stable = report.is_stable
-        elif converged:
-            stable = not np.any(stack.b[i])
-        if not math.isfinite(err):
-            converged = stable = False
-            err = math.inf
-        rows.append({
-            "trial": trial,
-            "error": err,
-            "converged": bool(converged),
-            "stable": bool(stable),
-            "iterations": int(result.iterations[i]),
-            "termination": result.termination[i],
-        })
-    return rows
+            stable[i] = report.is_stable
+        else:
+            stable[i] = not np.any(stack.b[i])
+    finite = np.isfinite(errors)
+    return {
+        "trial": np.array(draws)[:, 2],
+        "error": np.where(finite, errors, np.inf),
+        "converged": converged & finite,
+        "stable": stable & finite,
+        "iterations": result.iterations,
+        "termination": termination,
+    }
 
 
 def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
@@ -754,15 +747,13 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     bound = stability.xi * config.sigma if config.sigma > 0 else ZERO_NOISE_ERROR_TOL
     draws = [(0, k, t) for t in range(config.trials)]
     tasks = [(config, solver_config, alpha_lb, n, N, stack) for stack in _stacks(n, N, draws)]
-    rows = [row for stack in _pmap(_error_stack, tasks, workers) for row in stack]
-    for row in rows:
-        row["included"] = bool(row["converged"] and row["stable"])
-        row["compliant"] = bool(row["included"] and row["error"] <= bound)
-    included = [r for r in rows if r["included"]]
-    compliant = sum(r["compliant"] for r in rows)
-    rate = compliant / len(included) if included else 0.0
-    lo, hi = wilson_interval(compliant, len(included)) if included else (0.0, 1.0)
-    errors = np.array([r["error"] for r in included]) if included else np.zeros(0)
+    columns = _concatenated(_pmap(_error_stack, tasks, workers))
+    columns["included"] = columns["converged"] & columns["stable"]
+    columns["compliant"] = columns["included"] & (columns["error"] <= bound)
+    included, compliant = int(columns["included"].sum()), int(columns["compliant"].sum())
+    rate = compliant / included if included else 0.0
+    lo, hi = wilson_interval(compliant, included)
+    errors = columns["error"][columns["included"]]
     summary = {
         "delta": delta,
         "rho": rho,
@@ -776,7 +767,7 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
         "alpha_lb": alpha_lb,
         "provider_id": provider.provider_id,
         "trials": config.trials,
-        "included": len(included),
+        "included": included,
         "compliant": compliant,
         "compliance_rate": rate,
         "wilson_lo": lo,
@@ -786,7 +777,7 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
         "error_max": float(np.max(errors)) if len(errors) else None,
     }
     result = ExperimentResult(
-        kind=config.kind, config=config.to_dict(), summary=summary, trial_rows=rows
+        kind=config.kind, config=config.to_dict(), summary=summary, trial_columns=columns
     )
     _persist(result, config)
     return result

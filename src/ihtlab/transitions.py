@@ -262,9 +262,10 @@ def default_delta_grid(num: int = 100) -> np.ndarray:
     return np.logspace(-3.0, 0.0, num)
 
 
-def _csv_rows(header: str, *columns) -> list[str]:
-    """``header``, then one row per point: 17 significant digits a field, empty for NaN (undefined)."""
-    template = ",".join(["%.17g"] * len(columns))
+def _csv_rows(header: str, *columns: np.ndarray) -> list[str]:
+    """``header``, then one row per point: 17 significant digits a float field, empty for NaN
+    (undefined), and ``str`` of any other field (flag, count, name).  The package's one CSV formatter."""
+    template = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns)
     return [header] + [(template % row).replace("nan", "") for row in zip(*(c.tolist() for c in columns))]
 
 
@@ -309,7 +310,7 @@ def grid_emit(
 
 
 def write_grid_csv(path, rows: list[str]) -> None:
-    """UTF-8, LF-terminated CSV output."""
+    """UTF-8, LF-terminated CSV output: the one CSV writer of the package."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
             fh.write(row + "\n")

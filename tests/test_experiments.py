@@ -26,6 +26,7 @@ from ihtlab.experiments import (
 )
 from ihtlab.solvers import SolverConfig, run_solver
 from ihtlab.stablepoint import stable_condition_terms
+from test_transitions import oracle_row
 
 
 def _chunk(config, z, z_ray, trials):
@@ -249,7 +250,11 @@ class TestDistributionCheck:
              "trials": 1, "master_seed": 41, "sigma": sigma}
         )
         z = np.array([0.8, -1.3])
-        [row], _ = experiments._distribution_trial(_chunk(config, z, np.ones(k), range(1)))
+        columns, _ = experiments._distribution_trial(_chunk(config, z, np.ones(k), range(1)))
+        assert all(len(column) == 1 for column in columns.values())
+        f_sample, lhs_42, g_sample, lhs_44_sq = (
+            columns[key][0] for key in ("f_sample", "lhs_42", "g_sample", "lhs_44_sq")
+        )
         gen = RngSpec(41, 1).substream(0, 0)
         A = sample_gaussian_matrix(n, k + r, gen)
         e = sample_noise(n, sigma, gen)
@@ -261,10 +266,10 @@ class TestDistributionCheck:
             SupportSet(tuple(range(k - r)) + tuple(range(k, k + r))),
         )
         z_norm = math.sqrt(float(z @ z))
-        assert math.sqrt(row["f_sample"]) * z_norm == pytest.approx(terms.lhs_signal, rel=1e-12)
-        assert row["lhs_42"] * z_norm == pytest.approx(terms.rhs_signal, rel=1e-12)
-        assert math.sqrt(row["g_sample"]) * sigma == pytest.approx(terms.lhs_noise, rel=1e-12)
-        assert math.sqrt(row["lhs_44_sq"]) == pytest.approx(terms.rhs_noise, rel=1e-12)
+        assert math.sqrt(f_sample) * z_norm == pytest.approx(terms.lhs_signal, rel=1e-12)
+        assert lhs_42 * z_norm == pytest.approx(terms.rhs_signal, rel=1e-12)
+        assert math.sqrt(g_sample) * sigma == pytest.approx(terms.lhs_noise, rel=1e-12)
+        assert math.sqrt(lhs_44_sq) == pytest.approx(terms.rhs_noise, rel=1e-12)
 
     def test_coupled_bounds_match_projector_oracle(self):
         # One draw against explicit projections through lstsq: D holds the
@@ -275,7 +280,8 @@ class TestDistributionCheck:
             {"kind": "mc_distribution", "n": n, "k": k, "overlap": r,
              "trials": 1, "master_seed": 23, "sigma": sigma}
         )
-        [row], _ = experiments._distribution_trial(_chunk(config, np.array([1.0, -0.4, 0.7]), np.ones(k), range(1)))
+        columns, _ = experiments._distribution_trial(_chunk(config, np.array([1.0, -0.4, 0.7]), np.ones(k), range(1)))
+        assert all(len(column) == 1 for column in columns.values())
         gen = RngSpec(23, 1).substream(0, 0)
         A = sample_gaussian_matrix(n, k + r, gen)
         e = sample_noise(n, sigma, gen)
@@ -284,15 +290,17 @@ class TestDistributionCheck:
         projected = D @ np.linalg.lstsq(D, e, rcond=None)[0]
         h_norm2 = float(projected @ projected)
         rhs_44_sq = float(np.sum((D.T @ projected) ** 2))
-        assert row["rhs_44_sq"] == pytest.approx(rhs_44_sq, rel=1e-12)
-        assert row["s_sample"] == pytest.approx(rhs_44_sq / h_norm2 * n / (n - k), rel=1e-12)
-        assert row["t_sample"] == pytest.approx(h_norm2 * n / sigma**2, rel=1e-12)
-        assert row["viol_43"] is False and row["viol_44"] is False
+        assert columns["rhs_44_sq"][0] == pytest.approx(rhs_44_sq, rel=1e-12)
+        assert columns["s_sample"][0] == pytest.approx(rhs_44_sq / h_norm2 * n / (n - k), rel=1e-12)
+        assert columns["t_sample"][0] == pytest.approx(h_norm2 * n / sigma**2, rel=1e-12)
+        # Flags, written as True/False: bool columns, both clear.
+        assert columns["viol_43"].tolist() == [False] and columns["viol_43"].dtype == bool
+        assert columns["viol_44"].tolist() == [False] and columns["viol_44"].dtype == bool
 
     @pytest.mark.parametrize("sigma", [0.0, 0.8])
     def test_rows_independent_of_chunking(self, sigma):
         # Chunks of one, of the module chunk size with a ragged last chunk,
-        # and one chunk of all trials give equal rows and Rayleigh quotients.
+        # and one chunk of all trials give equal columns and Rayleigh quotients.
         trials = 2 * experiments.DISTRIBUTION_CHUNK + 5
         config = ExperimentConfig.from_dict(
             {"kind": "mc_distribution", "n": 30, "k": 4, "overlap": 2,
@@ -303,14 +311,16 @@ class TestDistributionCheck:
         def run(size):
             chunks = [experiments._distribution_trial(_chunk(config, z, z_ray, range(t, min(t + size, trials))))
                       for t in range(0, trials, size)]
-            rows = [row for chunk, _ in chunks for row in chunk]
-            return rows, [np.concatenate(column).tolist() for column in zip(*(ray for _, ray in chunks))]
+            columns = experiments._concatenated([columns for columns, _ in chunks])
+            return ({key: column.tolist() for key, column in columns.items()},
+                    [np.concatenate(column).tolist() for column in zip(*(ray for _, ray in chunks))])
 
-        rows, rayleigh = run(experiments.DISTRIBUTION_CHUNK)
-        assert [row["trial"] for row in rows] == list(range(trials))
+        columns, rayleigh = run(experiments.DISTRIBUTION_CHUNK)
+        assert columns["trial"] == list(range(trials))
+        assert all(len(column) == trials for column in columns.values())
         assert len(rayleigh) == 4 and all(len(column) == trials for column in rayleigh)
         for size in (1, trials):
-            assert run(size) == (rows, rayleigh)
+            assert run(size) == (columns, rayleigh)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.8])
     def test_chunk_draws_equal_per_trial_substreams(self, sigma):
@@ -507,27 +517,69 @@ STACKING_CONFIGS = {
 @pytest.mark.parametrize("name", STACKING_CONFIGS)
 def test_rows_independent_of_stacking(name, monkeypatch):
     # Every trial a stack of one, stacks under the module cap, and whole delta
-    # columns as one stack give equal rows, error column included.
+    # columns as one stack give equal trial columns, error column included.
     config = ExperimentConfig.from_dict(STACKING_CONFIGS[name])
 
-    def rows(stack_bytes):
+    def columns(stack_bytes):
         monkeypatch.setattr(experiments, "SOLVER_STACK_BYTES", stack_bytes)
-        return run_experiment(config).trial_rows
+        return run_experiment(config).trial_columns
 
-    expected = rows(1)
-    assert [row["trial"] for row in expected][:3] == [0, 1, 2]
+    expected = columns(1)
+    assert expected["trial"].tolist()[:3] == [0, 1, 2]
     for stack_bytes in (experiments.SOLVER_STACK_BYTES, 1 << 40):
-        assert rows(stack_bytes) == expected
+        got = columns(stack_bytes)
+        assert got.keys() == expected.keys()
+        for key in expected:
+            # NaN (a diverged trial's error) equals NaN here.
+            np.testing.assert_array_equal(got[key], expected[key], strict=True)
     if name == "iht_diverging":
-        diverged = [row for row in expected if row["termination"] == "max_iters"]
-        assert any(row["iterations"] < 1300 for row in diverged)
-        assert any(row["error"] is None for row in diverged)
-        assert any(row["error"] is not None for row in diverged)
+        diverged = expected["termination"] == "max_iters"
+        assert np.any(expected["iterations"][diverged] < 1300)
+        assert np.any(np.isnan(expected["error"][diverged]))
+        assert np.any(~np.isnan(expected["error"][diverged]))
     if name == "niht_shrinking":
         # The trial (cell 1, trial 0) takes shrinkage steps.
         N, k = experiments._cell_shape(40, 0.5, 0.3)
         instance = sample_instance(40, N, k, 0.0, RngSpec(1, 3).substream(1, 0))
         assert any(rec.used_shrinkage for rec in run_solver(instance, config.solver_config()).iterates)
+
+
+def test_stacked_error_norms_equal_per_trial_norms():
+    # The error and signal norms of a stack are, bit for bit, np.linalg.norm
+    # of each trial's vector, diverged trials included.
+    config = ExperimentConfig.from_dict(STACKING_CONFIGS["iht_diverging"])
+    N, k = experiments._cell_shape(40, 0.5, 0.3)
+    draws = [(1, k, t) for t in range(3)]
+    _, x_star, result, errors = experiments._solve_stack(config, config.solver_config(), 3, 40, N, draws)
+    assert not np.all(np.isfinite(errors))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(errors, [np.linalg.norm(x - x0) for x, x0 in zip(result.final, x_star)])
+    np.testing.assert_array_equal(experiments._norm(x_star), [np.linalg.norm(x0) for x0 in x_star])
+
+
+TRIAL_CSV_CONFIGS = {
+    "dist": {"kind": "mc_distribution", "n": 30, "k": 4, "overlap": 2, "trials": 37, "master_seed": 3,
+             "sigma": 1.0},
+    "iht_diverging": STACKING_CONFIGS["iht_diverging"],
+    "error": STACKING_CONFIGS["error"],
+}
+
+
+@pytest.mark.parametrize("name", TRIAL_CSV_CONFIGS)
+def test_trial_csv_equals_columns_formatted_field_by_field(name, tmp_path):
+    # The written trial CSV is the sorted header, then each trial's row built
+    # field by field from the result's columns with the old formatter.
+    path = tmp_path / "trials.csv"
+    config = ExperimentConfig.from_dict(dict(TRIAL_CSV_CONFIGS[name], trial_csv_path=str(path)))
+    columns = run_experiment(config).trial_columns
+    keys = sorted(columns)
+    rows = list(zip(*(columns[key].tolist() for key in keys)))
+    assert len(rows) == config.trials * (len(config.delta_grid) * len(config.rho_grid) if config.delta_grid else 1)
+    text = "\n".join([",".join(keys), *(oracle_row(row) for row in rows)]) + "\n"
+    assert path.read_bytes() == text.encode("utf-8")
+    if name == "iht_diverging":
+        # A diverged trial's NaN error is an empty field.
+        assert any(line.split(",")[1] == "" for line in text.splitlines())
 
 
 class TestReproducibility:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ihtlab import transitions
+from ihtlab import solvers, transitions
 from ihtlab.errors import InvalidArgumentError, StabilityUndefinedError
 from ihtlab.rip import ConstantRipProvider, default_provider
 from ihtlab.transitions import (
@@ -235,19 +235,52 @@ class TestGridEmit:
             grid_emit("phase_bogus", provider, [0.5])
 
 
-def field(value: float) -> str:
-    """One CSV field formatted on its own: the reference for ``_csv_rows``."""
-    return "" if math.isnan(value) else f"{value:.17g}"
+def _csv_field(value) -> str:
+    """One CSV field formatted on its own, as trial CSVs were written field by
+    field: the reference for ``_csv_rows``.  None is an undefined field."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def oracle_row(values) -> str:
+    """One CSV row formatted field by field with ``_csv_field``; a NaN float
+    is an undefined field, the None that trial rows used to hold."""
+    return ",".join(_csv_field(None if isinstance(v, float) and math.isnan(v) else v) for v in values)
+
+
+FLOAT_FIELDS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300,
+                0.1, 1 / 3, -7.0, 1e300, 123456789.125, float.fromhex("0x1.fffffffffffffp+1023"),
+                -float.fromhex("0x1.fffffffffffffp+1023")]
 
 
 @pytest.mark.parametrize("width", [2, 3, 4])
 def test_csv_rows_match_fields_formatted_one_by_one(width):
-    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300,
-              0.1, 1 / 3, -7.0, 1e300, 123456789.125, float.fromhex("0x1.fffffffffffffp+1023")]
     rng = np.random.default_rng(width)
-    columns = [np.array(values)[rng.permutation(len(values))] for _ in range(width)]
-    expected = ["h"] + [",".join(field(v) for v in row) for row in zip(*columns)]
+    columns = [np.array(FLOAT_FIELDS)[rng.permutation(len(FLOAT_FIELDS))] for _ in range(width)]
+    expected = ["h"] + [oracle_row(row) for row in zip(*(c.tolist() for c in columns))]
     assert transitions._csv_rows("h", *columns) == expected
+
+
+def test_csv_rows_match_trial_fields_formatted_one_by_one():
+    # Every column kind of a trial CSV side by side: floats, flags, counts and
+    # termination names.
+    terminations = [value for name, value in vars(solvers).items() if name.startswith("TERMINATION_")]
+    m = len(FLOAT_FIELDS)
+    rng = np.random.default_rng(7)
+    columns = [
+        np.array(FLOAT_FIELDS)[rng.permutation(m)],
+        rng.integers(0, 2, m).astype(bool),
+        np.concatenate([[0, -1, 2**62], rng.integers(0, 10**6, m - 3)]),
+        np.array(terminations)[rng.integers(0, len(terminations), m)],
+        np.array(FLOAT_FIELDS),
+    ]
+    expected = ["h"] + [oracle_row(row) for row in zip(*(c.tolist() for c in columns))]
+    assert transitions._csv_rows("h", *columns) == expected
+    # ``_csv_rows`` blanks "nan" anywhere in a row, so no name may contain it.
+    assert terminations and not any("nan" in name for name in terminations)
 
 
 def test_stability_defined_exactly_where_expected(provider):
