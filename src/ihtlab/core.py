@@ -230,24 +230,25 @@ def _check_k(k: np.ndarray, shape: tuple, N: int) -> None:
 
 
 def top_mask(v: np.ndarray, k) -> np.ndarray:
-    """Mask of the k largest-magnitude entries of a float vector, or of the
-    ``k[i]`` largest of each row ``v[i]`` of a ``(T, N)`` stack.
+    """Mask of the ``k[...]`` largest-magnitude entries of each row ``v[...]``
+    of a ``(..., N)`` float array; a vector takes an integer k.
 
     By definition an entry is kept when its rank in one stable sort of
     ``-|v|`` along the last axis is below its row's k: ties go to the lowest
-    index and NaN ranks below every number.  It is computed by one value
-    sort, with that stable order as the fallback at a tie or NaN (see
-    ``_top_mask``).  Raises ``InvalidArgumentError`` unless k is an integer
-    (not bool) of shape ``v.shape[:-1]`` with 1 <= k <= N.
+    index and NaN ranks below every number.  The rows run as one ``(T, N)``
+    stack through ``_top_mask``, a vector as a stack of one.  Raises
+    ``ShapeMismatchError`` for a 0-d v and ``InvalidArgumentError`` unless k
+    is an integer (not bool) of shape ``v.shape[:-1]`` with 1 <= k <= N.
     """
     v, k = np.asarray(v, dtype=float), np.asarray(k)
+    if v.ndim == 0:
+        raise ShapeMismatchError("top_mask needs an array of at least one axis, got a 0-d value")
     _check_k(k, v.shape[:-1], v.shape[-1])
-    return _top_mask(v, k)
+    return _top_mask(v.reshape(k.size, v.shape[-1]), k.reshape(-1)).reshape(v.shape)
 
 
-def _top_mask(v: np.ndarray, k) -> np.ndarray:
-    """``top_mask`` without its checks: k is an integer for a vector and an
-    integer array for a stack.
+def _top_mask(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``top_mask`` of a ``(T, N)`` stack with a ``(T,)`` integer k, unchecked.
 
     One value sort of ``-|v|`` gives each row's k-th value t.  Every entry
     not above t is marked (NaN too), so each row holds at least its k marks;
@@ -256,40 +257,29 @@ def _top_mask(v: np.ndarray, k) -> np.ndarray:
     such a tie or NaN, the ranks of one stable argsort decide, as defined.
     """
     a = -np.abs(v)
-    if v.ndim == 1:
-        k_max = total = int(k)
-        t = np.sort(a)[k_max - 1]
-    else:
-        # Python min/max/sum: three ufunc reductions cost more on a handful of k.
-        ks = k.tolist()
-        k_min, k_max, total = min(ks, default=1), max(ks, default=0), sum(ks)
-        s = np.sort(a, axis=-1)
-        t = s[:, k_max - 1 : k_max] if k_min == k_max else s[np.arange(len(s)), k - 1][:, None]
+    # Python min/max/sum: three ufunc reductions cost more on a handful of k.
+    ks = k.tolist()
+    k_min, k_max, total = min(ks, default=1), max(ks, default=0), sum(ks)
+    s = np.sort(a, axis=-1)
+    t = s[:, k_max - 1 : k_max] if k_min == k_max else s[np.arange(len(s)), k - 1][:, None]
     mask = ~(a > t)
     if np.count_nonzero(mask) == total:
         return mask
-    order = a.argsort(axis=-1, kind="stable")[..., :k_max]
+    order = a.argsort(axis=-1, kind="stable")[:, :k_max]
     mask[...] = False
-    if v.ndim == 1:
-        mask[order] = True
-    else:
-        mask[np.arange(len(v))[:, None], order] = True if k_min == k_max else np.arange(k_max) < k[:, None]
+    mask[np.arange(len(v))[:, None], order] = True if k_min == k_max else np.arange(k_max) < k[:, None]
     return mask
 
 
 def hard_threshold(x: np.ndarray, k) -> np.ndarray:
-    """Keep the k largest-magnitude entries of x and zero the rest.
-
-    x is a vector with an integer k, or a ``(T, N)`` stack with one k per
-    row.  Ties are broken towards the lowest index so that the projection is
-    deterministic.
-    """
+    """Keep the k largest-magnitude entries of each row of x, the ``top_mask``
+    of x and k, and zero the rest; ties go to the lowest index."""
     x = np.asarray(x, dtype=float)
     return np.where(top_mask(x, k), x, 0.0)
 
 
-def _hard_threshold(x: np.ndarray, k) -> np.ndarray:
-    """``hard_threshold`` of a float x without the checks of k."""
+def _hard_threshold(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``hard_threshold`` of a ``(T, N)`` float stack with a ``(T,)`` k, without the checks of k."""
     return np.where(_top_mask(x, k), x, 0.0)
 
 

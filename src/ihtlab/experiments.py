@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .asymptotics import _check_range
 from .core import (
     ProblemStack,
     RngSpec,
-    SupportSet,
     least_squares_split,
     matvec,
     sample_instance,
@@ -45,7 +45,7 @@ from .solvers import (
     VARIANT_NIHT,
     run_solver,
 )
-from .stablepoint import is_stable_point
+from .stablepoint import _stability_test
 from .transitions import (
     XI_NIHT_AS_PRINTED,
     _alpha_lb,
@@ -215,11 +215,15 @@ class ExperimentConfig:
         _check_types(data)
         coerced = dict(data)
         for key in ("delta_grid", "rho_grid"):
-            if coerced.get(key) is not None:
-                try:
-                    coerced[key] = tuple(float(v) for v in coerced[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{key} must be a list of numbers: {exc}") from exc
+            grid = coerced.get(key)
+            if grid is None:
+                continue
+            # A JSON number: a float, or an int (not bool) that converts to one.
+            if not isinstance(grid, list) or not all(
+                isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max for v in grid
+            ):
+                raise ConfigError(f"{key} must be a list of numbers in the float range, got {grid!r}")
+            coerced[key] = tuple(map(float, grid))
         try:
             return cls(**coerced)
         except TypeError as exc:
@@ -549,6 +553,11 @@ def _cell_shape(n: int, delta: float, rho: float) -> tuple[int, int]:
     return max(n, round(n / delta)), max(1, round(rho * n))
 
 
+def _valid_cell(n: int, N: int, k: int) -> bool:
+    """Whether a cell of n measurements, N columns and k nonzeros can run."""
+    return 0 < 2 * k <= n <= N
+
+
 def _stacks(n: int, N: int, draws: list) -> list[list]:
     """``draws`` in order, cut into stacks whose matrices take at most
     ``SOLVER_STACK_BYTES``, or one draw a stack when one matrix alone does not
@@ -637,7 +646,7 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
         for r, rho in enumerate(config.rho_grid):
             cell_id = d * len(config.rho_grid) + r
             N, k = _cell_shape(n, delta, rho)
-            valid = 0 < 2 * k <= n <= N
+            valid = _valid_cell(n, N, k)
             cell_meta.append({"cell": cell_id, "delta": delta, "rho": rho, "n": n, "N": N, "k": k, "valid": valid})
             if valid:
                 draws.extend((cell_id, k, t) for t in range(config.trials))
@@ -684,20 +693,17 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _error_stack(task) -> dict[str, np.ndarray]:
-    """One stack's trial columns; a diverged trial has error inf and is neither converged nor stable."""
+    """One stack's trial columns; a diverged trial has error inf and is neither converged nor stable.
+    One stable-point test covers the stack, each final x̄ on its own support; x̄ = 0 is stable iff
+    alpha_lb * max|A^T b| <= tol."""
     config, solver_config, alpha_lb, n, N, draws = task
     stack, _, result, errors = _solve_stack(config, solver_config, 4, n, N, draws)
     termination = np.array(result.termination)
     converged = termination != TERMINATION_MAX_ITERS
-    stable = np.zeros(len(draws), dtype=bool)
-    for i in np.flatnonzero(converged):
-        x_bar = result.final[i]
-        if np.any(x_bar):
-            gamma = SupportSet.support_of(x_bar)
-            report = is_stable_point(x_bar, gamma, alpha_lb, stack.A[i], stack.b[i], tol=STABLE_POINT_CHECK_TOL)
-            stable[i] = report.is_stable
-        else:
-            stable[i] = not np.any(stack.b[i])
+    X = result.final
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = matvec(stack.A.mT, stack.b - matvec(stack.A, X))
+    stable = converged & _stability_test(X, grad, X != 0, alpha_lb, STABLE_POINT_CHECK_TOL)[0]
     finite = np.isfinite(errors)
     return {
         "trial": np.array(draws)[:, 2],
@@ -714,8 +720,12 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     if config.kind != KIND_ERROR_VS_XI:
         raise ConfigError("mc_error_vs_xi requires kind=mc_error_vs_xi")
     workers = _worker_count()
+    n, delta, rho = config.n, config.delta, config.rho
+    _check_range("delta", delta, 1.0)
+    N, k = _cell_shape(n, delta, rho)
+    if not _valid_cell(n, N, k):
+        raise ConfigError(f"n={n}: the cell N={N}, k={k} does not satisfy 0 < 2k <= n <= N")
     provider = load_provider(config.rip_table)
-    delta, rho = config.delta, config.rho
     variant = config.solver["variant"]
     try:
         if variant == VARIANT_IHT:
@@ -742,8 +752,6 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     except StabilityUndefinedError as exc:
         raise ConfigError(f"stability factor undefined for this config: {exc}") from exc
 
-    n = config.n
-    N, k = _cell_shape(n, delta, rho)
     bound = stability.xi * config.sigma if config.sigma > 0 else ZERO_NOISE_ERROR_TOL
     draws = [(0, k, t) for t in range(config.trials)]
     tasks = [(config, solver_config, alpha_lb, n, N, stack) for stack in _stacks(n, N, draws)]

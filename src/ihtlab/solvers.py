@@ -183,14 +183,14 @@ def _linesearch(X, G, A, k, config) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     # A non-finite trial point is returned unshrunk; the loop ends its run.
     shrinking = ~stationary & np.isfinite(X_trial).all(axis=1) & ((X_trial != 0.0) != support).any(axis=1)
     for i in np.flatnonzero(shrinking):
-        alpha[i], X_trial[i] = _shrink(float(alpha[i]), X_trial[i], X[i], G[i], A[i], int(k[i]), config)
+        alpha[i], X_trial[i] = _shrink(float(alpha[i]), X_trial[i], X[i], G[i], A[i], k[i : i + 1], config)
     return alpha, shrinking, X_trial, stationary
 
 
 def _shrink(alpha, x_trial, x, g, A, k, config) -> tuple[float, np.ndarray]:
     """Shrink one slice's stepsize by kappa*(1-c) until its trial point
-    H_k(x - alpha * g) passes the sufficient-decrease test; returns the
-    stepsize and the trial point."""
+    H_k(x - alpha * g), a stack of one with the ``(1,)`` k, passes the
+    sufficient-decrease test; returns the stepsize and the trial point."""
     shrink = config.kappa * (1.0 - config.c)
     for _ in range(MAX_SHRINK_STEPS):
         diff = x_trial - x
@@ -203,7 +203,7 @@ def _shrink(alpha, x_trial, x, g, A, k, config) -> tuple[float, np.ndarray]:
         if alpha < (1.0 - config.c) * diff_norm2 / float(a_diff @ a_diff):
             return alpha, x_trial
         alpha /= shrink
-        x_trial = _hard_threshold(x - alpha * g, k)
+        x_trial = _hard_threshold((x - alpha * g)[None], k)[0]
     raise ShrinkageLoopError(f"shrinkage loop did not exit within {MAX_SHRINK_STEPS} reductions")
 
 

@@ -50,6 +50,23 @@ class TestHardThreshold:
             with pytest.raises(InvalidArgumentError, match="k must be integer"):
                 select(x, k)
 
+    def test_leading_axes_run_row_by_row(self):
+        # A (2, 3, 4) array with a (2, 3) k selects as the (6, 4) stack of its rows.
+        gen = RngSpec(12).generator()
+        x = gen.standard_normal((2, 3, 4))
+        x[0, 1] = [1.0, -1.0, 1.0, 0.5]  # a tie at the k-th magnitude
+        k = gen.integers(1, 5, size=(2, 3))
+        rows = top_mask(x.reshape(6, 4), k.reshape(6))
+        np.testing.assert_array_equal(top_mask(x, k), rows.reshape(2, 3, 4), strict=True)
+        np.testing.assert_array_equal(hard_threshold(x, k), np.where(rows, x.reshape(6, 4), 0.0).reshape(2, 3, 4))
+        for i, j in np.ndindex(2, 3):
+            np.testing.assert_array_equal(hard_threshold(x, k)[i, j], hard_threshold(x[i, j], int(k[i, j])))
+
+    def test_zero_d_input_refused(self):
+        for select in (hard_threshold, top_mask):
+            with pytest.raises(ShapeMismatchError, match="0-d"):
+                select(np.float64(3.0), 1)
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30), st.data())
     def test_idempotent(self, values, data):
         x = np.array(values)

@@ -12,6 +12,7 @@ from ihtlab.core import RngSpec, SupportSet, sample_gaussian_matrix, sample_inst
 from ihtlab.errors import ConfigError
 from ihtlab import experiments
 from ihtlab.experiments import (
+    STABLE_POINT_CHECK_TOL,
     ExperimentConfig,
     fifty_percent_contour,
     ks_critical_value,
@@ -25,7 +26,7 @@ from ihtlab.experiments import (
     wilson_interval,
 )
 from ihtlab.solvers import SolverConfig, run_solver
-from ihtlab.stablepoint import stable_condition_terms
+from ihtlab.stablepoint import is_stable_point, stable_condition_terms
 from test_transitions import oracle_row
 
 
@@ -132,6 +133,28 @@ class TestConfigValidation:
         path.write_text('{"kind": "mc_distribution", "n": 1' + "0" * 5000 + "}", encoding="utf-8")
         with pytest.raises(ConfigError, match="cannot read config"):
             read_config(path)
+
+    @pytest.mark.parametrize("key, grid", [
+        ("delta_grid", "1"),
+        ("delta_grid", ["0.5"]),
+        ("rho_grid", [True]),
+        ("rho_grid", [0.1, None]),
+        ("delta_grid", {"0.5": 1}),
+        ("delta_grid", (0.5,)),
+        ("rho_grid", [10**400]),
+    ])
+    def test_grid_must_be_a_list_of_json_numbers(self, key, grid):
+        data = {"kind": "mc_transition", "n": 40, "delta_grid": [0.5], "rho_grid": [0.1], "trials": 5,
+                "master_seed": 0, "solver": {"variant": "niht"}}
+        with pytest.raises(ConfigError, match=f"{key} must be a list of numbers"):
+            ExperimentConfig.from_dict(dict(data, **{key: grid}))
+
+    def test_grid_numbers_become_floats(self):
+        config = ExperimentConfig.from_dict(
+            {"kind": "mc_transition", "n": 40, "delta_grid": [1, 0.5], "rho_grid": [0.1], "trials": 5,
+             "master_seed": 0, "solver": {"variant": "niht"}}
+        )
+        assert config.delta_grid == (1.0, 0.5) and all(type(v) is float for v in config.delta_grid)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -555,6 +578,51 @@ def test_stacked_error_norms_equal_per_trial_norms():
     with np.errstate(over="ignore", invalid="ignore"):
         np.testing.assert_array_equal(errors, [np.linalg.norm(x - x0) for x, x0 in zip(result.final, x_star)])
     np.testing.assert_array_equal(experiments._norm(x_star), [np.linalg.norm(x0) for x0 in x_star])
+
+
+@pytest.mark.parametrize("n", [0, -3, 1])
+def test_mc_error_refuses_a_cell_without_room_before_any_work(n, monkeypatch):
+    # 0 < 2k <= n <= N fails: refused before the provider is loaded or a trial drawn.
+    def no_provider(*args):
+        raise AssertionError("the provider was loaded")
+
+    monkeypatch.setattr(experiments, "load_provider", no_provider)
+    config = ExperimentConfig.from_dict(dict(STACKING_CONFIGS["error"], n=n))
+    with pytest.raises(ConfigError, match=f"n={n}: the cell .* does not satisfy 0 < 2k <= n <= N"):
+        mc_error_vs_xi(config)
+
+
+STABLE_ORACLE_CONFIGS = {
+    "error": STACKING_CONFIGS["error"],
+    "niht": dict(STACKING_CONFIGS["error"], solver={"variant": "niht", "max_iters": 500}),
+    # Runs that end on the residual tolerance, stable and not.
+    "iht_residual_tol": dict(STACKING_CONFIGS["error"], solver={"variant": "iht", "max_iters": 500,
+                                                               "residual_tol": 0.1}),
+}
+
+
+@pytest.mark.parametrize("name", STABLE_ORACLE_CONFIGS)
+def test_stable_column_matches_per_trial_stable_point_check(name):
+    # The stack-wide stable-point test gives, trial by trial, the verdict of
+    # is_stable_point on each converged run's final iterate and its support.
+    config = ExperimentConfig.from_dict(STABLE_ORACLE_CONFIGS[name])
+    result = mc_error_vs_xi(config)
+    alpha_lb = result.summary["alpha_lb"]
+    columns = result.trial_columns
+    solver_config = config.solver_config(alpha_override=alpha_lb if config.solver["variant"] == "iht" else None)
+    N, k = experiments._cell_shape(config.n, config.delta, config.rho)
+    verdicts = []
+    for trial in range(config.trials):
+        instance = sample_instance(config.n, N, k, config.sigma, RngSpec(config.master_seed, 4).substream(0, trial))
+        x_bar = run_solver(instance, solver_config).final
+        report = is_stable_point(
+            x_bar, SupportSet.support_of(x_bar), alpha_lb, instance.A, instance.b, tol=STABLE_POINT_CHECK_TOL
+        )
+        verdicts.append(report.is_stable)
+    assert columns["converged"].all()
+    assert columns["stable"].tolist() == verdicts
+    if name == "iht_residual_tol":
+        assert 0 < sum(verdicts) < config.trials
 
 
 TRIAL_CSV_CONFIGS = {
