@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import TailInputs, _if_root, _unwrap, tail_if, tail_il, tail_iu
+from .asymptotics import TailInputs, _if_root, _unwrap, tail_il, tail_iu
 from .errors import InvalidArgumentError, NumericalDomainError, StabilityUndefinedError
 from .rip import RipBoundProvider
 
@@ -19,9 +19,12 @@ RHO_BRACKET_LO = 1e-8
 RHO_BRACKET_HI = 0.5
 # Rho points a delta in one lockstep step of ``_solve_rho``: 64 split among the
 # unresolved deltas, but at least 6.  Per-call overhead sets the cost of a step
-# of up to a few hundred points: a 100-delta curve takes 9-10 steps, not 58.
+# of up to a few hundred points: a 100-delta curve takes 6-8 steps, not 58.
 RHO_POINTS_PER_STEP = 64
 RHO_POINTS_FLOOR = 6
+# A bracket narrower than this fraction of its upper end is in rounding noise:
+# the sign of the difference of the sides no longer follows rho there.
+RHO_NOISE_WIDTH = 1e-12
 
 XI_NIHT_AS_PRINTED = "as_printed"
 XI_NIHT_WITH_ONE_PLUS_A = "with_one_plus_a"
@@ -49,18 +52,25 @@ class StabilityResult:
 def lhs_stable(delta, rho):
     """Left side of the transition equation: sqrt(IF)/[(1-rho)(1 - IL(delta,rho,1-rho))],
     at scalars or arrays that broadcast together."""
-    return _lhs(delta, rho)[0]
+    return _lhs(delta, rho)
 
 
-def _lhs(delta, rho, f_start=None):
-    """``lhs_stable`` and the F root in it, with Newton for that root started
-    at ``f_start`` (default: its own estimate)."""
+def _roots(delta, rho, f_start=None):
+    """(IF, IL(delta, rho, 1-rho)): the two tail roots that both the left side
+    (``_lhs``) and the stability factor (``_stability_core``) read, so that a
+    caller needing both solves them once.  Newton for the F root starts at
+    ``f_start`` (default: its own estimate)."""
     rho = np.asarray(rho, dtype=float)
-    f_root = _if_root(delta, rho, f_start).value
-    denom = (1.0 - rho) * (1.0 - tail_il(TailInputs(delta, rho, 1.0 - rho)).value)
+    return _if_root(delta, rho, f_start).value, tail_il(TailInputs(delta, rho, 1.0 - rho)).value
+
+
+def _lhs(delta, rho, roots=None):
+    """``lhs_stable`` from the ``_roots`` of (delta, rho), solved here if not given."""
+    f_root, il = _roots(delta, rho) if roots is None else roots
+    denom = (1.0 - np.asarray(rho, dtype=float)) * (1.0 - il)
     if np.any(denom < 1e-300):
         raise NumericalDomainError("stable-point denominator underflow")
-    return _unwrap(np.sqrt(f_root) / denom), f_root
+    return _unwrap(np.sqrt(f_root) / denom)
 
 
 def _alpha_lb(delta, rho, kappa: float, provider: RipBoundProvider):
@@ -101,18 +111,21 @@ def _solve_rho(delta, kappa: float, provider: RipBoundProvider) -> TransitionRes
     values at the ends, and keeps the cell where the sign changes.  That cell
     and the point beside it estimate the error of the cell's regula falsi
     point, and the next points close in on it at that distance, so brackets
-    shrink superlinearly.  A delta drops out once its midpoint is not strictly
-    inside its bracket; that midpoint, one of the ends, is its root.  A left
-    side below the right on the whole bracket saturates at rho = 1/2; one above
-    has no crossing.
+    shrink superlinearly.  A delta drops out once its bracket is in rounding
+    noise, no wider than RHO_NOISE_WIDTH of its upper end, or, failing that,
+    one ulp wide.  Its root is the bracket end with the smaller difference of
+    the sides, and ``residual`` is that difference.  A left side below the
+    right on the whole bracket saturates at rho = 1/2; one above has no
+    crossing.
     """
     delta = np.asarray(delta, dtype=float)
     flat = delta.ravel()
 
     def evaluate(d, rho, f_start=None):
         """(rho, difference of the sides, F root) at each point, stacked last."""
-        lhs, f_root = _lhs(d, rho, f_start)
-        return np.stack(np.broadcast_arrays(rho, lhs - _alpha_lb(d, rho, kappa, provider), f_root), -1)
+        roots = _roots(d, rho, f_start)
+        lhs = _lhs(d, rho, roots)
+        return np.stack(np.broadcast_arrays(rho, lhs - _alpha_lb(d, rho, kappa, provider), roots[0]), -1)
 
     # The first step evaluates the bracket ends too.
     m = max(RHO_POINTS_FLOOR, RHO_POINTS_PER_STEP // max(flat.size, 1))
@@ -133,7 +146,7 @@ def _solve_rho(delta, kappa: float, provider: RipBoundProvider) -> TransitionRes
         first = np.argmax(above, axis=1)[:, None]
         ends[active] = cells[np.arange(active.size)[:, None], first + np.where(first > 0, [0, 1, -1], [0, 1, 2])]
         lo, hi = ends[active, 0, 0], ends[active, 1, 0]
-        active = active[(lo < 0.5 * (lo + hi)) & (0.5 * (lo + hi) < hi)]
+        active = active[(hi - lo > RHO_NOISE_WIDTH * hi) & (lo < 0.5 * (lo + hi)) & (0.5 * (lo + hi) < hi)]
         if active.size:
             (a, ga, fa), (b, gb, fb), (c, gc, _) = ends[active].transpose(1, 2, 0)[..., None]
             # |g''/(2g')|*(falsi - a)*(b - falsi) by divided differences; NaN or inf at a repeated point.
@@ -143,9 +156,9 @@ def _solve_rho(delta, kappa: float, provider: RipBoundProvider) -> TransitionRes
             points = _rho_points(a, b, ga, gb, error, max(RHO_POINTS_FLOOR, RHO_POINTS_PER_STEP // active.size))
             cells = evaluate(flat[active, None], points, fa + (fb - fa) * (points - a) / (b - a))
             cells = np.concatenate([ends[active, :1], cells, ends[active, 1:2]], axis=1)
-    lo, hi = ends[:, 0, 0], ends[:, 1, 0]
-    rho_hat = np.where(saturated, RHO_BRACKET_HI, 0.5 * (lo + hi))
-    residual = np.abs(np.where(rho_hat == lo, ends[:, 0, 1], ends[:, 1, 1]))
+    # A saturated delta's upper end is rho = 1/2.
+    best = ends[np.arange(flat.size), (saturated | (np.abs(ends[:, 1, 1]) < np.abs(ends[:, 0, 1]))).astype(int)]
+    rho_hat, residual = best[:, 0], np.abs(best[:, 1])
     return TransitionResult(
         delta=_unwrap(delta),
         rho_hat=_unwrap(rho_hat.reshape(delta.shape)),
@@ -179,7 +192,12 @@ def _check_kappa(kappa: float) -> None:
 def stepsize_interval_iht(delta, rho, provider: RipBoundProvider):
     """Admissible IHT stepsize interval (lo, hi); None when empty.  Over
     arrays, the arrays (lo, hi) with NaN where the interval is empty."""
-    lo, hi = lhs_stable(delta, rho), _alpha_lb(delta, rho, 1.0, provider)
+    return _interval_iht(delta, rho, provider)
+
+
+def _interval_iht(delta, rho, provider: RipBoundProvider, roots=None):
+    """``stepsize_interval_iht`` from the ``_roots`` of (delta, rho), solved here if not given."""
+    lo, hi = _lhs(delta, rho, roots), _alpha_lb(delta, rho, 1.0, provider)
     empty = lo >= hi
     if np.ndim(empty) == 0:
         return None if empty else (lo, hi)
@@ -190,21 +208,33 @@ def stepsize_midpoint_iht(delta, rho, provider: RipBoundProvider):
     """The default IHT stepsize, the midpoint of the admissible interval, and
     that interval.  An empty interval raises StabilityUndefinedError at one
     point and gives NaN over arrays."""
-    interval = stepsize_interval_iht(delta, rho, provider)
-    if interval is None:
-        raise StabilityUndefinedError(f"empty admissible stepsize interval at delta={delta}, rho={rho}")
-    return 0.5 * (interval[0] + interval[1]), interval
+    return _stepsize_iht(delta, rho, provider)[:2]
 
 
-def _stability_core(delta, rho, alpha, one_plus_a: bool):
-    """a and xi at the effective lower stepsize alpha, over scalars or arrays.
+def _stepsize_iht(delta, rho, provider: RipBoundProvider, alpha=None):
+    """(alpha, interval, roots) at (delta, rho): the IHT stepsize ``alpha``,
+    by default the midpoint of the admissible interval (as
+    ``stepsize_midpoint_iht``); that interval (as ``stepsize_interval_iht``);
+    and the ``_roots`` it reads, solved once, for ``_stability_iht``."""
+    roots = _roots(delta, rho)
+    interval = _interval_iht(delta, rho, provider, roots)
+    if alpha is None:
+        if interval is None:
+            raise StabilityUndefinedError(f"empty admissible stepsize interval at delta={delta}, rho={rho}")
+        alpha = 0.5 * (interval[0] + interval[1])
+    return alpha, interval, roots
+
+
+def _stability_core(delta, rho, alpha, one_plus_a: bool, roots=None):
+    """a and xi at the effective lower stepsize alpha, over scalars or arrays,
+    from the ``_roots`` of (delta, rho), solved here if not given.
 
     The factor is undefined where alpha*(1-rho)*(1-IL) does not exceed
     sqrt(IF): a scalar point raises StabilityUndefinedError, arrays hold NaN.
     """
-    f_root = tail_if(delta, rho).value
+    f_root, il = _roots(delta, rho) if roots is None else roots
     sqrt_f = np.sqrt(f_root)
-    scaled = alpha * (1.0 - rho) * (1.0 - tail_il(TailInputs(delta, rho, 1.0 - rho)).value)
+    scaled = alpha * (1.0 - rho) * (1.0 - il)
     if np.ndim(scaled) == 0 and not scaled > sqrt_f:
         raise StabilityUndefinedError(
             f"stability undefined at delta={delta}, rho={rho}: "
@@ -223,12 +253,19 @@ def stability_factor_iht(delta, rho, alpha) -> StabilityResult:
     """Noise stability factor for IHT at stepsize alpha, over scalars or
     arrays (see ``_stability_core``).
 
-    Requires a finite alpha strictly above the stable-point threshold; over
-    arrays a NaN alpha marks a point without a stepsize and gives NaN.
+    Requires a positive finite alpha strictly above the stable-point
+    threshold; over arrays a NaN alpha marks a point without a stepsize and
+    gives NaN, and an infinite one is refused as at one point.
     """
-    if np.any(np.asarray(alpha) <= 0) or np.ndim(alpha) == 0 and not 0 < alpha < np.inf:
+    return _stability_iht(delta, rho, alpha)
+
+
+def _stability_iht(delta, rho, alpha, roots=None) -> StabilityResult:
+    """``stability_factor_iht`` from the ``_roots`` of (delta, rho), solved here if not given."""
+    values = np.asarray(alpha, dtype=float)
+    if np.any((values <= 0) | (values == np.inf)) or values.ndim == 0 and np.isnan(values):
         raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")
-    return StabilityResult(*_stability_core(delta, rho, alpha, one_plus_a=True))
+    return StabilityResult(*_stability_core(delta, rho, alpha, True, roots))
 
 
 def stability_factor_niht(
@@ -303,7 +340,8 @@ def grid_emit(
     if kind == "stepsize_iht":
         return _csv_rows("delta,rho,alpha_lo,alpha_hi", d, r, *stepsize_interval_iht(d, r, provider))
     if kind == "xi_iht":
-        xi = stability_factor_iht(d, r, stepsize_midpoint_iht(d, r, provider)[0]).xi
+        alpha, _, roots = _stepsize_iht(d, r, provider)
+        xi = _stability_iht(d, r, alpha, roots).xi
     else:
         xi = stability_factor_niht(d, r, kappa, provider, xi_variant=xi_variant).xi
     return _csv_rows("delta,rho,xi", d, r, xi)

@@ -13,6 +13,7 @@ from ihtlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run_cli
 from ihtlab.experiments import ExperimentResult
 from ihtlab.rip import default_provider
 from ihtlab.transitions import stepsize_interval_iht
+from test_transitions import record_point_solves
 
 
 def test_unknown_subcommand_exits_64(capsys):
@@ -125,6 +126,13 @@ def test_stability_command(capsys):
     assert "xi=" in out and "a=" in out
 
 
+@pytest.mark.parametrize("alpha", [[], ["--alpha", "0.6"]], ids=["midpoint", "given-alpha"])
+def test_stability_iht_solves_each_shared_root_once(monkeypatch, capsys, alpha):
+    solves = record_point_solves(monkeypatch)
+    assert run_cli(["stability", "--delta", "0.5", "--rho", "0.008", *alpha]) == EXIT_OK
+    assert sorted(solves) == ["_if_root", "tail_il"]
+
+
 def test_stability_undefined_exits_3(capsys):
     assert run_cli(["stability", "--delta", "0.5", "--rho", "0.4", "--alpha", "0.5"]) == EXIT_NUMERICAL
 
@@ -189,7 +197,7 @@ def _no_work(*args, **kwargs):
     pytest.param(["rip"], "rip_exact", id="rip"),
     pytest.param(["tailbound", "--delta", "0.5", "--rho", "0.25"], "tail_iu", id="tailbound"),
     pytest.param(["phase-bound", "--grid-points", "10"], "grid_emit", id="phase-bound"),
-    pytest.param(["stability", "--delta", "0.5", "--rho", "0.008"], "stepsize_midpoint_iht", id="stability"),
+    pytest.param(["stability", "--delta", "0.5", "--rho", "0.008"], "_stepsize_iht", id="stability"),
 ])
 @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-parent"])
 def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, work, missing):

@@ -27,7 +27,7 @@ from ihtlab.experiments import (
 )
 from ihtlab.solvers import SolverConfig, run_solver
 from ihtlab.stablepoint import is_stable_point, stable_condition_terms
-from test_transitions import oracle_row
+from test_transitions import oracle_row, record_point_solves
 
 
 def _chunk(config, z, z_ray, trials):
@@ -495,6 +495,18 @@ class TestErrorVsXi:
         ratio = summaries[1]["error_q50"] / summaries[0]["error_q50"]
         assert 1.5 <= ratio <= 2.5
         assert summaries[1]["error_bound"] == pytest.approx(2 * summaries[0]["error_bound"])
+
+    def test_iht_stepsize_and_factor_share_one_root_solve(self, monkeypatch):
+        # rho_hat_iht solves its own roots over arrays; the stepsize and the
+        # factor at the configured point share one solve.
+        solves = record_point_solves(monkeypatch)
+        config = ExperimentConfig.from_dict(
+            {"kind": "mc_error_vs_xi", "n": 100, "delta": 0.5, "rho": 0.01,
+             "sigma": 0.1, "trials": 2, "master_seed": 1,
+             "solver": {"variant": "iht", "max_iters": 100}}
+        )
+        mc_error_vs_xi(config)
+        assert sorted(solves) == ["_if_root", "tail_il"]
 
     def test_unknown_solver_variant_is_config_error(self):
         config = ExperimentConfig.from_dict(

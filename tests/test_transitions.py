@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ class TestStabilityIht:
     def test_xi_dominates_a(self, provider):
         result = stability_factor_iht(0.5, 0.008, 0.55)
         assert result.xi >= result.a
+
+    def test_infinite_alpha_in_array_refused(self):
+        deltas, rhos = np.array([0.5, 0.5]), np.array([0.008, 0.008])
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            stability_factor_iht(deltas, rhos, np.array([0.6, np.inf]))
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            stability_factor_iht(0.5, 0.008, np.inf)
+        # NaN still marks a point without a stepsize.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi = stability_factor_iht(deltas, rhos, np.array([0.6, np.nan])).xi
+        assert np.isfinite(xi[0]) and np.isnan(xi[1])
 
 
 class TestStabilityNiht:
@@ -387,6 +400,65 @@ def test_hundred_delta_curve_within_twelve_steps(provider, monkeypatch, kappa, g
     res = rho_hat_niht(deltas, kappa, provider)
     assert len(calls) <= 12
     assert np.all(res.residual <= 1e-10)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.1])
+@pytest.mark.parametrize("grid", ["default", 1, 2, 3])
+def test_hundred_delta_curve_within_eight_steps(provider, monkeypatch, kappa, grid):
+    # Running every bracket down to one ulp took 9-10 evaluations: the last
+    # ones were spent below the rounding-noise floor.
+    deltas = default_delta_grid(100) if grid == "default" else random_log_grid(grid, 100)
+    calls = record_calls(monkeypatch, "_lhs")
+    res = rho_hat_niht(deltas, kappa, provider)
+    assert len(calls) <= 8
+    assert np.all(res.residual <= 1e-10)
+
+
+@pytest.mark.parametrize("kind, kappa", [("phase_iht", 1.0), ("phase_niht", 1.1)])
+@pytest.mark.parametrize("grid", ["default", 1, 2, 3])
+def test_residual_is_measured_at_rho_hat(provider, kind, kappa, grid):
+    deltas = default_delta_grid(100) if grid == "default" else random_log_grid(grid, 100)
+    rows = np.array([row.split(",") for row in grid_emit(kind, provider, deltas, kappa=kappa)[1:]], dtype=float)
+    delta, rho_hat, residual = rows.T
+    lhs = lhs_stable(delta, rho_hat)
+    recomputed = np.abs(lhs - 1.0 / (kappa * (1.0 + provider.query(delta, 2.0 * rho_hat))))
+    # The curve solve starts its F roots elsewhere, so the left side may differ in its last bits.
+    assert np.all(np.abs(recomputed - residual) <= 8 * np.spacing(lhs))
+    assert np.all(residual <= 1e-10)
+
+
+def record_point_solves(monkeypatch):
+    """Record each F-root and lower-root solve at a single (delta, rho), the
+    two roots that the IHT stepsize and stability factor share; returns the
+    list of the solvers' names, one entry a solve."""
+    solves = []
+    for name, rho_of in (("_if_root", lambda args: args[1]), ("tail_il", lambda args: args[0].rho)):
+        def wrapper(*args, name=name, function=getattr(transitions, name), rho_of=rho_of):
+            if np.ndim(rho_of(args)) == 0:
+                solves.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(transitions, name, wrapper)
+    return solves
+
+
+def test_xi_iht_grid_solves_each_shared_root_once(provider, monkeypatch):
+    f_calls = record_calls(monkeypatch, "_if_root")
+    il_calls = record_calls(monkeypatch, "tail_il")
+    rhos = np.linspace(0.001, 0.5, 7)
+    grid_emit("xi_iht", provider, default_delta_grid(5), rho_grid=rhos)
+    assert len(f_calls) == 1
+    [(inputs,)] = il_calls
+    assert np.array_equal(inputs.lam, 1.0 - inputs.rho)
+
+
+@pytest.mark.parametrize("points", [5, 20])
+def test_xi_iht_rows_match_midpoint_then_stability(provider, points):
+    deltas, rhos = default_delta_grid(points), np.linspace(0.001, 0.5, points)
+    d, r = (v.ravel() for v in np.meshgrid(deltas, rhos, indexing="ij"))
+    # The composition of the public functions, each solving its own roots.
+    xi = stability_factor_iht(d, r, stepsize_midpoint_iht(d, r, provider)[0]).xi
+    assert grid_emit("xi_iht", provider, deltas, rho_grid=rhos) == transitions._csv_rows("delta,rho,xi", d, r, xi)
 
 
 def ladder_points(a, b, ga, gb, width, m):
