@@ -39,11 +39,13 @@ from .solvers import SolverConfig, run_solver
 from .transitions import (
     XI_NIHT_AS_PRINTED,
     XI_NIHT_VARIANTS,
-    _stability_iht,
-    _stepsize_iht,
+    _roots,
     default_delta_grid,
     grid_emit,
+    stability_factor_iht,
     stability_factor_niht,
+    stepsize_interval_iht,
+    stepsize_midpoint_iht,
     write_grid_csv,
 )
 
@@ -195,8 +197,12 @@ def _cmd_stability(argv: list[str]) -> int:
     check_output_path("--out", args.out)
     provider = load_provider(args.rip_table)
     if args.variant == "iht":
-        alpha, interval, roots = _stepsize_iht(args.delta, args.rho, provider, args.alpha)
-        result = _stability_iht(args.delta, args.rho, alpha, roots)
+        roots = _roots(args.delta, args.rho)
+        if args.alpha is None:
+            alpha, interval = stepsize_midpoint_iht(args.delta, args.rho, provider, roots=roots)
+        else:
+            alpha, interval = args.alpha, stepsize_interval_iht(args.delta, args.rho, provider, roots=roots)
+        result = stability_factor_iht(args.delta, args.rho, alpha, roots=roots)
         if args.out:
             write_json(args.out, {
                 "variant": "iht", "delta": args.delta, "rho": args.rho, "alpha": alpha,

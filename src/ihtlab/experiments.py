@@ -50,11 +50,12 @@ from .transitions import (
     XI_NIHT_AS_PRINTED,
     _alpha_lb,
     _csv_rows,
-    _stability_iht,
-    _stepsize_iht,
+    _roots,
     rho_hat_iht,
     rho_hat_niht,
+    stability_factor_iht,
     stability_factor_niht,
+    stepsize_midpoint_iht,
     write_grid_csv,
 )
 
@@ -729,7 +730,8 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
     variant = config.solver["variant"]
     try:
         if variant == VARIANT_IHT:
-            midpoint, interval, roots = _stepsize_iht(delta, rho, provider)
+            roots = _roots(delta, rho)
+            midpoint, interval = stepsize_midpoint_iht(delta, rho, provider, roots=roots)
             alpha = config.solver.get("alpha")
             alpha_lb = midpoint if alpha is None else float(alpha)
             if not interval[0] < alpha_lb < interval[1]:
@@ -738,7 +740,7 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
                     f"at delta={delta}, rho={rho}"
                 )
             solver_config = config.solver_config(alpha_override=alpha_lb)
-            stability = _stability_iht(delta, rho, alpha_lb, roots)
+            stability = stability_factor_iht(delta, rho, alpha_lb, roots=roots)
             rho_hat = rho_hat_iht(delta, provider).rho_hat
         elif variant == VARIANT_NIHT:
             solver_config = config.solver_config()

@@ -49,23 +49,19 @@ class StabilityResult:
     xi: float
 
 
-def lhs_stable(delta, rho):
-    """Left side of the transition equation: sqrt(IF)/[(1-rho)(1 - IL(delta,rho,1-rho))],
-    at scalars or arrays that broadcast together."""
-    return _lhs(delta, rho)
-
-
 def _roots(delta, rho, f_start=None):
-    """(IF, IL(delta, rho, 1-rho)): the two tail roots that both the left side
-    (``_lhs``) and the stability factor (``_stability_core``) read, so that a
-    caller needing both solves them once.  Newton for the F root starts at
-    ``f_start`` (default: its own estimate)."""
+    """(IF, IL(delta, rho, 1-rho)): the two tail roots that the left side, the
+    IHT stepsize interval and the stability factors all read.  A caller that
+    needs several of them solves the roots once and passes them as ``roots=``.
+    Newton for the F root starts at ``f_start`` (default: its own estimate)."""
     rho = np.asarray(rho, dtype=float)
     return _if_root(delta, rho, f_start).value, tail_il(TailInputs(delta, rho, 1.0 - rho)).value
 
 
-def _lhs(delta, rho, roots=None):
-    """``lhs_stable`` from the ``_roots`` of (delta, rho), solved here if not given."""
+def lhs_stable(delta, rho, *, roots=None):
+    """Left side of the transition equation: sqrt(IF)/[(1-rho)(1 - IL(delta,rho,1-rho))],
+    at scalars or arrays that broadcast together, from the ``_roots`` of
+    (delta, rho), solved here if not given."""
     f_root, il = _roots(delta, rho) if roots is None else roots
     denom = (1.0 - np.asarray(rho, dtype=float)) * (1.0 - il)
     if np.any(denom < 1e-300):
@@ -124,7 +120,7 @@ def _solve_rho(delta, kappa: float, provider: RipBoundProvider) -> TransitionRes
     def evaluate(d, rho, f_start=None):
         """(rho, difference of the sides, F root) at each point, stacked last."""
         roots = _roots(d, rho, f_start)
-        lhs = _lhs(d, rho, roots)
+        lhs = lhs_stable(d, rho, roots=roots)
         return np.stack(np.broadcast_arrays(rho, lhs - _alpha_lb(d, rho, kappa, provider), roots[0]), -1)
 
     # The first step evaluates the bracket ends too.
@@ -189,40 +185,26 @@ def _check_kappa(kappa: float) -> None:
         raise InvalidArgumentError(f"kappa must be finite, got {kappa}")
 
 
-def stepsize_interval_iht(delta, rho, provider: RipBoundProvider):
+def stepsize_interval_iht(delta, rho, provider: RipBoundProvider, *, roots=None):
     """Admissible IHT stepsize interval (lo, hi); None when empty.  Over
-    arrays, the arrays (lo, hi) with NaN where the interval is empty."""
-    return _interval_iht(delta, rho, provider)
-
-
-def _interval_iht(delta, rho, provider: RipBoundProvider, roots=None):
-    """``stepsize_interval_iht`` from the ``_roots`` of (delta, rho), solved here if not given."""
-    lo, hi = _lhs(delta, rho, roots), _alpha_lb(delta, rho, 1.0, provider)
+    arrays, the arrays (lo, hi) with NaN where the interval is empty.  Reads
+    the ``_roots`` of (delta, rho), solved here if not given."""
+    lo, hi = lhs_stable(delta, rho, roots=roots), _alpha_lb(delta, rho, 1.0, provider)
     empty = lo >= hi
     if np.ndim(empty) == 0:
         return None if empty else (lo, hi)
     return np.where(empty, np.nan, lo), np.where(empty, np.nan, hi)
 
 
-def stepsize_midpoint_iht(delta, rho, provider: RipBoundProvider):
+def stepsize_midpoint_iht(delta, rho, provider: RipBoundProvider, *, roots=None):
     """The default IHT stepsize, the midpoint of the admissible interval, and
     that interval.  An empty interval raises StabilityUndefinedError at one
-    point and gives NaN over arrays."""
-    return _stepsize_iht(delta, rho, provider)[:2]
-
-
-def _stepsize_iht(delta, rho, provider: RipBoundProvider, alpha=None):
-    """(alpha, interval, roots) at (delta, rho): the IHT stepsize ``alpha``,
-    by default the midpoint of the admissible interval (as
-    ``stepsize_midpoint_iht``); that interval (as ``stepsize_interval_iht``);
-    and the ``_roots`` it reads, solved once, for ``_stability_iht``."""
-    roots = _roots(delta, rho)
-    interval = _interval_iht(delta, rho, provider, roots)
-    if alpha is None:
-        if interval is None:
-            raise StabilityUndefinedError(f"empty admissible stepsize interval at delta={delta}, rho={rho}")
-        alpha = 0.5 * (interval[0] + interval[1])
-    return alpha, interval, roots
+    point and gives NaN over arrays.  Reads the ``_roots`` of (delta, rho),
+    solved here if not given."""
+    interval = stepsize_interval_iht(delta, rho, provider, roots=roots)
+    if interval is None:
+        raise StabilityUndefinedError(f"empty admissible stepsize interval at delta={delta}, rho={rho}")
+    return 0.5 * (interval[0] + interval[1]), interval
 
 
 def _stability_core(delta, rho, alpha, one_plus_a: bool, roots=None):
@@ -231,37 +213,37 @@ def _stability_core(delta, rho, alpha, one_plus_a: bool, roots=None):
 
     The factor is undefined where alpha*(1-rho)*(1-IL) does not exceed
     sqrt(IF): a scalar point raises StabilityUndefinedError, arrays hold NaN.
+    The two upper tail roots are solved only where it is defined.
     """
     f_root, il = _roots(delta, rho) if roots is None else roots
     sqrt_f = np.sqrt(f_root)
     scaled = alpha * (1.0 - rho) * (1.0 - il)
-    if np.ndim(scaled) == 0 and not scaled > sqrt_f:
+    defined = np.asarray(scaled > sqrt_f)
+    if defined.ndim == 0 and not defined:
         raise StabilityUndefinedError(
             f"stability undefined at delta={delta}, rho={rho}: "
             f"alpha*(1-rho)*(1-IL) = {scaled:.6g} does not exceed sqrt(IF) = {sqrt_f:.6g}"
         )
-    iu1 = tail_iu(TailInputs(delta, rho, 1.0 - rho)).value
-    iu2 = tail_iu(TailInputs(delta, rho, rho)).value
-    product = np.sqrt(rho * (1.0 - rho) * (1.0 + iu1) * (1.0 + iu2))
-    a = np.where(scaled > sqrt_f, (sqrt_f + alpha * product) / (scaled - sqrt_f), np.nan)
+    d, r = (np.broadcast_to(np.asarray(v, dtype=float), defined.shape)[defined] for v in (delta, rho))
+    iu1 = tail_iu(TailInputs(d, r, 1.0 - r)).value
+    iu2 = tail_iu(TailInputs(d, r, r)).value
+    product = np.full(defined.shape, np.nan)
+    product[defined] = np.sqrt(r * (1.0 - r) * (1.0 + iu1) * (1.0 + iu2))
+    a = np.where(defined, (sqrt_f + alpha * product) / (scaled - sqrt_f), np.nan)
     if one_plus_a:
         return _unwrap(a), _unwrap(np.sqrt(f_root * (1.0 + a) ** 2 + a**2))
     return _unwrap(a), _unwrap(np.sqrt(f_root * a**2 + a**2))
 
 
-def stability_factor_iht(delta, rho, alpha) -> StabilityResult:
+def stability_factor_iht(delta, rho, alpha, *, roots=None) -> StabilityResult:
     """Noise stability factor for IHT at stepsize alpha, over scalars or
-    arrays (see ``_stability_core``).
+    arrays (see ``_stability_core``), from the ``_roots`` of (delta, rho),
+    solved here if not given.
 
     Requires a positive finite alpha strictly above the stable-point
     threshold; over arrays a NaN alpha marks a point without a stepsize and
     gives NaN, and an infinite one is refused as at one point.
     """
-    return _stability_iht(delta, rho, alpha)
-
-
-def _stability_iht(delta, rho, alpha, roots=None) -> StabilityResult:
-    """``stability_factor_iht`` from the ``_roots`` of (delta, rho), solved here if not given."""
     values = np.asarray(alpha, dtype=float)
     if np.any((values <= 0) | (values == np.inf)) or values.ndim == 0 and np.isnan(values):
         raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")
@@ -287,9 +269,10 @@ def stability_factor_niht(
     if xi_variant not in XI_NIHT_VARIANTS:
         raise InvalidArgumentError(f"xi_variant must be one of {XI_NIHT_VARIANTS}")
     _check_kappa(kappa)
-    return StabilityResult(*_stability_core(
-        delta, rho, _alpha_lb(delta, rho, kappa, provider), one_plus_a=(xi_variant == XI_NIHT_WITH_ONE_PLUS_A)
-    ))
+    # The roots first: they refuse a (delta, rho) outside the domain before the provider sees it.
+    roots = _roots(delta, rho)
+    alpha = _alpha_lb(delta, rho, kappa, provider)
+    return StabilityResult(*_stability_core(delta, rho, alpha, xi_variant == XI_NIHT_WITH_ONE_PLUS_A, roots))
 
 
 def default_delta_grid(num: int = 100) -> np.ndarray:
@@ -340,8 +323,8 @@ def grid_emit(
     if kind == "stepsize_iht":
         return _csv_rows("delta,rho,alpha_lo,alpha_hi", d, r, *stepsize_interval_iht(d, r, provider))
     if kind == "xi_iht":
-        alpha, _, roots = _stepsize_iht(d, r, provider)
-        xi = _stability_iht(d, r, alpha, roots).xi
+        roots = _roots(d, r)
+        xi = stability_factor_iht(d, r, stepsize_midpoint_iht(d, r, provider, roots=roots)[0], roots=roots).xi
     else:
         xi = stability_factor_niht(d, r, kappa, provider, xi_variant=xi_variant).xi
     return _csv_rows("delta,rho,xi", d, r, xi)

@@ -133,6 +133,17 @@ def test_stability_iht_solves_each_shared_root_once(monkeypatch, capsys, alpha):
     assert sorted(solves) == ["_if_root", "tail_il"]
 
 
+@pytest.mark.parametrize("variant", ["iht", "niht"])
+@pytest.mark.parametrize("delta, rho, message", [
+    ("0.5", "0.6", "rho must lie in (0, 1/2], got 0.6"),
+    ("0", "0.1", "delta must lie in (0, 1], got 0.0"),
+    ("1.5", "0.1", "delta must lie in (0, 1], got 1.5"),
+])
+def test_stability_out_of_range_point_exits_2(capsys, variant, delta, rho, message):
+    assert run_cli(["stability", "--variant", variant, "--delta", delta, "--rho", rho]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_stability_undefined_exits_3(capsys):
     assert run_cli(["stability", "--delta", "0.5", "--rho", "0.4", "--alpha", "0.5"]) == EXIT_NUMERICAL
 
@@ -197,7 +208,7 @@ def _no_work(*args, **kwargs):
     pytest.param(["rip"], "rip_exact", id="rip"),
     pytest.param(["tailbound", "--delta", "0.5", "--rho", "0.25"], "tail_iu", id="tailbound"),
     pytest.param(["phase-bound", "--grid-points", "10"], "grid_emit", id="phase-bound"),
-    pytest.param(["stability", "--delta", "0.5", "--rho", "0.008"], "_stepsize_iht", id="stability"),
+    pytest.param(["stability", "--delta", "0.5", "--rho", "0.008"], "_roots", id="stability"),
 ])
 @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-parent"])
 def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, work, missing):

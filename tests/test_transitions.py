@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -374,9 +375,9 @@ def record_calls(monkeypatch, name):
     positional arguments of each call."""
     calls, function = [], getattr(transitions, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return function(*args)
+        return function(*args, **kwargs)
 
     monkeypatch.setattr(transitions, name, wrapper)
     return calls
@@ -384,7 +385,7 @@ def record_calls(monkeypatch, name):
 
 def test_hundred_delta_curve_within_twenty_steps(provider, monkeypatch):
     # Bisection, one point a delta and step, took 58 evaluations.
-    calls = record_calls(monkeypatch, "_lhs")
+    calls = record_calls(monkeypatch, "lhs_stable")
     rho_hat_iht(default_delta_grid(100), provider)
     assert len(calls) <= 20
     # Every evaluation gives each of its deltas the floor of points.
@@ -396,7 +397,7 @@ def test_hundred_delta_curve_within_twenty_steps(provider, monkeypatch):
 def test_hundred_delta_curve_within_twelve_steps(provider, monkeypatch, kappa, grid):
     # The fixed ladder of rho points took 16-17 evaluations.
     deltas = default_delta_grid(100) if grid == "default" else random_log_grid(grid, 100)
-    calls = record_calls(monkeypatch, "_lhs")
+    calls = record_calls(monkeypatch, "lhs_stable")
     res = rho_hat_niht(deltas, kappa, provider)
     assert len(calls) <= 12
     assert np.all(res.residual <= 1e-10)
@@ -408,7 +409,7 @@ def test_hundred_delta_curve_within_eight_steps(provider, monkeypatch, kappa, gr
     # Running every bracket down to one ulp took 9-10 evaluations: the last
     # ones were spent below the rounding-noise floor.
     deltas = default_delta_grid(100) if grid == "default" else random_log_grid(grid, 100)
-    calls = record_calls(monkeypatch, "_lhs")
+    calls = record_calls(monkeypatch, "lhs_stable")
     res = rho_hat_niht(deltas, kappa, provider)
     assert len(calls) <= 8
     assert np.all(res.residual <= 1e-10)
@@ -459,6 +460,73 @@ def test_xi_iht_rows_match_midpoint_then_stability(provider, points):
     # The composition of the public functions, each solving its own roots.
     xi = stability_factor_iht(d, r, stepsize_midpoint_iht(d, r, provider)[0]).xi
     assert grid_emit("xi_iht", provider, deltas, rho_grid=rhos) == transitions._csv_rows("delta,rho,xi", d, r, xi)
+
+
+ROOTS_POINTS = {
+    "scalar": (0.5, 0.008),
+    "array": (np.array([0.05, 0.5, 1.0]), np.array([0.004, 0.008, 0.3])),
+}
+
+
+@pytest.mark.parametrize("quantity", ["lhs", "interval", "midpoint", "stability"])
+@pytest.mark.parametrize("point", ROOTS_POINTS)
+def test_shared_roots_give_the_same_bits(provider, quantity, point):
+    delta, rho = ROOTS_POINTS[point]
+    alpha = np.where(np.asarray(rho) < 0.3, 0.55, np.nan)[()]
+    compute = {
+        "lhs": lambda **kw: lhs_stable(delta, rho, **kw),
+        "interval": lambda **kw: stepsize_interval_iht(delta, rho, provider, **kw),
+        "midpoint": lambda **kw: stepsize_midpoint_iht(delta, rho, provider, **kw),
+        "stability": lambda **kw: stability_factor_iht(delta, rho, alpha, **kw),
+    }[quantity]
+    # A pickle holds every bit and every type of the result.
+    assert pickle.dumps(compute(roots=transitions._roots(delta, rho))) == pickle.dumps(compute())
+
+
+def count_upper_root_points(monkeypatch):
+    """Record each ``tail_iu`` solve; returns the list of the number of points of each."""
+    counts, function = [], transitions.tail_iu
+
+    def wrapper(inputs):
+        counts.append(np.broadcast(inputs.delta, inputs.rho, inputs.lam).size)
+        return function(inputs)
+
+    monkeypatch.setattr(transitions, "tail_iu", wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["xi_iht", "xi_niht"])
+@pytest.mark.parametrize("points", [5, 20])
+def test_xi_grid_solves_upper_roots_only_where_xi_is_defined(provider, monkeypatch, kind, points):
+    counts = count_upper_root_points(monkeypatch)
+    rows = grid_emit(kind, provider, default_delta_grid(points), rho_grid=np.linspace(0.001, 0.5, points))
+    defined = sum(row.split(",")[2] != "" for row in rows[1:])
+    assert 0 < defined < points * points
+    # One solve for each of the two upper roots, at the defined points only.
+    assert counts == [defined, defined]
+
+
+def test_all_undefined_array_solves_no_upper_root(provider, monkeypatch):
+    counts = count_upper_root_points(monkeypatch)
+    rhos = np.array([0.3, 0.4, 0.5])
+    result = stability_factor_niht(np.full(3, 0.5), rhos, 1.1, provider)
+    assert np.all(np.isnan(result.a)) and np.all(np.isnan(result.xi))
+    result = stability_factor_iht(np.full(3, 0.5), rhos, np.full(3, np.nan))
+    assert np.all(np.isnan(result.a)) and np.all(np.isnan(result.xi))
+    assert counts == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("kind", ["xi_iht", "xi_niht"])
+def test_xi_grid_refuses_rho_above_half(provider, kind):
+    with pytest.raises(InvalidArgumentError, match=r"rho must lie in \(0, 1/2\], got"):
+        grid_emit(kind, provider, [0.5], rho_grid=[0.25, 0.6])
+
+
+def test_scalar_point_solves_upper_roots_once_and_returns_floats(provider, monkeypatch):
+    counts = count_upper_root_points(monkeypatch)
+    for result in (stability_factor_iht(0.5, 0.008, 0.55), stability_factor_niht(0.5, 0.008, 1.1, provider)):
+        assert type(result.a) is float and type(result.xi) is float
+    assert counts == [1, 1, 1, 1]
 
 
 def ladder_points(a, b, ga, gb, width, m):
