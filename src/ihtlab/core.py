@@ -14,10 +14,10 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidArgumentError, ShapeMismatchError, SingularMatrixError
 
-# 2-norm condition number of R (``np.linalg.cond``, from its singular values,
-# not an estimate) above which a least-squares subproblem is treated as rank
-# deficient.  Exact general position holds almost surely for Gaussian
-# ensembles but not in floating point.
+# 2-norm condition number of R, s_max/s_min from its singular values as
+# ``np.linalg.cond`` takes it (not an estimate), above which a least-squares
+# subproblem is treated as rank deficient.  Exact general position holds
+# almost surely for Gaussian ensembles but not in floating point.
 RANK_DEFICIENCY_CONDITION = 1e12
 
 COEFFICIENT_MODELS = ("unit", "gaussian", "uniform")
@@ -325,28 +325,33 @@ def vecdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _qr_solve(A_gamma, rhs) -> tuple[np.ndarray, list]:
-    """Thin QR of each slice of a ``(..., m, p)`` stack and, for each
-    right-hand side v, the triple ``(v, c, y)`` with c = Q^T v and
-    y = R^{-1} c.  The first slice in order that fails the rank check
-    raises."""
+def _qr_factor(A_gamma, rhs) -> tuple[np.ndarray, np.ndarray, list]:
+    """Thin QR, A_gamma = QR, of a ``(..., m, p)`` stack, after checking it and its right-hand sides."""
     A_gamma = np.asarray(A_gamma, dtype=float)
     rhs = [np.asarray(v, dtype=float) for v in rhs]
     if A_gamma.ndim < 2 or any(v.shape != A_gamma.shape[:-1] for v in rhs):
         raise ShapeMismatchError(
             f"expected matrices ({A_gamma.shape}) and vectors of shape {A_gamma.shape[:-1]}"
         )
-    m, p = A_gamma.shape[-2:]
-    if p > m:
+    if A_gamma.shape[-1] > A_gamma.shape[-2]:
         raise InvalidArgumentError("submatrix must have at least as many rows as columns")
-    Q, R = np.linalg.qr(A_gamma)
-    if p:
-        R_flat = R.reshape(-1, p, p)
-        singular = np.diagonal(R_flat, axis1=1, axis2=2).min(axis=1) == 0.0
-        cond = np.where(singular, np.inf, np.linalg.cond(R_flat))
+    return *np.linalg.qr(A_gamma), rhs
+
+
+def _check_rank(R: np.ndarray, s: np.ndarray) -> None:
+    """Raise for the first slice whose 2-norm condition number, s[0]/s[-1] from R's singular values s
+    as in ``np.linalg.cond`` (infinite for a zero on R's diagonal), exceeds ``RANK_DEFICIENCY_CONDITION``."""
+    if R.shape[-1]:
+        singular = np.diagonal(R, axis1=-2, axis2=-1).min(axis=-1) == 0.0
+        with np.errstate(all="ignore"):
+            cond = np.where(singular, np.inf, s[..., 0] / s[..., -1]).ravel()
         bad = ~(cond <= RANK_DEFICIENCY_CONDITION)
         if bad.any():
             raise SingularMatrixError(float(cond[np.argmax(bad)]))
+
+
+def _qr_solve(Q: np.ndarray, R: np.ndarray, rhs: list) -> list:
+    """For each right-hand side v, the triple ``(v, c, y)`` with c = Q^T v and y = R^{-1} c."""
     # Imported here: scipy.linalg is 6 MB of resident memory that only this needs.
     from scipy.linalg.lapack import dtrtrs
 
@@ -354,12 +359,12 @@ def _qr_solve(A_gamma, rhs) -> tuple[np.ndarray, list]:
     for v in rhs:
         c = matvec(Q.mT, v)
         y = c.copy()
-        for i in np.ndindex(c.shape[:-1]) if p else ():
+        for i in np.ndindex(c.shape[:-1]) if R.shape[-1] else ():
             # The call solve_triangular(R[i], c[i]) makes, without its checks;
             # one right-hand side per call, as two in one call round otherwise.
             y[i] = dtrtrs(R[i].T, c[i], lower=1, trans=1)[0]
         out.append((v, c, y))
-    return Q, out
+    return out
 
 
 def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -373,15 +378,17 @@ def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> list[tuple[np.
     ``SingularMatrixError`` for the first slice whose R has a 2-norm condition
     number (``np.linalg.cond``) above ``RANK_DEFICIENCY_CONDITION``.
     """
-    Q, solved = _qr_solve(A_gamma, rhs)
-    return [(y, v - matvec(Q, c)) for v, c, y in solved]
+    Q, R, rhs = _qr_factor(A_gamma, rhs)
+    _check_rank(R, np.linalg.svd(R, compute_uv=False))
+    return [(y, v - matvec(Q, c)) for v, c, y in _qr_solve(Q, R, rhs)]
 
 
 def pseudo_inverse_apply(A_gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Least-squares solution y of A_gamma y ~ v: the coefficients of
     ``least_squares_split`` without the residual."""
-    _, [(_, _, y)] = _qr_solve(A_gamma, [v])
-    return y
+    Q, R, rhs = _qr_factor(A_gamma, [v])
+    _check_rank(R, np.linalg.svd(R, compute_uv=False))
+    return _qr_solve(Q, R, rhs)[0][2]
 
 
 def objective(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:

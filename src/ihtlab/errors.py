@@ -16,7 +16,7 @@ class ShapeMismatchError(InvalidArgumentError):
 class SingularMatrixError(IhtLabError):
     """A least-squares subproblem is numerically rank deficient.
 
-    Carries the condition-number estimate that triggered the error.
+    Carries the 2-norm condition number that triggered the error.
     """
 
     def __init__(self, condition: float, message: str | None = None):

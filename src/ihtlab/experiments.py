@@ -31,6 +31,9 @@ from .asymptotics import _check_range
 from .core import (
     ProblemStack,
     RngSpec,
+    _check_rank,
+    _qr_factor,
+    _qr_solve,
     least_squares_split,
     matvec,
     sample_instance,
@@ -391,10 +394,10 @@ def _distribution_trial(task) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, 
     each into the stacks, and every product, norm, SVD and solve then runs
     once over the stack.  Each slice makes the BLAS/LAPACK call of a lone
     trial, so the columns do not depend on chunking.
-    The left-hand sides come from the QR of ``least_squares_split``; the
-    right-hand sides of the noise bounds (4.3) and (4.4) are rebuilt from two
-    thin SVDs, of A_gamma and of the difference columns projected off its
-    range, so each violation flag compares two factorisations.
+    The left-hand sides come from the thin QR of A_gamma, the right-hand sides
+    of the noise bounds (4.3) and (4.4) from thin SVDs of A_gamma and of the
+    difference columns projected off its range.  LAPACK's ``dgesdd`` takes
+    A_gamma's SVD through this same QR at n >= 2k, so it is built from it here.
     """
     config, z, z_ray, trials, keys = task
     n, k, r, sigma = config.n, config.k, config.overlap, config.sigma
@@ -418,7 +421,15 @@ def _distribution_trial(task) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, 
     z_norm2 = float(z @ z)
 
     v = A_diff @ z
-    (y, w), *noise = least_squares_split(A_gamma, v, *([e] if sigma > 0 else []))
+    if sigma > 0:
+        Q, R, rhs = _qr_factor(A_gamma, [v, e])
+        U_R, s, _ = np.linalg.svd(R)
+        _check_rank(R, s)
+        (y, w), (y_e, w_e) = [(y, u - matvec(Q, c)) for u, c, y in _qr_solve(Q, R, rhs)]
+        # U1 = Q U_R in dgesdd's column-major gemm; a C-order Q @ U_R sums in another order.
+        U1 = np.ascontiguousarray((np.ascontiguousarray(U_R.mT) @ np.ascontiguousarray(Q.mT)).mT)
+    else:
+        [(y, w)] = least_squares_split(A_gamma, v)
     quad = vecdot(v, w) / z_norm2
     lhs_full = _norm(matvec(A_diff.mT, w)) / math.sqrt(z_norm2)
     columns = {
@@ -430,15 +441,12 @@ def _distribution_trial(task) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, 
         "viol_42": lhs_full < quad - 1e-12 * (1.0 + np.abs(quad)),
     }
     if sigma > 0:
-        [(y_e, w_e)] = noise
         lhs_43 = _norm(y_e)
         # float_power calls libm pow as Python's ``x**2`` does; ``**`` on an
         # array multiplies, which differs in the last bit now and then.
         lhs_44_sq = np.float_power(_norm(matvec(A_diff.mT, w_e)), 2)
-        # The coupled right-hand sides, rebuilt from thin SVDs of the same
-        # draw, apart from the QR above: A_gamma = U1 diag(s) V^T, and the
-        # difference columns projected off range(A_gamma), D = W diag(s_D) Y^T.
-        U1, s, _ = np.linalg.svd(A_gamma, full_matrices=False)
+        # The coupled right-hand sides in spectral form: A_gamma = U1 diag(s) V^T, and
+        # the difference columns projected off range(A_gamma), D = W diag(s_D) Y^T.
         rhs_43 = _norm(matvec(U1.mT, e) / s)
         W, s_D, _ = np.linalg.svd(A_diff - U1 @ (U1.mT @ A_diff), full_matrices=False)
         We = matvec(W.mT, e)

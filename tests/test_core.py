@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ihtlab.core import (
+    RANK_DEFICIENCY_CONDITION,
     ProblemInstance,
     ProblemStack,
     RngSpec,
@@ -18,6 +19,8 @@ from ihtlab.core import (
     sample_noise,
     sample_sparse_signal,
     top_mask,
+    _check_rank,
+    _qr_factor,
 )
 from ihtlab.errors import InvalidArgumentError, ShapeMismatchError, SingularMatrixError
 
@@ -203,6 +206,74 @@ class TestLeastSquaresSplitStack:
             pseudo_inverse_apply(A, v)
         assert math.isfinite(stacked.value.condition)
         assert stacked.value.condition == alone.value.condition
+
+
+def _conditioned_stack(conds):
+    """A stack of 9 x 4 matrices U diag(s) V^T, slice j with singular values
+    log-spaced from 1 down to 1/conds[j], and its right-hand sides."""
+    gen = RngSpec(31).generator()
+    A = []
+    for cond in conds:
+        U = np.linalg.qr(gen.standard_normal((9, 4)))[0]
+        V = np.linalg.qr(gen.standard_normal((4, 4)))[0]
+        A.append((U * np.logspace(0, -math.log10(cond), 4)) @ V.T)
+    return np.stack(A), gen.standard_normal((len(conds), 9))
+
+
+class TestRankCheck:
+    # Prescribed condition numbers log-spaced across the threshold, and four
+    # within 1% of it, in an order where the first refused slice is neither
+    # the best nor the worst conditioned of the refused ones.
+    CONDS = np.random.default_rng(7).permutation(
+        np.append(np.logspace(10, 14, 41), RANK_DEFICIENCY_CONDITION * np.array([0.99, 0.997, 1.003, 1.01]))
+    )
+
+    def test_refuses_exactly_where_cond_of_r_exceeds_threshold(self):
+        A, v = _conditioned_stack(self.CONDS)
+        cond = np.linalg.cond(np.linalg.qr(A)[1])
+        refused = cond > RANK_DEFICIENCY_CONDITION
+        first = cond[np.argmax(refused)]
+        assert not refused[0] and cond[refused].min() < first < cond[refused].max()
+        for j in range(len(A)):
+            if refused[j]:
+                with pytest.raises(SingularMatrixError) as excinfo:
+                    least_squares_split(A[j], v[j])
+                assert excinfo.value.condition == cond[j]
+            else:
+                least_squares_split(A[j], v[j])
+        with pytest.raises(SingularMatrixError) as stacked:
+            least_squares_split(A, v)
+        assert stacked.value.condition == first
+
+    def test_singular_values_with_vectors_give_the_same_decisions(self):
+        # mc-dist at sigma > 0 checks the singular values of R's SVD with
+        # vectors, whose ratio may differ from cond's in the last bits.
+        A, v = _conditioned_stack(self.CONDS)
+        cond = np.linalg.cond(np.linalg.qr(A)[1])
+        assert np.all(np.abs(cond / RANK_DEFICIENCY_CONDITION - 1) > 1e-14)
+        refused = cond > RANK_DEFICIENCY_CONDITION
+
+        def check(A_j, v_j):
+            _, R, _ = _qr_factor(A_j, [v_j])
+            _check_rank(R, np.linalg.svd(R)[1])
+
+        for j in range(len(A)):
+            if refused[j]:
+                with pytest.raises(SingularMatrixError) as excinfo:
+                    check(A[j], v[j])
+                assert excinfo.value.condition == pytest.approx(cond[j], rel=1e-14)
+            else:
+                check(A[j], v[j])
+        with pytest.raises(SingularMatrixError) as stacked:
+            check(A, v)
+        assert stacked.value.condition == pytest.approx(cond[np.argmax(refused)], rel=1e-14)
+
+    def test_zero_on_the_diagonal_is_infinitely_ill_conditioned(self):
+        R = np.triu(np.ones((3, 3, 3)))
+        R[1, 2, 2] = 0.0
+        with pytest.raises(SingularMatrixError) as excinfo:
+            _check_rank(R, np.linalg.svd(R, compute_uv=False))
+        assert excinfo.value.condition == math.inf
 
 
 class TestObjective:

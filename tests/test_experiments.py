@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ihtlab.asymptotics import chi2_cdf
-from ihtlab.core import RngSpec, SupportSet, sample_gaussian_matrix, sample_instance, sample_noise
+from ihtlab.core import (
+    RngSpec, SupportSet, least_squares_split, matvec, sample_gaussian_matrix, sample_instance, sample_noise, vecdot,
+)
 from ihtlab.errors import ConfigError
 from ihtlab import experiments
 from ihtlab.experiments import (
@@ -34,6 +36,45 @@ def _chunk(config, z, z_ray, trials):
     """A distribution chunk task with the stream 1 and 2 keys of its trials."""
     keys = [RngSpec(config.master_seed, s).substream_keys(0, trials) for s in (1, 2)]
     return config, z, z_ray, trials, np.stack(keys, axis=1)
+
+
+def _separate_svd_columns(config, z, trials):
+    """One sigma > 0 chunk's mc-dist columns with a thin SVD of A_gamma taken
+    apart from its QR, from the draws ``_distribution_trial`` left in the
+    chunk stacks."""
+    n, k, r, sigma = config.n, config.k, config.overlap, config.sigma
+    T, m = len(trials), n * (k + r)
+    draws, _ = experiments._chunk_stacks(T, n, k, r)
+    cols, e = draws[:, :m].reshape(T, n, k + r), draws[:, m:]
+    A_gamma, A_diff = cols[..., :k], cols[..., k:]
+    z_norm2 = float(z @ z)
+    v = A_diff @ z
+    (y, w), (y_e, w_e) = least_squares_split(A_gamma, v, e)
+    quad = vecdot(v, w) / z_norm2
+    lhs_42 = experiments._norm(matvec(A_diff.mT, w)) / math.sqrt(z_norm2)
+    lhs_43 = experiments._norm(y_e)
+    lhs_44_sq = np.float_power(experiments._norm(matvec(A_diff.mT, w_e)), 2)
+    U1, s, _ = np.linalg.svd(A_gamma, full_matrices=False)
+    rhs_43 = experiments._norm(matvec(U1.mT, e) / s)
+    W, s_D, _ = np.linalg.svd(A_diff - U1 @ (U1.mT @ A_diff), full_matrices=False)
+    We = matvec(W.mT, e)
+    sWe = s_D * We
+    h_norm2, rhs_44_sq = vecdot(We, We), vecdot(sWe, sWe)
+    return {
+        "trial": np.asarray(trials),
+        "f_sample": vecdot(y, y) / z_norm2,
+        "lhs_42": lhs_42,
+        "quad_42": quad,
+        "r_sample": quad * n / (n - k),
+        "viol_42": lhs_42 < quad - 1e-12 * (1.0 + np.abs(quad)),
+        "g_sample": np.float_power(lhs_43, 2) / sigma**2,
+        "viol_43": lhs_43 > rhs_43 + 1e-12 * (1.0 + rhs_43),
+        "lhs_44_sq": lhs_44_sq,
+        "rhs_44_sq": rhs_44_sq,
+        "viol_44": lhs_44_sq > rhs_44_sq + 1e-12 * (1.0 + rhs_44_sq),
+        "s_sample": np.divide(rhs_44_sq, h_norm2, out=np.zeros(T), where=h_norm2 > 0) * n / (n - k),
+        "t_sample": h_norm2 * n / sigma**2,
+    }
 
 
 class TestStatisticsHelpers:
@@ -366,6 +407,30 @@ class TestDistributionCheck:
             gen = RngSpec(config.master_seed, 2).substream(0, trial)
             pair = [sample_gaussian_matrix(n, k, gen) for _ in range(2)]
             assert blocks[i].tobytes() == np.stack(pair).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, k, r, seed",
+        [(2, 1, 1, 1), (12, 1, 1, 2), (30, 6, 3, 3), (40, 10, 5, 4), (60, 16, 8, 5), (100, 32, 5, 6)],
+    )
+    def test_noise_columns_equal_separate_svd_oracle(self, n, k, r, seed):
+        # The right-hand sides of (4.3) and (4.4) take A_gamma's thin SVD from
+        # the QR of the left-hand sides.  Over ragged chunks, every column is
+        # bit-equal to the one computed with a separate
+        # np.linalg.svd(A_gamma, full_matrices=False); at k = 16 and 32 a
+        # C-order Q @ U_R would differ in the last bits.
+        trials = 2 * experiments.DISTRIBUTION_CHUNK + 5
+        config = ExperimentConfig.from_dict(
+            {"kind": "mc_distribution", "n": n, "k": k, "overlap": r,
+             "trials": trials, "master_seed": seed, "sigma": 1.0}
+        )
+        z = RngSpec(seed).generator().standard_normal(r)
+        for start in range(0, trials, experiments.DISTRIBUTION_CHUNK):
+            chunk = range(start, min(start + experiments.DISTRIBUTION_CHUNK, trials))
+            columns, _ = experiments._distribution_trial(_chunk(config, z, np.ones(k), chunk))
+            oracle = _separate_svd_columns(config, z, chunk)
+            assert sorted(columns) == sorted(oracle)
+            for key, column in columns.items():
+                assert column.dtype == oracle[key].dtype and column.tobytes() == oracle[key].tobytes(), key
 
     def test_builds_no_seed_sequence_per_trial(self, monkeypatch):
         built = []
