@@ -428,6 +428,7 @@ def _distribution_trial(task) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, 
         (y, w), (y_e, w_e) = [(y, u - matvec(Q, c)) for u, c, y in _qr_solve(Q, R, rhs)]
         # U1 = Q U_R in dgesdd's column-major gemm; a C-order Q @ U_R sums in another order.
         U1 = np.ascontiguousarray((np.ascontiguousarray(U_R.mT) @ np.ascontiguousarray(Q.mT)).mT)
+        del Q, R, U_R, rhs  # not needed past U1, where the SVD below peaks
     else:
         [(y, w)] = least_squares_split(A_gamma, v)
     quad = vecdot(v, w) / z_norm2

@@ -46,6 +46,14 @@ TERMINATION_STATIONARY = "linesearch_fixed_support_stationary"
 # arithmetic but floating point needs a cap.
 MAX_SHRINK_STEPS = 200
 
+# A slice diverges once ||r||^2 > DIVERGENCE_RATIO2 * ||b||^2, i.e.
+# ||r|| > 1e6 ||b||.  N-IHT's sufficient-decrease step never raises Psi, so
+# ||r_m|| <= ||r_0|| = ||b|| and the cap never fires for N-IHT.  Constant-
+# stepsize IHT above its stepsize bound blows up: in a 400-trial sample of
+# recovery maps no run that crossed even ||r|| > 1e3 ||b|| converged, and 1e6
+# leaves three orders of margin.
+DIVERGENCE_RATIO2 = 1e12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -132,7 +140,9 @@ class InequalityReport:
 @dataclass(eq=False)
 class StackResult:
     """What a stacked run records of each slice: its final iterate, its
-    iteration count and its termination reason.
+    iteration count and its termination reason.  A diverged slice reads an
+    all-NaN final iterate, ``config.max_iters`` iterations and ``max_iters``,
+    whenever it stopped.
 
     ``n_iterations`` and ``termination_reason`` give the summary a trace
     gives, over the whole stack, to code that tallies solver runs.
@@ -248,14 +258,19 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
     """Run IHT or N-IHT from x0 = 0 on every slice of a stack until a
     termination criterion fires for it.
 
-    This loop is the iteration kernel of both variants.  A slice whose next
-    iterate is non-finite (a divergent stepsize overflowed) stops early and
-    reports ``max_iters``, the non-convergence reason; a stationary slice ends
-    at its current iterate.  ``ShrinkageLoopError`` in any slice aborts the
+    This loop is the iteration kernel of both variants.  A slice diverges,
+    and stops, when its next iterate is non-finite (a divergent stepsize
+    overflowed) or its residual is not within the cap,
+    ||r||^2 <= ``DIVERGENCE_RATIO2`` * ||b||^2; a slice with ||b||^2 = 0 is
+    capped by nothing.  A diverged slice reports what a run to the budget
+    would: ``max_iters``, the non-convergence reason, ``config.max_iters``
+    iterations and an all-NaN final iterate.  A stationary slice ends at its
+    current iterate.  ``ShrinkageLoopError`` in any slice aborts the
     run.  A ``ProblemStack`` returns a ``StackResult``.  A ``ProblemInstance``
     runs as a stack of one and returns its full ``SolverTrace``: each
     iteration hands the iterate, residual, stepsize and shrinkage flag of its
-    step to the trace.
+    step to the trace, which records the iterates that were run, and a
+    diverged slice's NaN iterate last.
     """
     trace = SolverTrace() if isinstance(problem, ProblemInstance) else None
     stack = ProblemStack.of(problem) if trace is not None else problem
@@ -268,6 +283,8 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
     X = np.zeros((T, N))
     R = matvec(A, X) - b
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bb = vecdot(b, b)
+        cap = np.where(bb > 0, DIVERGENCE_RATIO2 * bb, math.inf)
         for m in range(config.max_iters):
             alpha, used, X_next, stationary = _step(X, R, A, k, config)
             if trace is not None and (stationary is None or not stationary[0]):
@@ -279,32 +296,39 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
             diff = X_next - X
             step_length = np.sqrt(vecdot(diff, diff))
             X, R = X_next, matvec(A, X_next) - b
+            rr = vecdot(R, R)
+            capped = ~(rr <= cap)
             # Most iterations end no slice: one cheap test of the step lengths
-            # skips the per-slice masks.  X was finite, so a non-finite X_next
-            # gives a non-finite step length.
-            if config.residual_tol == 0 and config.step_tol < step_length.min() and step_length.max() < math.inf:
+            # and residuals skips the per-slice masks.  X was finite, so a
+            # non-finite X_next gives a non-finite step length.
+            if (
+                config.residual_tol == 0 and config.step_tol < step_length.min()
+                and step_length.max() < math.inf and not capped.any()
+            ):
                 continue
             if stationary is None:
                 stationary = np.zeros(len(X), dtype=bool)
-            nonfinite = ~np.isfinite(X).all(axis=1)
+            diverged = ~np.isfinite(X).all(axis=1) | capped
             converged = step_length <= config.step_tol
-            ended = nonfinite | converged
+            ended = diverged | converged
             if config.residual_tol > 0:
-                small = np.sqrt(vecdot(R, R)) <= config.residual_tol
-                ended |= small
+                ended |= np.sqrt(rr) <= config.residual_tol
             if not ended.any():
                 continue
             for j, i in zip(np.flatnonzero(ended), live[ended]):
                 termination[i] = (
                     TERMINATION_STATIONARY if stationary[j]
-                    else TERMINATION_MAX_ITERS if nonfinite[j]
+                    else TERMINATION_MAX_ITERS if diverged[j]
                     else TERMINATION_STEP_TOL if converged[j]
                     else TERMINATION_RESIDUAL_TOL
                 )
+            # A diverged slice keeps its budget as its iteration count.
+            X[diverged] = math.nan
             final[live[ended]] = X[ended]
-            iterations[live[ended]] = m + ~stationary[ended]
+            done = ended & ~diverged
+            iterations[live[done]] = m + ~stationary[done]
             keep = ~ended
-            live, A, b, k, X, R = live[keep], A[keep], b[keep], k[keep], X[keep], R[keep]
+            live, A, b, k, cap, X, R = live[keep], A[keep], b[keep], k[keep], cap[keep], X[keep], R[keep]
             if not live.size:
                 break
         final[live] = X

@@ -12,7 +12,7 @@ from ihtlab.core import (
     RngSpec, SupportSet, least_squares_split, matvec, sample_gaussian_matrix, sample_instance, sample_noise, vecdot,
 )
 from ihtlab.errors import ConfigError
-from ihtlab import experiments
+from ihtlab import experiments, solvers
 from ihtlab.experiments import (
     STABLE_POINT_CHECK_TOL,
     ExperimentConfig,
@@ -602,8 +602,8 @@ class TestErrorVsXi:
 
 
 STACKING_CONFIGS = {
-    # Cells at rho = 0.3 diverge at alpha 0.65; one trial overflows before
-    # max_iters and leaves its stack early.
+    # Cells at rho = 0.3 diverge at alpha 0.65; their trials pass the
+    # residual cap and leave their stacks early.
     "iht_diverging": {"kind": "mc_transition", "n": 40, "delta_grid": [0.5, 0.8], "rho_grid": [0.1, 0.3],
                       "trials": 3, "master_seed": 1,
                       "solver": {"variant": "iht", "alpha": 0.65, "max_iters": 1300}},
@@ -633,10 +633,11 @@ def test_rows_independent_of_stacking(name, monkeypatch):
             # NaN (a diverged trial's error) equals NaN here.
             np.testing.assert_array_equal(got[key], expected[key], strict=True)
     if name == "iht_diverging":
+        # A diverged trial reads as a run to the budget, with a NaN error.
         diverged = expected["termination"] == "max_iters"
-        assert np.any(expected["iterations"][diverged] < 1300)
-        assert np.any(np.isnan(expected["error"][diverged]))
-        assert np.any(~np.isnan(expected["error"][diverged]))
+        assert diverged.any()
+        assert np.all(expected["iterations"][diverged] == 1300)
+        assert np.all(np.isnan(expected["error"][diverged]))
     if name == "niht_shrinking":
         # The trial (cell 1, trial 0) takes shrinkage steps.
         N, k = experiments._cell_shape(40, 0.5, 0.3)
@@ -655,6 +656,34 @@ def test_stacked_error_norms_equal_per_trial_norms():
     with np.errstate(over="ignore", invalid="ignore"):
         np.testing.assert_array_equal(errors, [np.linalg.norm(x - x0) for x, x0 in zip(result.final, x_star)])
     np.testing.assert_array_equal(experiments._norm(x_star), [np.linalg.norm(x0) for x0 in x_star])
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_divergence_cap_changes_no_outcome(seed, monkeypatch):
+    # On recovery-map's grid the capped run and the uncapped one agree on
+    # every trial's success, termination and iteration count (a diverged
+    # trial is charged its budget), and every trial that does not end on
+    # max_iters is bit-identical.  The cap never fires for N-IHT.
+    grid = {"kind": "mc_transition", "n": 60, "delta_grid": [0.3, 0.5, 0.8], "rho_grid": [0.05, 0.1, 0.2, 0.3],
+            "trials": 2, "master_seed": seed}
+
+    def columns(solver, ratio2):
+        monkeypatch.setattr(solvers, "DIVERGENCE_RATIO2", ratio2)
+        return run_experiment(ExperimentConfig.from_dict(dict(grid, solver=solver))).trial_columns
+
+    for solver in ({"variant": "iht", "alpha": 0.65, "max_iters": 1000}, {"variant": "niht", "max_iters": 1000}):
+        capped, uncapped = columns(solver, solvers.DIVERGENCE_RATIO2), columns(solver, math.inf)
+        for key in ("success", "termination", "iterations"):
+            np.testing.assert_array_equal(capped[key], uncapped[key], strict=True)
+        ended = capped["termination"] != "max_iters"
+        for key in capped:
+            assert capped[key][ended].tobytes() == uncapped[key][ended].tobytes()
+        if solver["variant"] == "niht":
+            for key in capped:
+                assert capped[key].tobytes() == uncapped[key].tobytes()
+        else:
+            # A capped trial stopped while its uncapped twin ran on to the budget.
+            assert np.any(np.isnan(capped["error"]) & np.isfinite(uncapped["error"]))
 
 
 @pytest.mark.parametrize("n", [0, -3, 1])

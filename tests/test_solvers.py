@@ -17,8 +17,10 @@ from ihtlab.core import (
     top_mask,
 )
 from ihtlab.errors import InvalidArgumentError, ShrinkageLoopError, StationaryPointError
+from ihtlab import solvers
 from ihtlab.rip import rip_exact
 from ihtlab.solvers import (
+    DIVERGENCE_RATIO2,
     MAX_SHRINK_STEPS,
     SolverConfig,
     TERMINATION_MAX_ITERS,
@@ -340,6 +342,47 @@ def test_niht_non_finite_linesearch_ends_with_max_iters():
     assert not np.all(np.isfinite(trace.final))
 
 
+def cap_stack(scale=1.0):
+    """Eight slices at n = 20, N = 40 that share A: k = 1-8 on b = A x* + e
+    times ``scale``.  At alpha = 0.65 slice 3 converges and slices 5-7
+    diverge; at alpha = 1 all but slice 0 diverge."""
+    gen = RngSpec(5).generator()
+    A = sample_gaussian_matrix(20, 40, RngSpec(5))
+    b = np.stack([A[:, :k] @ np.ones(k) + 0.01 * gen.standard_normal(20) for k in range(1, 9)])
+    return ProblemStack(np.broadcast_to(A, (8, 20, 40)).copy(), b * scale, np.arange(1, 9))
+
+
+@pytest.mark.parametrize("config", [iht_config(alpha=0.65, max_iters=300, step_tol=0.0),
+                                    niht_config(max_iters=300, step_tol=0.0)], ids=["iht", "niht"])
+def test_power_of_two_scale_of_b_moves_no_slice(config):
+    # Every iterate and residual scales exactly with b, and the cap with
+    # ||b||^2, so each slice ends as it does at scale 1.
+    plain, scaled = run_solver(cap_stack(), config), run_solver(cap_stack(2.0**-400), config)
+    assert scaled.termination == plain.termination
+    np.testing.assert_array_equal(scaled.iterations, plain.iterations)
+    np.testing.assert_array_equal(scaled.final * 2.0**400, plain.final)
+    if config.variant == "iht":
+        # The stack holds a fixed point and capped slices.
+        assert TERMINATION_STEP_TOL in plain.termination
+        assert np.isnan(plain.final).all(axis=1).any()
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-170])
+def test_zero_norm_b_is_never_capped(scale, monkeypatch):
+    # ||b||^2 = 0, exactly or by underflow: the run equals the uncapped one,
+    # although at 1e-170 the diverging iterates leave ||r||^2 > 0.
+    config = iht_config(alpha=1.0, max_iters=300, step_tol=0.0)
+    with np.errstate(under="ignore"):
+        capped = run_solver(cap_stack(scale), config)
+        monkeypatch.setattr(solvers, "DIVERGENCE_RATIO2", math.inf)
+        uncapped = run_solver(cap_stack(scale), config)
+    assert capped.termination == uncapped.termination
+    np.testing.assert_array_equal(capped.iterations, uncapped.iterations)
+    np.testing.assert_array_equal(capped.final, uncapped.final)
+    if scale:
+        assert np.isfinite(capped.final).all() and np.any(capped.final != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Reference loop: the step and linesearch bodies written out plainly, with a
 # full stable argsort for the projection and SupportSet bookkeeping, as the
@@ -392,6 +435,8 @@ def reference_run(A, b, k, config):
     records, reason = [], TERMINATION_MAX_ITERS
     x = np.zeros(A.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
+        b_norm2 = float(b @ b)
+        cap = DIVERGENCE_RATIO2 * b_norm2 if b_norm2 > 0 else math.inf
         for _ in range(config.max_iters):
             if config.variant == "iht":
                 alpha, used = config.alpha, False
@@ -410,11 +455,13 @@ def reference_run(A, b, k, config):
                     reason = TERMINATION_STATIONARY
                     break
             records.append((x, alpha, objective(x), used))
-            if not np.all(np.isfinite(x_next)):
-                x = x_next
-                break
             step = float(np.linalg.norm(x_next - x))
             x = x_next
+            r = A @ x - b
+            # Diverged: a non-finite iterate or a residual above the cap.
+            if not (np.all(np.isfinite(x)) and float(r @ r) <= cap):
+                x = np.full_like(x, math.nan)
+                break
             if step <= config.step_tol:
                 reason = TERMINATION_STEP_TOL
                 break
@@ -492,7 +539,9 @@ def test_kernel_matches_reference_loop_exactly(drawn):
     else:
         for i, (records, reason) in enumerate(expected):
             np.testing.assert_array_equal(result.final[i], records[-1][0])
-            assert result.iterations[i] == len(records) - 1
+            # A diverged run is charged its whole budget; the others, the
+            # iterations they ran.
+            assert result.iterations[i] == (config.max_iters if reason == TERMINATION_MAX_ITERS else len(records) - 1)
             assert result.termination[i] == reason
 
     # The stack of one: the full trace of the first instance.
