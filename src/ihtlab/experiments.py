@@ -576,12 +576,12 @@ def _stacks(n: int, N: int, draws: list) -> list[list]:
     return [draws[i : i + size] for i in range(0, len(draws), size)]
 
 
-def _solve_stack(config, solver_config, stream: int, n: int, N: int, draws: list):
+def _solve_stack(config, solver_config, stream: int, n: int, N: int, draws: list, *, finish: bool = False):
     """The stack of the instances of ``draws``, ``(cell_id, k, trial)``
     triples whose instance comes from substream ``(cell_id, trial)`` of
-    ``stream``; their true signals; the solver's result on the stack; and each
-    final iterate's error norm, which is not finite when the iterates
-    diverged.
+    ``stream``; their true signals; the solver's result on the stack, run
+    with the certified finish when ``finish``; and each final iterate's error
+    norm, which is not finite when the iterates diverged.
 
     Each instance is drawn into a preallocated stack and dropped, so no more
     than one is alive beside it; a stack of one is a view of its instance.
@@ -602,7 +602,7 @@ def _solve_stack(config, solver_config, stream: int, n: int, N: int, draws: list
         x_star = np.empty((T, N))
         for i, instance in enumerate(instances):
             stack.A[i], stack.b[i], x_star[i] = instance.A, instance.b, instance.x_star
-    result = run_solver(stack, solver_config)
+    result = run_solver(stack, solver_config, finish=finish)
     with np.errstate(over="ignore", invalid="ignore"):
         errors = _norm(result.final - x_star)
     return stack, x_star, result, errors
@@ -705,9 +705,11 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
 def _error_stack(task) -> dict[str, np.ndarray]:
     """One stack's trial columns; a diverged trial has error inf and is neither converged nor stable.
     One stable-point test covers the stack, each final x̄ on its own support; x̄ = 0 is stable iff
-    alpha_lb * max|A^T b| <= tol."""
+    alpha_lb * max|A^T b| <= tol.  IHT runs end at the certified stable point, unless a residual
+    tolerance, the user's own stopping rule, is set."""
     config, solver_config, alpha_lb, n, N, draws = task
-    stack, _, result, errors = _solve_stack(config, solver_config, 4, n, N, draws)
+    finish = solver_config.variant == VARIANT_IHT and solver_config.residual_tol == 0
+    stack, _, result, errors = _solve_stack(config, solver_config, 4, n, N, draws, finish=finish)
     termination = np.array(result.termination)
     converged = termination != TERMINATION_MAX_ITERS
     X = result.final

@@ -19,6 +19,11 @@ termination reason: all that the Monte Carlo harness reads.  One instance
 (``ProblemInstance``) runs as a stack of one and records its full trace:
 each iterate's x, stepsize, objective and shrinkage flag, with its support
 derived from x on demand.
+
+A stack of IHT runs may ask for the certified finish (``finish=True``): a
+slice whose support has held for ``FINISH_HOLD`` iterates is tested once for
+whether its iteration provably stays on that support, and if so it ends at the
+limit x̄, the least-squares solution on the support (``_certified_point``).
 """
 from __future__ import annotations
 
@@ -41,6 +46,7 @@ TERMINATION_STEP_TOL = "step_tol"
 TERMINATION_RESIDUAL_TOL = "residual_tol"
 TERMINATION_MAX_ITERS = "max_iters"
 TERMINATION_STATIONARY = "linesearch_fixed_support_stationary"
+TERMINATION_STABLE_POINT = "stable_point"
 
 # Guard on the stepsize shrinkage loop; termination is guaranteed in exact
 # arithmetic but floating point needs a cap.
@@ -53,6 +59,10 @@ MAX_SHRINK_STEPS = 200
 # recovery maps no run that crossed even ||r|| > 1e3 ||b|| converged, and 1e6
 # leaves three orders of margin.
 DIVERGENCE_RATIO2 = 1e12
+
+# The certified finish is attempted once a slice's support has held for
+# FINISH_HOLD iterates, and again FINISH_HOLD iterates after each failure.
+FINISH_HOLD = 3
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,8 @@ class StackResult:
     """What a stacked run records of each slice: its final iterate, its
     iteration count and its termination reason.  A diverged slice reads an
     all-NaN final iterate, ``config.max_iters`` iterations and ``max_iters``,
-    whenever it stopped.
+    whenever it stopped; a slice that ends on ``stable_point`` reads the
+    certified limit x̄.
 
     ``n_iterations`` and ``termination_reason`` give the summary a trace
     gives, over the whole stack, to code that tallies solver runs.
@@ -210,7 +221,10 @@ def _shrink(alpha, x_trial, x, g, A, k, config) -> tuple[float, np.ndarray]:
             # loop's step tolerance terminate the run.
             return alpha, x_trial
         a_diff = A @ diff
-        if alpha < (1.0 - config.c) * diff_norm2 / float(a_diff @ a_diff):
+        a_diff_norm2 = float(a_diff @ a_diff)
+        # omega = ||diff||^2 / ||A diff||^2 is infinite when A diff = 0, and
+        # every stepsize passes the test alpha < (1 - c) omega.
+        if a_diff_norm2 == 0.0 or alpha < (1.0 - config.c) * diff_norm2 / a_diff_norm2:
             return alpha, x_trial
         alpha /= shrink
         x_trial = _hard_threshold((x - alpha * g)[None], k)[0]
@@ -254,7 +268,67 @@ def step(x, r, A, k, config: SolverConfig) -> tuple[float, bool, np.ndarray]:
     return float(np.ravel(alpha)[0]), bool(np.ravel(used)[0]), x_next[0]
 
 
-def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) -> SolverTrace | StackResult:
+def _certified_point(A, b, x, k, alpha, a_norms) -> np.ndarray | None:
+    """The limit x̄ = A_Γ⁺b, zero off Γ, of constant-stepsize IHT from an
+    iterate x whose support Γ has k indices, when it is certified, or None.
+    ``a_norms`` holds the column norms ||a_j|| of A.  An iterate with fewer
+    than k nonzeros is refused: H_k would keep entries outside its support.
+
+    Let x̄ be the exact A_Γ⁺b, w = b - A_Γ x̄_Γ (so A_Γᵀw = 0), d = ||x - x̄||
+    and s_max the largest singular value of A_Γ.  Before the projection the
+    next iterate is v = x - αAᵀ(Ax - b), with
+    v_Γ - x̄_Γ = (I - αA_ΓᵀA_Γ)(x_Γ - x̄_Γ) and, for j outside Γ,
+    v_j = α a_jᵀw - α (A_Γᵀa_j)ᵀ(x_Γ - x̄_Γ).  If A_Γ has full rank and
+    α s_max² < 2, I - αA_ΓᵀA_Γ contracts, so min over Γ of |v_j| >=
+    min|x̄_Γ| - d, and |v_j| <= α(|a_jᵀw| + s_max ||a_j|| d) off Γ.  If then
+    min|x̄_Γ| - d > α(max_{j∉Γ}|a_jᵀw| + s_max max_{j∉Γ}||a_j|| d),
+    H_k keeps exactly Γ and the next iterate is again on Γ within d of x̄.
+    By induction so is every later one: the iteration converges to x̄, which
+    is an α-stable point.
+
+    Rounding is covered by a stated slack, with u the unit roundoff.  The
+    contraction test asks for α s_max² (1 + n k u) < 2, which covers the
+    error of the computed s_max.  The margin test runs with d + 2ε in place
+    of d, where ε = n k u (κ(2||x̂|| + (κ + 1)||ŵ||/s_max) + d) and
+    κ = s_max/s_min.  The first term of ε is the first-order bound on the
+    distance between the computed x̂ and the exact x̄ of a backward-stable
+    least-squares solve whose backward error is n k u (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 20.1); ε then also exceeds
+    the rounding of d and of the test's own terms, which is relative n u.
+    Each term of the exact test moves by at most ε, or s_max max||a_j|| ε,
+    from the computed one, so the computed test on d + 2ε implies the exact
+    test for x̄, whose computed value x̂ is returned.
+    """
+    gamma = np.flatnonzero(x)
+    if len(gamma) != k:
+        return None
+    slack = A.shape[0] * k * np.finfo(float).eps / 2
+    A_gamma = np.ascontiguousarray(A[:, gamma])
+    x_gamma, _, rank, s = np.linalg.lstsq(A_gamma, b, rcond=None)
+    if rank < k or not alpha * s[0] ** 2 * (1.0 + slack) < 2.0:
+        return None
+    w = b - A_gamma @ x_gamma
+    diff = x[gamma] - x_gamma
+    d = math.sqrt(float(diff @ diff))
+    kappa = float(s[0] / s[-1])
+    eps = slack * (
+        kappa * (2.0 * math.sqrt(float(x_gamma @ x_gamma)) + (kappa + 1.0) * math.sqrt(float(w @ w)) / s[0]) + d
+    )
+    d += 2.0 * eps
+    off = np.ones(len(x), dtype=bool)
+    off[gamma] = False
+    corr = np.max(np.abs(A.T @ w), where=off, initial=0.0)
+    a_max = np.max(a_norms, where=off, initial=0.0)
+    if not np.min(np.abs(x_gamma)) - d > alpha * (corr + s[0] * a_max * d):
+        return None
+    x_bar = np.zeros_like(x)
+    x_bar[gamma] = x_gamma
+    return x_bar
+
+
+def run_solver(
+    problem: ProblemInstance | ProblemStack, config: SolverConfig, *, finish: bool = False
+) -> SolverTrace | StackResult:
     """Run IHT or N-IHT from x0 = 0 on every slice of a stack until a
     termination criterion fires for it.
 
@@ -271,8 +345,19 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
     iteration hands the iterate, residual, stepsize and shrinkage flag of its
     step to the trace, which records the iterates that were run, and a
     diverged slice's NaN iterate last.
+
+    With ``finish``, a slice that no other criterion ends and whose k-sparse
+    support has held for ``FINISH_HOLD`` iterates is tested by
+    ``_certified_point``, and again ``FINISH_HOLD`` iterates after each
+    failed test.  When the test certifies it, the slice ends at x̄ with
+    ``stable_point`` and the iterations run so far.  The finish needs a
+    constant stepsize and returns a point that is not an iterate, so it runs
+    on IHT stacks only: N-IHT or a ``ProblemInstance`` raises
+    ``InvalidArgumentError``.
     """
     trace = SolverTrace() if isinstance(problem, ProblemInstance) else None
+    if finish and (trace is not None or config.variant != VARIANT_IHT):
+        raise InvalidArgumentError("the certified finish runs on ProblemStacks of constant-stepsize IHT only")
     stack = ProblemStack.of(problem) if trace is not None else problem
     A, b, k = stack.A, stack.b, stack.k
     T, _, N = A.shape
@@ -282,6 +367,11 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
     live = np.arange(T)
     X = np.zeros((T, N))
     R = matvec(A, X) - b
+    if finish:
+        # Column norms ||a_j||, with no (T, n, N) temporary of squares.
+        a_norms = np.sqrt(np.einsum("...ij,...ij->...j", A, A))
+        # Iterates left before the next test; x0 = 0 is the first of its support.
+        wait = np.full(T, FINISH_HOLD - 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bb = vecdot(b, b)
         cap = np.where(bb > 0, DIVERGENCE_RATIO2 * bb, math.inf)
@@ -293,6 +383,9 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
             # A stationary slice stays at x: its null step ends it below.
             if stationary is not None and stationary.any():
                 X_next[stationary] = X[stationary]
+            if finish:
+                held = ((X_next != 0.0) == (X != 0.0)).all(axis=1)
+                wait = np.where(held, wait - 1, FINISH_HOLD - 1)
             diff = X_next - X
             step_length = np.sqrt(vecdot(diff, diff))
             X, R = X_next, matvec(A, X_next) - b
@@ -304,6 +397,7 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
             if (
                 config.residual_tol == 0 and config.step_tol < step_length.min()
                 and step_length.max() < math.inf and not capped.any()
+                and not (finish and (wait == 0).any())
             ):
                 continue
             if stationary is None:
@@ -313,6 +407,15 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
             ended = diverged | converged
             if config.residual_tol > 0:
                 ended |= np.sqrt(rr) <= config.residual_tol
+            certified = np.zeros(len(X), dtype=bool)
+            if finish:
+                for j in np.flatnonzero((wait == 0) & ~ended):
+                    x_bar = _certified_point(A[j], b[j], X[j], k[j], config.alpha, a_norms[j])
+                    if x_bar is None:
+                        wait[j] = FINISH_HOLD
+                    else:
+                        X[j], certified[j] = x_bar, True
+                ended |= certified
             if not ended.any():
                 continue
             for j, i in zip(np.flatnonzero(ended), live[ended]):
@@ -320,6 +423,7 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
                     TERMINATION_STATIONARY if stationary[j]
                     else TERMINATION_MAX_ITERS if diverged[j]
                     else TERMINATION_STEP_TOL if converged[j]
+                    else TERMINATION_STABLE_POINT if certified[j]
                     else TERMINATION_RESIDUAL_TOL
                 )
             # A diverged slice keeps its budget as its iteration count.
@@ -329,6 +433,8 @@ def run_solver(problem: ProblemInstance | ProblemStack, config: SolverConfig) ->
             iterations[live[done]] = m + ~stationary[done]
             keep = ~ended
             live, A, b, k, cap, X, R = live[keep], A[keep], b[keep], k[keep], cap[keep], X[keep], R[keep]
+            if finish:
+                a_norms, wait = a_norms[keep], wait[keep]
             if not live.size:
                 break
         final[live] = X

@@ -686,6 +686,53 @@ def test_divergence_cap_changes_no_outcome(seed, monkeypatch):
             assert np.any(np.isnan(capped["error"]) & np.isfinite(uncapped["error"]))
 
 
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_certified_finish_changes_no_mc_error_outcome(seed, monkeypatch):
+    # On recovery-map's mc-error cell, mc-error with its solver stacks run
+    # with the finish and without it agree on every trial's converged, stable,
+    # included and compliant flags.  Each finished final iterate lies within
+    # 1e-9 relative of its step_tol final, so the errors agree to 1e-9 ||x̄||,
+    # and no trial runs more iterations.
+    from ihtlab.rip import default_provider
+    from ihtlab.transitions import rho_hat_iht
+
+    rho = rho_hat_iht(0.5, default_provider()).rho_hat / 4
+    config = ExperimentConfig.from_dict(
+        {"kind": "mc_error_vs_xi", "n": 400, "delta": 0.5, "rho": rho, "sigma": 0.1, "trials": 10,
+         "master_seed": seed, "solver": {"variant": "iht", "max_iters": 1000}}
+    )
+    monkeypatch.setenv(experiments.WORKERS_ENV_VAR, "1")
+    solve_stack = experiments._solve_stack
+
+    def run(allow_finish):
+        finals = []
+
+        def recorded(*args, finish):
+            out = solve_stack(*args, finish=finish and allow_finish)
+            finals.append(out[2].final)
+            return out
+
+        monkeypatch.setattr(experiments, "_solve_stack", recorded)
+        return mc_error_vs_xi(config).trial_columns, np.concatenate(finals)
+
+    (on, final_on), (off, final_off) = run(True), run(False)
+    assert set(on["termination"]) == {"stable_point"} and set(off["termination"]) == {"step_tol"}
+    for key in ("converged", "stable", "included", "compliant"):
+        np.testing.assert_array_equal(on[key], off[key], strict=True)
+    scale = experiments._norm(final_off)
+    assert np.all(experiments._norm(final_on - final_off) <= 1e-9 * scale)
+    assert np.all(np.abs(on["error"] - off["error"]) <= 1e-9 * scale)
+    assert np.all(on["iterations"] <= off["iterations"])
+
+
+@pytest.mark.parametrize("name, finishes", [("error", True), ("niht", False), ("iht_residual_tol", False)])
+def test_mc_error_finishes_iht_runs_without_a_residual_tolerance(name, finishes):
+    # A residual tolerance is the user's own stopping rule: those runs, and
+    # N-IHT's, end as they did before the finish.
+    columns = mc_error_vs_xi(ExperimentConfig.from_dict(STABLE_ORACLE_CONFIGS[name])).trial_columns
+    assert ("stable_point" in columns["termination"]) == finishes
+
+
 @pytest.mark.parametrize("n", [0, -3, 1])
 def test_mc_error_refuses_a_cell_without_room_before_any_work(n, monkeypatch):
     # 0 < 2k <= n <= N fails: refused before the provider is loaded or a trial drawn.

@@ -19,12 +19,14 @@ from ihtlab.core import (
 from ihtlab.errors import InvalidArgumentError, ShrinkageLoopError, StationaryPointError
 from ihtlab import solvers
 from ihtlab.rip import rip_exact
+from ihtlab.stablepoint import is_stable_point
 from ihtlab.solvers import (
     DIVERGENCE_RATIO2,
     MAX_SHRINK_STEPS,
     SolverConfig,
     TERMINATION_MAX_ITERS,
     TERMINATION_RESIDUAL_TOL,
+    TERMINATION_STABLE_POINT,
     TERMINATION_STATIONARY,
     TERMINATION_STEP_TOL,
     check_iterate_inequalities,
@@ -216,6 +218,17 @@ class TestNihtStepsize:
                 assert alpha < (1 - config.c) * np.linalg.norm(diff) ** 2 / denom
                 checked += 1
         assert checked >= 5
+
+    def test_shrink_accepts_a_trial_step_in_the_null_space(self):
+        # Columns 0 and 1 are equal, so A (x_trial - x) = 0 for x = e0 and
+        # x_trial = e1: omega = ||diff||^2 / 0 is infinite and the
+        # sufficient-decrease test accepts the first stepsize.
+        A = sample_gaussian_matrix(4, 6, RngSpec(2))
+        A[:, 1] = A[:, 0]
+        x, x_trial = np.eye(6)[0], np.eye(6)[1]
+        alpha, got = solvers._shrink(0.7, x_trial, x, np.ones(6), A, np.array([1]), niht_config())
+        assert alpha == 0.7
+        np.testing.assert_array_equal(got, x_trial)
 
 
 class TestRunNiht:
@@ -418,7 +431,8 @@ def reference_linesearch(x, gamma, A, b, k, config):
         if diff_norm2 == 0.0:
             return alpha, True, x_trial
         a_diff = A @ diff
-        if alpha < (1.0 - config.c) * diff_norm2 / float(a_diff @ a_diff):
+        a_diff_norm2 = float(a_diff @ a_diff)
+        if a_diff_norm2 == 0.0 or alpha < (1.0 - config.c) * diff_norm2 / a_diff_norm2:
             return alpha, True, x_trial
         alpha /= config.kappa * (1.0 - config.c)
         x_trial = reference_threshold(x + alpha * g, k)
@@ -475,7 +489,7 @@ def reference_run(A, b, k, config):
 def outcome(run, *args):
     try:
         return run(*args)
-    except (ShrinkageLoopError, ZeroDivisionError) as exc:
+    except ShrinkageLoopError as exc:
         return type(exc)
 
 
@@ -610,3 +624,102 @@ def test_top_mask_matches_python_ordering(drawn):
     mask = top_mask(np.array(rows, dtype=float), np.array(ks))
     for row, k_row, row_mask in zip(rows, ks, mask):
         assert np.flatnonzero(row_mask).tolist() == python_top(row, k_row)
+
+
+# ---------------------------------------------------------------------------
+# The certified finish.
+
+
+def diagonal_stack(N=6):
+    """One slice, n = N, A = diag(2, 2, 1, ..., 1), k = 2 and b = A x̄ with
+    x̄ = (1, 1, 0, ..., 0): on the support {0, 1}, s_max = 2, and off it the
+    gradient vanishes at x̄."""
+    A = np.diag([2.0, 2.0] + [1.0] * (N - 2))
+    x_bar = np.zeros(N)
+    x_bar[:2] = 1.0
+    return ProblemStack(A[None], (A @ x_bar)[None], np.array([2])), x_bar
+
+
+@pytest.mark.parametrize("alpha_s2, finishes", [(1.98, True), (2.0, False), (2.02, False)])
+def test_finish_requires_a_contracting_step(alpha_s2, finishes):
+    # Near x̄ (d = 0.01) the margin holds, so alpha * s_max^2 < 2 alone
+    # decides the test.  Run from 0, IHT at 1.98 contracts by 0.98 a step and
+    # finishes at x̄ once d < 1/1.99 (fewer iterations than step_tol takes);
+    # at 2.02 it oscillates away from x̄ to max_iters.
+    stack, x_bar = diagonal_stack()
+    config = iht_config(alpha=alpha_s2 / 4, max_iters=200)
+    A, b = stack.A[0], stack.b[0]
+    x = x_bar + 0.01 * np.eye(6)[0]
+    got = solvers._certified_point(A, b, x, 2, config.alpha, np.linalg.norm(A, axis=0))
+    assert (got is not None) == finishes
+    if alpha_s2 == 2.0:
+        return
+    result = run_solver(stack, config, finish=True)
+    if finishes:
+        np.testing.assert_array_equal(got, x_bar)
+        assert result.termination == [TERMINATION_STABLE_POINT]
+        assert result.iterations[0] < run_solver(stack, config).iterations[0]
+        np.testing.assert_allclose(result.final[0], x_bar, rtol=1e-15)
+    else:
+        assert result.termination == [TERMINATION_MAX_ITERS]
+
+
+def test_finish_refuses_an_alpha_stable_point_outside_the_margin():
+    # x̄ = (1, 0) on the support {0} is alpha-stable at alpha = 0.5: its one
+    # off-support correlation is a_1^T w = 1 and |x̄_0| = 1 >= 0.5.  From an
+    # iterate at distance d = 0.5 the margin 1 - d > 0.5 (1 + d) fails and no
+    # finish is certified; at d = 0.01 it holds.
+    A = np.array([[1.0, 0.6], [0.0, 0.8], [0.0, 0.0]])
+    b = np.array([1.0, 1.25, 0.0])
+    a_norms = np.linalg.norm(A, axis=0)
+    x_bar = np.array([1.0, 0.0])
+    assert is_stable_point(x_bar, SupportSet.from_iterable([0]), 0.5, A, b, tol=1e-12).is_stable
+    assert solvers._certified_point(A, b, np.array([1.5, 0.0]), 1, 0.5, a_norms) is None
+    np.testing.assert_allclose(solvers._certified_point(A, b, np.array([1.01, 0.0]), 1, 0.5, a_norms), x_bar)
+
+
+def test_finish_refuses_rank_deficient_support():
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    a_norms = np.linalg.norm(A, axis=0)
+    assert solvers._certified_point(A, np.array([1.0, 0.0]), np.array([0.5, 0.5, 0.0]), 2, 0.5, a_norms) is None
+
+
+def test_finish_needs_a_full_support():
+    # An iterate with fewer than k nonzeros: H_k may take any zero entry
+    # next, so no support is certified, although x̄ on {0} fits b exactly.
+    A = np.eye(3)
+    assert solvers._certified_point(A, np.array([1.0, 0.0, 0.0]), np.eye(3)[0], 2, 0.5, np.ones(3)) is None
+    np.testing.assert_array_equal(solvers._certified_point(A, np.eye(3)[0], np.eye(3)[0], 1, 0.5, np.ones(3)), np.eye(3)[0])
+
+
+@pytest.mark.parametrize("problem, config", [
+    (cap_stack(), niht_config()),
+    (sample_instance(20, 40, 2, 0.0, RngSpec(1)), iht_config()),
+], ids=["niht", "trace"])
+def test_finish_refused_for_niht_and_traces(problem, config):
+    with pytest.raises(InvalidArgumentError, match="certified finish"):
+        run_solver(problem, config, finish=True)
+
+
+def test_finish_ends_each_slice_at_its_step_tol_limit():
+    # Slices that converge under step_tol end on stable_point no later, at a
+    # point within 1e-9 relative of their step_tol final; the slices that
+    # diverge or run to the budget end as before, and the stack's result is
+    # the result of its slices run as stacks of one.
+    config = iht_config(alpha=0.65, max_iters=300)
+    plain, finished = run_solver(cap_stack(), config), run_solver(cap_stack(), config, finish=True)
+    assert TERMINATION_STABLE_POINT in finished.termination
+    for i, (reason, got) in enumerate(zip(plain.termination, finished.termination)):
+        if reason == TERMINATION_MAX_ITERS:
+            assert got == reason
+            np.testing.assert_array_equal(finished.final[i], plain.final[i])
+        else:
+            assert got in (TERMINATION_STEP_TOL, TERMINATION_STABLE_POINT)
+            assert finished.iterations[i] <= plain.iterations[i]
+            np.testing.assert_allclose(finished.final[i], plain.final[i], rtol=0, atol=1e-9 * np.linalg.norm(plain.final[i]))
+    stack = cap_stack()
+    for i in range(len(stack.k)):
+        one = run_solver(ProblemStack(stack.A[i : i + 1], stack.b[i : i + 1], stack.k[i : i + 1]), config, finish=True)
+        assert one.termination == [finished.termination[i]]
+        assert one.iterations[0] == finished.iterations[i]
+        np.testing.assert_array_equal(one.final[0], finished.final[i])
