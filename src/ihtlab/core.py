@@ -351,19 +351,15 @@ def _check_rank(R: np.ndarray, s: np.ndarray) -> None:
 
 
 def _qr_solve(Q: np.ndarray, R: np.ndarray, rhs: list) -> list:
-    """For each right-hand side v, the triple ``(v, c, y)`` with c = Q^T v and y = R^{-1} c."""
-    # Imported here: scipy.linalg is 6 MB of resident memory that only this needs.
-    from scipy.linalg.lapack import dtrtrs
-
+    """For each right-hand side v, the triple ``(v, c, y)`` with c = Q^T v and
+    y = R^{-1} c, one stacked solve per v."""
     out = []
     for v in rhs:
         c = matvec(Q.mT, v)
-        y = c.copy()
-        for i in np.ndindex(c.shape[:-1]) if R.shape[-1] else ():
-            # The call solve_triangular(R[i], c[i]) makes, without its checks;
-            # one right-hand side per call, as two in one call round otherwise.
-            y[i] = dtrtrs(R[i].T, c[i], lower=1, trans=1)[0]
-        out.append((v, c, y))
+        # R is exactly upper triangular: gesv's partial pivoting swaps no row, its
+        # LU factors are I and R, and it back-substitutes on R, which _check_rank
+        # has found nonsingular (no zero diagonal, condition number <= 1e12).
+        out.append((v, c, np.linalg.solve(R, c[..., None])[..., 0]))
     return out
 
 
@@ -374,7 +370,8 @@ def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> list[tuple[np.
     A_gamma is a matrix ``(m, p)`` or a stack ``(..., m, p)`` with right-hand
     sides ``(..., m)``; a matrix is a stack of one.  Each slice is factored
     once by a thin QR, A_gamma = QR, and each v yields ``(y, w)`` with
-    ``y = R^{-1} Q^T v`` and ``w = v - Q Q^T v``, slice by slice.  Raises
+    ``y = R^{-1} Q^T v`` and ``w = v - Q Q^T v``, slice by slice and each v
+    alone: a v's split does not depend on the other right-hand sides.  Raises
     ``SingularMatrixError`` for the first slice whose R has a 2-norm condition
     number (``np.linalg.cond``) above ``RANK_DEFICIENCY_CONDITION``.
     """

@@ -581,7 +581,7 @@ def _solve_stack(config, solver_config, stream: int, n: int, N: int, draws: list
     triples whose instance comes from substream ``(cell_id, trial)`` of
     ``stream``; their true signals; the solver's result on the stack, run
     with the certified finish when ``finish``; and each final iterate's error
-    norm, which is not finite when the iterates diverged.
+    norm, NaN when the iterates diverged (the final iterate is all NaN).
 
     Each instance is drawn into a preallocated stack and dropped, so no more
     than one is alive beside it; a stack of one is a view of its instance.
@@ -613,12 +613,11 @@ def _transition_stack(task) -> dict[str, np.ndarray]:
     config, solver_config, n, N, draws = task
     _, x_star, result, errors = _solve_stack(config, solver_config, 3, n, N, draws)
     cell, _, trial = np.array(draws).T
-    finite = np.isfinite(errors)
     return {
         "cell": cell,
         "trial": trial,
-        "error": np.where(finite, errors, np.nan),
-        "success": finite & (errors / _norm(x_star) <= SUCCESS_REL_TOL),
+        "error": errors,
+        "success": errors / _norm(x_star) <= SUCCESS_REL_TOL,
         "iterations": result.iterations,
         "termination": np.array(result.termination),
     }
@@ -676,7 +675,7 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
             lo, hi = wilson_interval(succ, config.trials)
             cell["wilson_lo"], cell["wilson_hi"] = lo, hi
             cell["successes"] = succ
-            diverged = np.isnan(errors)
+            diverged = ~np.isfinite(errors)
             errors = errors[~diverged]
             cell["diverged"] = int(diverged.sum())
             if len(errors):
@@ -716,12 +715,11 @@ def _error_stack(task) -> dict[str, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         grad = matvec(stack.A.mT, stack.b - matvec(stack.A, X))
     stable = converged & _stability_test(X, grad, X != 0, alpha_lb, STABLE_POINT_CHECK_TOL)[0]
-    finite = np.isfinite(errors)
     return {
         "trial": np.array(draws)[:, 2],
-        "error": np.where(finite, errors, np.inf),
-        "converged": converged & finite,
-        "stable": stable & finite,
+        "error": np.where(np.isfinite(errors), errors, np.inf),
+        "converged": converged,
+        "stable": stable,
         "iterations": result.iterations,
         "termination": termination,
     }

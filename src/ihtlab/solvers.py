@@ -115,16 +115,16 @@ class IterateRecord:
 
 @dataclass(eq=False)
 class SolverTrace:
+    """A lone run's iterates, its termination reason and the iterations a stack
+    charges the same run, ``config.max_iters`` for a diverged one."""
+
     iterates: list[IterateRecord] = field(default_factory=list)
     termination_reason: str = ""
+    n_iterations: int = 0
 
     @property
     def final(self) -> np.ndarray:
         return self.iterates[-1].x
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.iterates) - 1
 
     def stepsizes(self) -> np.ndarray:
         return np.array([rec.alpha for rec in self.iterates[:-1]])
@@ -343,8 +343,8 @@ def run_solver(
     run.  A ``ProblemStack`` returns a ``StackResult``.  A ``ProblemInstance``
     runs as a stack of one and returns its full ``SolverTrace``: each
     iteration hands the iterate, residual, stepsize and shrinkage flag of its
-    step to the trace, which records the iterates that were run, and a
-    diverged slice's NaN iterate last.
+    step to the trace, which records the iterates that were run, a diverged
+    slice's NaN iterate last, and the iterations a stack would charge.
 
     With ``finish``, a slice that no other criterion ends and whose k-sparse
     support has held for ``FINISH_HOLD`` iterates is tested by
@@ -442,7 +442,7 @@ def run_solver(
             return StackResult(final, iterations, termination)
         r = stack.A[0] @ final[0] - stack.b[0]
         trace.iterates.append(IterateRecord(final[0], math.nan, 0.5 * float(r @ r), False))
-    trace.termination_reason = termination[0]
+    trace.termination_reason, trace.n_iterations = termination[0], int(iterations[0])
     return trace
 
 

@@ -472,6 +472,8 @@ def test_solve_diverged_iterate_writes_strict_json(tmp_path):
     payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
     assert payload["error"] is None and payload["objective"] is None
     assert None in payload["x"]
+    # Charged its whole budget, as the same run in a stack is.
+    assert (payload["iterations"], payload["termination"]) == (10_000, "max_iters")
 
 
 def test_cli_and_provider_load_no_scipy():
@@ -498,6 +500,27 @@ for argv in (
     ["phase-bound", "--variant", "niht", "--grid-points", "10", "--out", out + "/niht.csv"],
     ["stability", "--delta", "0.5", "--rho", "0.008"],
 ):
+    assert run_cli(argv) == 0, argv
+# The least-squares solves of the stable-point machinery are numpy's.
+from ihtlab.core import RngSpec, sample_instance
+from ihtlab.stablepoint import enumerate_stable_supports, min_norm_solution
+inst = sample_instance(12, 20, 2, 0.1, RngSpec(1))
+assert enumerate_stable_supports(inst.A, inst.b, 2, 0.5)
+assert min_norm_solution(inst.A, inst.b, inst.true_support).any()
+"""
+    proc = run_python("-c", code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_mc_dist_runs_with_scipy_linalg_blocked(tmp_path):
+    # mc-dist needs scipy.special for its KS CDFs, and nothing of scipy.linalg.
+    code = """
+import sys
+sys.modules["scipy.linalg"] = None
+from ihtlab.cli import run_cli
+for sigma in ("0", "1"):
+    argv = ["mc-dist", "--n", "40", "--k", "4", "--overlap", "2", "--sigma", sigma, "--trials", "20",
+            "--seed", "1", "--out", sys.argv[1] + "/dist" + sigma + ".json"]
     assert run_cli(argv) == 0, argv
 """
     proc = run_python("-c", code, str(tmp_path))

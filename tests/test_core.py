@@ -169,6 +169,18 @@ class TestPseudoInverseApply:
             pseudo_inverse_apply(A, np.ones(6))
         assert excinfo.value.condition > 1e12
 
+    @pytest.mark.parametrize("solve", [pseudo_inverse_apply, least_squares_split])
+    def test_right_hand_side_of_wrong_shape_raises(self, solve):
+        A = RngSpec(6).generator().standard_normal((3, 8, 2))
+        for v in (np.ones(8), np.ones((3, 7)), np.ones((2, 8))):
+            with pytest.raises(ShapeMismatchError):
+                solve(A, v)
+
+    @pytest.mark.parametrize("solve", [pseudo_inverse_apply, least_squares_split])
+    def test_more_columns_than_rows_raises(self, solve):
+        with pytest.raises(InvalidArgumentError, match="at least as many rows"):
+            solve(np.ones((2, 3)), np.ones(2))
+
 
 class TestLeastSquaresSplitStack:
     def test_slices_equal_lone_calls(self):
@@ -179,6 +191,9 @@ class TestLeastSquaresSplitStack:
         for j in range(6):
             for (y, w), (y_j, w_j) in zip(stacked, least_squares_split(A[j], v[j], e[j])):
                 assert np.array_equal(y[j], y_j) and np.array_equal(w[j], w_j)
+        # The split of v does not depend on whether e comes with it.
+        ((y_v, w_v),) = least_squares_split(A, v)
+        assert np.array_equal(stacked[0][0], y_v) and np.array_equal(stacked[0][1], w_v)
 
     @pytest.mark.parametrize("j", [0, 3, 5])
     def test_duplicated_column_in_slice_j_raises_for_slice_j(self, j):

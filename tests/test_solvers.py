@@ -351,7 +351,8 @@ def test_niht_non_finite_linesearch_ends_with_max_iters():
     assert run_solver(inst, iht_config()).termination_reason == TERMINATION_STEP_TOL
     trace = run_solver(inst, niht_config())
     assert trace.termination_reason == TERMINATION_MAX_ITERS
-    assert trace.n_iterations == 1
+    # It stops after one iterate and is charged its whole budget.
+    assert len(trace.iterates) == 2 and trace.n_iterations == niht_config().max_iters
     assert not np.all(np.isfinite(trace.final))
 
 
@@ -567,6 +568,10 @@ def test_kernel_matches_reference_loop_exactly(drawn):
     records, reason = expected[0]
     assert trace.termination_reason == reason
     assert len(trace.iterates) == len(records)
+    # The trace is charged what the stack charges slice 0, a diverged run its budget.
+    assert trace.n_iterations == (config.max_iters if reason == TERMINATION_MAX_ITERS else len(records) - 1)
+    if not raised:
+        assert trace.n_iterations == result.iterations[0]
     for rec, (x, alpha, obj, used) in zip(trace.iterates, records):
         np.testing.assert_array_equal(rec.x, x)
         assert same_float(rec.alpha, alpha)

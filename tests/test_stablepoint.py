@@ -29,6 +29,10 @@ class TestMinNormSolution:
             min_norm_solution(inst.A, np.zeros(20), SupportSet((0, 5))), np.zeros(40)
         )
 
+    def test_empty_support_gives_zero(self):
+        inst = sample_instance(20, 40, 4, 0.0, RngSpec(2))
+        np.testing.assert_array_equal(min_norm_solution(inst.A, inst.b, SupportSet(())), np.zeros(40))
+
     def test_wrong_support_normal_equations(self):
         inst = sample_instance(20, 40, 4, 0.3, RngSpec(3))
         gamma = SupportSet((1, 7, 8, 20))
@@ -124,6 +128,11 @@ class TestStableConditionTerms:
         inst = sample_instance(20, 40, 4, 0.0, RngSpec(9))
         with pytest.raises(InvalidArgumentError):
             stable_condition_terms(inst.A, inst.x_star, inst.e, inst.true_support, inst.true_support)
+
+    def test_supports_of_unequal_size_rejected(self):
+        inst = sample_instance(20, 40, 4, 0.1, RngSpec(9))
+        with pytest.raises(InvalidArgumentError, match="equal cardinality"):
+            stable_condition_terms(inst.A, inst.x_star, inst.e, SupportSet((0, 1, 2)), inst.true_support)
 
 
 class TestEnumerateStableSupports:
