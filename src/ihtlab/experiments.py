@@ -44,6 +44,7 @@ from .rip import load_provider
 from .solvers import (
     SolverConfig,
     TERMINATION_MAX_ITERS,
+    TERMINATION_STABLE_POINT,
     VARIANT_IHT,
     VARIANT_NIHT,
     run_solver,
@@ -703,18 +704,23 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
 
 def _error_stack(task) -> dict[str, np.ndarray]:
     """One stack's trial columns; a diverged trial has error inf and is neither converged nor stable.
-    One stable-point test covers the stack, each final x̄ on its own support; x̄ = 0 is stable iff
-    alpha_lb * max|A^T b| <= tol.  IHT runs end at the certified stable point, unless a residual
-    tolerance, the user's own stopping rule, is set."""
+    IHT runs end at the certified stable point, unless a residual tolerance, the user's own stopping
+    rule, is set.  A certified x̄ is stable without a test: the certificate proves it alpha_lb-stable,
+    alpha_lb being the solver's alpha.  When other trials converged, one stable-point test covers the
+    stack, each final x̄ on its own support; x̄ = 0 is stable iff alpha_lb * max|A^T b| <= tol."""
     config, solver_config, alpha_lb, n, N, draws = task
     finish = solver_config.variant == VARIANT_IHT and solver_config.residual_tol == 0
     stack, _, result, errors = _solve_stack(config, solver_config, 4, n, N, draws, finish=finish)
     termination = np.array(result.termination)
     converged = termination != TERMINATION_MAX_ITERS
-    X = result.final
-    with np.errstate(over="ignore", invalid="ignore"):
-        grad = matvec(stack.A.mT, stack.b - matvec(stack.A, X))
-    stable = converged & _stability_test(X, grad, X != 0, alpha_lb, STABLE_POINT_CHECK_TOL)[0]
+    stable = termination == TERMINATION_STABLE_POINT
+    tested = converged & ~stable
+    if tested.any():
+        # The whole stack: a gathered subset would copy its matrices.
+        X = result.final
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = matvec(stack.A.mT, stack.b - matvec(stack.A, X))
+        stable |= tested & _stability_test(X, grad, X != 0, alpha_lb, STABLE_POINT_CHECK_TOL)[0]
     return {
         "trial": np.array(draws)[:, 2],
         "error": np.where(np.isfinite(errors), errors, np.inf),

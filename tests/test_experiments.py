@@ -725,6 +725,20 @@ def test_certified_finish_changes_no_mc_error_outcome(seed, monkeypatch):
     assert np.all(on["iterations"] <= off["iterations"])
 
 
+def test_certified_trials_skip_the_stable_point_test(monkeypatch):
+    # The certificate proves each stable_point trial's x̄ stable at the
+    # solver's alpha, alpha_lb: a stack of such trials reads stable with no
+    # gradient and no stable-point test.
+    def no_test(*args):
+        raise AssertionError("a certified trial was tested again")
+
+    monkeypatch.setenv(experiments.WORKERS_ENV_VAR, "1")
+    monkeypatch.setattr(experiments, "_stability_test", no_test)
+    columns = mc_error_vs_xi(ExperimentConfig.from_dict(STACKING_CONFIGS["error"])).trial_columns
+    assert set(columns["termination"]) == {"stable_point"}
+    assert columns["stable"].all()
+
+
 @pytest.mark.parametrize("name, finishes", [("error", True), ("niht", False), ("iht_residual_tol", False)])
 def test_mc_error_finishes_iht_runs_without_a_residual_tolerance(name, finishes):
     # A residual tolerance is the user's own stopping rule: those runs, and

@@ -219,6 +219,7 @@ class TestNihtStepsize:
                 checked += 1
         assert checked >= 5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_shrink_accepts_a_trial_step_in_the_null_space(self):
         # Columns 0 and 1 are equal, so A (x_trial - x) = 0 for x = e0 and
         # x_trial = e1: omega = ||diff||^2 / 0 is infinite and the
@@ -226,7 +227,7 @@ class TestNihtStepsize:
         A = sample_gaussian_matrix(4, 6, RngSpec(2))
         A[:, 1] = A[:, 0]
         x, x_trial = np.eye(6)[0], np.eye(6)[1]
-        alpha, got = solvers._shrink(0.7, x_trial, x, np.ones(6), A, np.array([1]), niht_config())
+        alpha, got, _ = solvers._shrink(0.7, x_trial, x, np.ones(6), A, np.array([1]), niht_config())
         assert alpha == 0.7
         np.testing.assert_array_equal(got, x_trial)
 
@@ -414,7 +415,7 @@ def reference_threshold(v, k):
     return out
 
 
-def reference_linesearch(x, gamma, A, b, k, config):
+def reference_linesearch(x, gamma, A, b, k, config, reductions=None):
     g = A.T @ (b - A @ x)  # negative gradient
     g_gamma = g[gamma.as_array()]
     num = float(g_gamma @ g_gamma)
@@ -426,22 +427,32 @@ def reference_linesearch(x, gamma, A, b, k, config):
     x_trial = reference_threshold(x + alpha * g, k)
     if not np.all(np.isfinite(x_trial)) or SupportSet.support_of(x_trial) == gamma:
         return alpha, False, x_trial
-    for _ in range(MAX_SHRINK_STEPS):
+    alpha, x_trial, count = reference_shrink(alpha, x_trial, x, g, A, k, config)
+    if reductions is not None:
+        reductions.append(count)
+    return alpha, True, x_trial
+
+
+def reference_shrink(alpha, x_trial, x, g, A, k, config):
+    """The shrink loop one reduction at a time along the negative gradient g,
+    from the trial point x_trial of alpha: (alpha, x_trial, reductions)."""
+    for count in range(MAX_SHRINK_STEPS):
         diff = x_trial - x
         diff_norm2 = float(diff @ diff)
         if diff_norm2 == 0.0:
-            return alpha, True, x_trial
+            return alpha, x_trial, count
         a_diff = A @ diff
         a_diff_norm2 = float(a_diff @ a_diff)
         if a_diff_norm2 == 0.0 or alpha < (1.0 - config.c) * diff_norm2 / a_diff_norm2:
-            return alpha, True, x_trial
+            return alpha, x_trial, count
         alpha /= config.kappa * (1.0 - config.c)
         x_trial = reference_threshold(x + alpha * g, k)
     raise ShrinkageLoopError("no exit")
 
 
-def reference_run(A, b, k, config):
-    """(records, termination) with records (x, alpha, objective, used_shrinkage)."""
+def reference_run(A, b, k, config, reductions=None):
+    """(records, termination) with records (x, alpha, objective, used_shrinkage);
+    each N-IHT shrink appends its number of reductions to ``reductions``."""
 
     def objective(x):
         r = A @ x - b
@@ -465,7 +476,7 @@ def reference_run(A, b, k, config):
                         break
                     gamma = reference_top_support(g0, k)
                 try:
-                    alpha, used, x_next = reference_linesearch(x, gamma, A, b, k, config)
+                    alpha, used, x_next = reference_linesearch(x, gamma, A, b, k, config, reductions)
                 except StationaryPointError:
                     reason = TERMINATION_STATIONARY
                     break
@@ -580,6 +591,112 @@ def test_kernel_matches_reference_loop_exactly(drawn):
         assert rec.support == SupportSet.support_of(x)
     with np.errstate(over="ignore", invalid="ignore"):
         assert check_iterate_inequalities(trace, inst.A, inst.b).ok
+
+
+# ---------------------------------------------------------------------------
+# The shrink ladder against the reduction-by-reduction loop.  In each built
+# case x = e0, the negative gradient g moves weight onto the other columns and
+# k keeps the entries of x - alpha * grad that the stepsize decides: above a
+# stepsize of 1 the trial point leaves x's support, below it the rung meets
+# the case's acceptance.  A starting stepsize of edge * s**(rung - 0.5), with
+# s = kappa*(1-c), puts the accepting edge between rungs rung - 1 and rung,
+# half a reduction from either.
+
+SHRINK = niht_config().kappa * (1.0 - niht_config().c)
+
+
+def shrink_case(name):
+    """(x, g, A, k, edge) of a built case: ``decrease`` passes the
+    sufficient-decrease test below alpha = 2 with the trial point alpha e1;
+    ``null`` and ``null_space`` fail it above alpha = 1 and accept below,
+    ``null`` with x itself as the trial point (a null step) and
+    ``null_space`` with A (x_trial - x) = 0 (omega infinite)."""
+    c = niht_config().c
+    if name == "decrease":
+        # ||A d||^2 = (1-c)/2 ||d||^2, so the test reads alpha < 2.
+        return np.eye(2)[0], np.eye(2)[1], math.sqrt((1.0 - c) / 2.0) * np.eye(2), 1, 2.0
+    if name == "null":
+        return np.eye(2)[0], np.eye(2)[1], 10.0 * np.eye(2), 1, 1.0
+    # k = 2 of (1, alpha, 2 alpha): entries 1 and 2 above alpha = 1, entries
+    # 0 and 2 below it, when the step moves only the zero column 2 of A.
+    return np.eye(3)[0], np.array([0.0, 1.0, 2.0]), 10.0 * np.eye(2, 3), 2, 1.0
+
+
+def shrink_both(name, rung):
+    """``solvers._shrink`` and ``reference_shrink`` from the same rung 0 of
+    ``name``'s case: each result, or the exception type it raised."""
+    x, g, A, k, edge = shrink_case(name)
+    alpha = edge * SHRINK ** (rung - 0.5)
+    x_trial = reference_threshold(x + alpha * g, k)
+    got = outcome(solvers._shrink, alpha, x_trial, x, -g, A, np.array([k]), niht_config())
+    want = outcome(reference_shrink, alpha, x_trial, x, g, A, k, niht_config())
+    return got, want
+
+
+def assert_same_rung(got, want, rung):
+    assert got[0] == want[0]
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2] == rung
+
+
+@pytest.mark.parametrize("rung", [0, 1, solvers.SHRINK_BLOCK - 1, solvers.SHRINK_BLOCK, solvers.SHRINK_BLOCK + 1])
+def test_shrink_ladder_accepts_the_rung_the_loop_accepts(rung):
+    got, want = shrink_both("decrease", rung)
+    assert_same_rung(got, want, rung)
+    assert np.count_nonzero(got[1]) == 1 and got[1][1] > 1.0
+
+
+@pytest.mark.parametrize("name", ["null", "null_space"])
+@pytest.mark.parametrize("rung", [1, solvers.SHRINK_BLOCK - 1, solvers.SHRINK_BLOCK + 1, 3 * solvers.SHRINK_BLOCK])
+def test_shrink_ladder_accepts_a_null_step_and_an_infinite_omega_above_rung_0(name, rung):
+    got, want = shrink_both(name, rung)
+    assert_same_rung(got, want, rung)
+    x, _, A, _, _ = shrink_case(name)
+    diff = got[1] - x
+    if name == "null":
+        assert not diff.any()
+    else:
+        assert diff.any() and not (A @ diff).any()
+
+
+@pytest.mark.parametrize(
+    "limit", [1, solvers.SHRINK_BLOCK - 3, solvers.SHRINK_BLOCK, solvers.SHRINK_BLOCK + 1, 2 * solvers.SHRINK_BLOCK + 5]
+)
+def test_shrink_ladder_raises_at_exactly_the_reduction_limit(monkeypatch, limit):
+    # Rung `limit` is the first to pass: with `limit` rungs allowed both raise,
+    # with one more both accept it, also when the last block holds one rung.
+    monkeypatch.setattr(solvers, "MAX_SHRINK_STEPS", limit)
+    monkeypatch.setitem(globals(), "MAX_SHRINK_STEPS", limit)
+    assert shrink_both("null", limit) == (ShrinkageLoopError, ShrinkageLoopError)
+    monkeypatch.setattr(solvers, "MAX_SHRINK_STEPS", limit + 1)
+    monkeypatch.setitem(globals(), "MAX_SHRINK_STEPS", limit + 1)
+    assert_same_rung(*shrink_both("null", limit), limit)
+
+
+def test_shrink_ladder_raises_at_the_shipped_limit():
+    assert shrink_both("null", MAX_SHRINK_STEPS) == (ShrinkageLoopError, ShrinkageLoopError)
+    assert_same_rung(*shrink_both("null", MAX_SHRINK_STEPS - 1), MAX_SHRINK_STEPS - 1)
+
+
+def test_shrink_steps_count_the_reference_reductions():
+    # Hard cells, where N-IHT shrinks often and some shrinks pass a block.
+    instances = [sample_instance(40, 80, 12, 0.0, RngSpec(8000 + seed)) for seed in range(6)]
+    stack = ProblemStack(
+        np.stack([inst.A for inst in instances]),
+        np.stack([inst.b for inst in instances]),
+        np.array([inst.k for inst in instances]),
+    )
+    config = niht_config(max_iters=400)
+    result = run_solver(stack, config)
+    counts = []
+    for i, inst in enumerate(instances):
+        reductions = []
+        records, _ = reference_run(inst.A, inst.b, inst.k, config, reductions)
+        np.testing.assert_array_equal(result.final[i], records[-1][0])
+        assert result.shrink_steps[i] == sum(reductions)
+        counts += reductions
+    assert max(counts) > solvers.SHRINK_BLOCK
+    assert not run_solver(stack, iht_config(max_iters=50)).shrink_steps.any()
 
 
 SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]
