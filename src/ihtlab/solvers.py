@@ -14,12 +14,16 @@ computed once per iterate and gives both the gradient and the objective.  A
 slice leaves the stack when it terminates.  An N-IHT slice whose trial point
 leaves its support shrinks the stepsize: it tests the ladder of reduced
 stepsizes ``SHRINK_BLOCK`` rungs at a time, each rung computed as it would be
-alone, and takes the first that passes.
+alone, and takes the first that passes.  N-IHT's Rayleigh quotients gather
+the support columns of A once and reuse them while no support changes and no
+slice leaves.  An IHT slice of a stack that returns exactly to an iterate
+kept at one of its ``CYCLE_ANCHOR`` anchors is periodic; it takes only the
+steps that decide its iterate at the budget and ends as the full run would.
 
 What a run records depends on what it runs.  A stack (``ProblemStack``)
 records, per slice, the final iterate, the iteration count and the
-termination reason, all that the Monte Carlo harness reads, and the number of
-shrink reductions.  One instance
+termination reason, all that the Monte Carlo harness reads, the number of
+shrink reductions and the period of a cycle it ended in.  One instance
 (``ProblemInstance``) runs as a stack of one and records its full trace:
 each iterate's x, stepsize, objective and shrinkage flag, with its support
 derived from x on demand.
@@ -72,6 +76,10 @@ DIVERGENCE_RATIO2 = 1e12
 # The certified finish is attempted once a slice's support has held for
 # FINISH_HOLD iterates, and again FINISH_HOLD iterates after each failure.
 FINISH_HOLD = 3
+
+# An IHT stack keeps every CYCLE_ANCHOR-th iterate of each slice, so a slice
+# that returns to it within CYCLE_ANCHOR iterates is found periodic.
+CYCLE_ANCHOR = 64
 
 
 @dataclass(frozen=True)
@@ -159,11 +167,13 @@ class InequalityReport:
 @dataclass(eq=False)
 class StackResult:
     """What a stacked run records of each slice: its final iterate, its
-    iteration count, its termination reason and its N-IHT shrink reductions
-    in all (0 for IHT).  A diverged slice reads an all-NaN final iterate,
+    iteration count, its termination reason, its N-IHT shrink reductions
+    in all (0 for IHT) and the period of the cycle it was found in (0 when
+    none was).  A diverged slice reads an all-NaN final iterate,
     ``config.max_iters`` iterations and ``max_iters``, whenever it stopped; a
     slice that ends on ``stable_point`` reads the certified limit x̄.  The
-    reduction count is for diagnostics: no result file records it.
+    reduction count and the period are for diagnostics: no result file
+    records them.
 
     ``n_iterations`` and ``termination_reason`` give the summary a trace
     gives, over the whole stack, to code that tallies solver runs.
@@ -173,6 +183,7 @@ class StackResult:
     iterations: np.ndarray
     termination: list[str]
     shrink_steps: np.ndarray
+    period: np.ndarray
 
     @property
     def n_iterations(self) -> int:
@@ -185,29 +196,38 @@ class StackResult:
         return self.termination[0] if len(set(self.termination)) == 1 else ""
 
 
-def _linesearch(X, G, A, k, config, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _linesearch(X, G, A, k, config, steps, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """N-IHT stepsizes of a stack from its gradients G, as ``_step`` returns them.
 
     Each slice's support gamma is that of x, or, at x = 0, the one the next
     projection selects.  The Rayleigh quotients are taken together over the
     slices that share |gamma|, with ``A[:, gamma]`` gathered as a C-ordered
     ``(T_s, n, |gamma|)`` stack: the F-ordered result of plain indexing takes
-    another BLAS path and moves the last bit.  Each slice whose trial point
+    another BLAS path and moves the last bit.  The groups and their gathers
+    depend only on the stack's supports, so they are kept in ``cache``, a dict
+    that the caller owns and empties when slices leave the stack: while the
+    support masks equal the cached ones the groups are reused, and the same
+    gemvs and dots run on the same stacks.  Each slice whose trial point
     leaves gamma then shrinks its own stepsize down its ladder (``_shrink``)
     and adds the reductions it took to its entry of ``steps``.
     """
-    T = len(X)
+    T, N = X.shape
     support = X != 0.0
     empty = ~support.any(axis=1)
     if empty.any():
         support[empty] = _top_mask(G[empty], k[empty])
-    sizes = support.sum(axis=1)
+    if not np.array_equal(support, cache.get("support")):
+        sizes = support.sum(axis=1)
+        groups = []
+        for s in set(sizes.tolist()):
+            sel = np.flatnonzero(sizes == s)
+            gamma = np.nonzero(support[sel])[1].reshape(len(sel), s)
+            A_gamma = np.ascontiguousarray(A.mT[sel[:, None], gamma].mT)
+            groups.append((sel, sel[:, None] * N + gamma, A_gamma))
+        cache["support"], cache["groups"] = support, groups
     num, den = np.empty(T), np.empty(T)
-    for s in set(sizes.tolist()):
-        sel = np.flatnonzero(sizes == s)
-        gamma = np.nonzero(support[sel])[1].reshape(len(sel), s)
-        g_gamma = G[sel[:, None], gamma]
-        A_gamma = np.ascontiguousarray(A.mT[sel[:, None], gamma].mT)
+    for sel, flat, A_gamma in cache["groups"]:
+        g_gamma = G.take(flat)
         den_vec = matvec(A_gamma, g_gamma)
         num[sel], den[sel] = vecdot(g_gamma, g_gamma), vecdot(den_vec, den_vec)
     stationary = (num == 0.0) | (den == 0.0)
@@ -227,14 +247,14 @@ def _shrink(alpha, x_trial, x, g, A, k, config) -> tuple[float, np.ndarray, int]
     index, the number of reductions by kappa*(1-c) it took.
 
     Rung j is the stepsize alpha divided j times by kappa*(1-c), with the
-    trial point H_k(x - alpha_j * g); rung 0 is the given ``x_trial``, and k
-    is the slice's ``(1,)`` k.  A rung passes when its trial step is null
-    (the loop's step tolerance then ends the run), when A(x_trial - x) = 0
-    (omega = ||diff||^2 / ||A diff||^2 is infinite) or when
-    alpha_j < (1 - c) omega.  The rungs are tested ``SHRINK_BLOCK``
-    at a time: one stacked threshold, one gemv per rung and stacked dots,
-    each the computation of that rung alone, so the accepted rung is the one
-    a rung-by-rung loop accepts.  Raises ``ShrinkageLoopError`` when none of
+    trial point H_k(x - alpha_j * g); rung 0 is the given ``x_trial``, which
+    the first block takes as it is, and k is the slice's ``(1,)`` k.  A rung
+    passes when its trial step is null (the loop's step tolerance then ends
+    the run), when A(x_trial - x) = 0 (omega = ||diff||^2 / ||A diff||^2 is
+    infinite) or when alpha_j < (1 - c) omega.  The rungs are tested
+    ``SHRINK_BLOCK`` at a time: one stacked threshold, one gemv per rung and
+    stacked dots, each the computation of that rung alone, so the accepted
+    rung is the one a rung-by-rung loop accepts.  Raises ``ShrinkageLoopError`` when none of
     the first ``MAX_SHRINK_STEPS`` rungs passes.
     """
     ladder = np.full(MAX_SHRINK_STEPS, config.kappa * (1.0 - config.c))
@@ -243,9 +263,11 @@ def _shrink(alpha, x_trial, x, g, A, k, config) -> tuple[float, np.ndarray, int]
     ks = k.repeat(SHRINK_BLOCK)
     for lo in range(0, MAX_SHRINK_STEPS, SHRINK_BLOCK):
         alphas = ladder[lo : lo + SHRINK_BLOCK]
-        trials = _hard_threshold(x - alphas[:, None] * g, ks[: len(alphas)])
+        # Rung 0 is x_trial: the first block thresholds only the rungs after it.
+        fresh = alphas[1:] if lo == 0 else alphas
+        trials = _hard_threshold(x - fresh[:, None] * g, ks[: len(fresh)])
         if lo == 0:
-            trials[0] = x_trial
+            trials = np.concatenate((x_trial[None], trials))
         diff = trials - x
         diff_norm2 = vecdot(diff, diff)
         a_diff = matvec(A, diff)
@@ -261,27 +283,28 @@ def _shrink(alpha, x_trial, x, g, A, k, config) -> tuple[float, np.ndarray, int]
 
 
 def _step(
-    X, R, A, k, config: SolverConfig, steps
+    X, R, A, k, config: SolverConfig, steps, cache
 ) -> tuple[np.ndarray | float, np.ndarray | bool, np.ndarray, np.ndarray | None]:
     """One iteration x+ = H_k(x - alpha * A^T r) of each slice of a stack from
     its residual r = A x - b.
 
     Returns the stepsizes, the shrinkage flags, the next iterates and the
     mask of stationary slices, and adds each slice's shrink reductions to
-    its entry of ``steps``.  IHT takes the constant ``config.alpha`` and
-    returns it, False and None in place of the per-slice stepsizes, flags and
-    mask: it never shrinks and no slice is stationary.  N-IHT takes the
-    exact-linesearch value, the Rayleigh quotient of the gradient restricted
-    to the support of x, and keeps it when the trial point preserves that
-    support; otherwise it shrinks it by kappa*(1-c) until the
-    sufficient-decrease inequality admits the trial point.  A slice is
+    its entry of ``steps``; ``cache`` is ``_linesearch``'s.  IHT takes the
+    constant ``config.alpha`` and returns it, False and None in place of the
+    per-slice stepsizes, flags and mask: it never shrinks and no slice is
+    stationary.  N-IHT takes the exact-linesearch value, the Rayleigh
+    quotient of the gradient restricted to the support of x, and keeps it
+    when the trial point preserves that support; otherwise it shrinks it by
+    kappa*(1-c) until the sufficient-decrease inequality admits the trial
+    point.  A slice is
     stationary when its restricted gradient vanishes (the quotient is 0/0);
     its next iterate is meaningless and the loop ends its run at x.
     """
     G = matvec(A.mT, R)
     if config.variant == VARIANT_IHT:
         return config.alpha, False, _hard_threshold(X - config.alpha * G, k), None
-    return _linesearch(X, G, A, k, config, steps)
+    return _linesearch(X, G, A, k, config, steps, cache)
 
 
 def step(x, r, A, k, config: SolverConfig) -> tuple[float, bool, np.ndarray]:
@@ -292,7 +315,7 @@ def step(x, r, A, k, config: SolverConfig) -> tuple[float, bool, np.ndarray]:
     k = np.array([k])
     _check_k(k, (1,), A.shape[-1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        alpha, used, x_next, stationary = _step(x, r, A, k, config, np.zeros(1, dtype=int))
+        alpha, used, x_next, stationary = _step(x, r, A, k, config, np.zeros(1, dtype=int), {})
     if stationary is not None and stationary[0]:
         raise StationaryPointError("restricted gradient is zero; linesearch stepsize is 0/0")
     return float(np.ravel(alpha)[0]), bool(np.ravel(used)[0]), x_next[0]
@@ -384,10 +407,30 @@ def run_solver(
     constant stepsize and returns a point that is not an iterate, so it runs
     on IHT stacks only: N-IHT or a ``ProblemInstance`` raises
     ``InvalidArgumentError``.
+
+    A slice of an IHT stack run without ``finish`` that returns exactly to
+    an earlier iterate ends at once with what the run to the budget reports.
+    Every ``CYCLE_ANCHOR`` iterates the loop keeps each slice's iterate X_a
+    and its ||r||^2; when a later X_{m+1} has the same ||r||^2 and the same
+    bits, the slice is periodic with lag L = m+1-a, because a constant-step
+    IHT iterate, and each test that could end the run, depends on x alone,
+    and the steps from X_a to X_{m+1} ended nothing.  So X_{max_iters} is
+    X_{m+1+q} with q = (max_iters - m - 1) mod L: the slice takes its q
+    further steps alone through ``_step`` and ends with ``max_iters``,
+    ``config.max_iters`` iterations, that iterate and the period L.  A trace
+    records every iterate, so it runs to the end; N-IHT's sufficient
+    decrease lowers the objective on every step that is not null, so it
+    never returns to an iterate; and with ``finish`` a cycle at rounding
+    level around x̄ is left to the certificate, which ends it on
+    ``stable_point``.
+
+    ``_linesearch``'s gather cache lives for one run and is emptied when
+    slices leave the stack, since its groups index the live slices.
     """
     trace = SolverTrace() if isinstance(problem, ProblemInstance) else None
     if finish and (trace is not None or config.variant != VARIANT_IHT):
         raise InvalidArgumentError("the certified finish runs on ProblemStacks of constant-stepsize IHT only")
+    cycles = trace is None and config.variant == VARIANT_IHT and not finish
     stack = ProblemStack.of(problem) if trace is not None else problem
     A, b, k = stack.A, stack.b, stack.k
     T, _, N = A.shape
@@ -395,8 +438,10 @@ def run_solver(
     iterations = np.full(T, config.max_iters)
     termination = [TERMINATION_MAX_ITERS] * T
     shrink_steps = np.zeros(T, dtype=int)
+    period = np.zeros(T, dtype=int)
     # Reductions of the live slices, in the order of ``live``.
     steps = np.zeros(T, dtype=int)
+    cache: dict = {}
     live = np.arange(T)
     X = np.zeros((T, N))
     R = matvec(A, X) - b
@@ -406,10 +451,12 @@ def run_solver(
         # Iterates left before the next test; x0 = 0 is the first of its support.
         wait = np.full(T, FINISH_HOLD - 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bb = vecdot(b, b)
+        bb, rr = vecdot(b, b), vecdot(R, R)
         cap = np.where(bb > 0, DIVERGENCE_RATIO2 * bb, math.inf)
         for m in range(config.max_iters):
-            alpha, used, X_next, stationary = _step(X, R, A, k, config, steps)
+            if cycles and m % CYCLE_ANCHOR == 0:
+                anchor, anchor_rr, anchor_m = X, rr, m
+            alpha, used, X_next, stationary = _step(X, R, A, k, config, steps, cache)
             if trace is not None and (stationary is None or not stationary[0]):
                 alpha_0, used_0 = float(np.ravel(alpha)[0]), bool(np.ravel(used)[0])
                 trace.iterates.append(IterateRecord(X[0], alpha_0, 0.5 * float(R[0] @ R[0]), used_0))
@@ -431,6 +478,7 @@ def run_solver(
                 config.residual_tol == 0 and config.step_tol < step_length.min()
                 and step_length.max() < math.inf and not capped.any()
                 and not (finish and (wait == 0).any())
+                and not (cycles and (rr == anchor_rr).any())
             ):
                 continue
             if stationary is None:
@@ -449,34 +497,50 @@ def run_solver(
                     else:
                         X[j], certified[j] = x_bar, True
                 ended |= certified
+            periodic = np.zeros(len(X), dtype=bool)
+            if cycles:
+                # Equal bits, not only equal values: where X_a holds 0.0 and X_{m+1}
+                # holds -0.0, the later iterates may differ in the signs of zeros.
+                for j in np.flatnonzero((rr == anchor_rr) & ~ended):
+                    if X[j].tobytes() == anchor[j].tobytes():
+                        lag = m + 1 - anchor_m
+                        x = X[j : j + 1]
+                        for _ in range((config.max_iters - m - 1) % lag):
+                            R_j = matvec(A[j : j + 1], x) - b[j : j + 1]
+                            x = _step(x, R_j, A[j : j + 1], k[j : j + 1], config, None, None)[2]
+                        X[j], periodic[j], period[live[j]] = x[0], True, lag
+                ended |= periodic
             if not ended.any():
                 continue
             for j, i in zip(np.flatnonzero(ended), live[ended]):
                 termination[i] = (
                     TERMINATION_STATIONARY if stationary[j]
-                    else TERMINATION_MAX_ITERS if diverged[j]
+                    else TERMINATION_MAX_ITERS if diverged[j] or periodic[j]
                     else TERMINATION_STEP_TOL if converged[j]
                     else TERMINATION_STABLE_POINT if certified[j]
                     else TERMINATION_RESIDUAL_TOL
                 )
-            # A diverged slice keeps its budget as its iteration count.
+            # A diverged or periodic slice keeps its budget as its iteration count.
             X[diverged] = math.nan
             final[live[ended]] = X[ended]
             shrink_steps[live[ended]] = steps[ended]
-            done = ended & ~diverged
+            done = ended & ~diverged & ~periodic
             iterations[live[done]] = m + ~stationary[done]
             keep = ~ended
-            live, A, b, k, cap, X, R, steps = (
-                live[keep], A[keep], b[keep], k[keep], cap[keep], X[keep], R[keep], steps[keep]
+            live, A, b, k, cap, X, R, rr, steps = (
+                live[keep], A[keep], b[keep], k[keep], cap[keep], X[keep], R[keep], rr[keep], steps[keep]
             )
             if finish:
                 a_norms, wait = a_norms[keep], wait[keep]
+            if cycles:
+                anchor, anchor_rr = anchor[keep], anchor_rr[keep]
+            cache.clear()
             if not live.size:
                 break
         final[live] = X
         shrink_steps[live] = steps
         if trace is None:
-            return StackResult(final, iterations, termination, shrink_steps)
+            return StackResult(final, iterations, termination, shrink_steps, period)
         r = stack.A[0] @ final[0] - stack.b[0]
         trace.iterates.append(IterateRecord(final[0], math.nan, 0.5 * float(r @ r), False))
     trace.termination_reason, trace.n_iterations = termination[0], int(iterations[0])

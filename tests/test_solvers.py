@@ -544,31 +544,55 @@ def small_stacks(draw):
     return instances, config
 
 
+def stack_of(instances):
+    return ProblemStack(
+        np.stack([inst.A for inst in instances]),
+        np.stack([inst.b for inst in instances]),
+        np.array([inst.k for inst in instances]),
+    )
+
+
+def int_instance(A, b, k):
+    A, b = np.array(A, float), np.array(b, float)
+    x_star = np.zeros(A.shape[1])
+    x_star[:k] = 1.0
+    return ProblemInstance(A=A, b=b, x_star=x_star, e=b - A @ x_star, k=k)
+
+
+# At alpha = 0.1 IHT on the first slice cycles with period 2 to the budget,
+# found by an anchor every 2 iterates; the second slice converges.
+CYCLE_A = [[3, -3, 0, 1], [0, 3, 3, 2], [0, 3, -3, 1]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_stacks())
+@example(([int_instance(CYCLE_A, [-2, -2, 2], 1), int_instance(CYCLE_A, [3, 0, 0], 1)],
+          iht_config(alpha=0.1, max_iters=30, step_tol=0.0)))
 def test_kernel_matches_reference_loop_exactly(drawn):
     instances, config = drawn
     expected = [outcome(reference_run, inst.A, inst.b, inst.k, config) for inst in instances]
 
     # The whole stack, slice by slice: final iterate, iteration count and
     # termination reason.  A slice whose reference run raises raises the
-    # stack's run, with the exception type of one such slice.
-    stack = ProblemStack(
-        np.stack([inst.A for inst in instances]),
-        np.stack([inst.b for inst in instances]),
-        np.array([inst.k for inst in instances]),
-    )
-    result = outcome(run_solver, stack, config)
+    # stack's run, with the exception type of one such slice.  Runs of at most
+    # 60 iterations seldom reach an anchor of the cycle stop, so the stack
+    # runs again with an anchor every 2 iterates.
+    stack = stack_of(instances)
     raised = {e for e in expected if isinstance(e, type)}
-    if raised:
-        assert result in raised
-    else:
+    for anchor in (solvers.CYCLE_ANCHOR, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "CYCLE_ANCHOR", anchor)
+            result = outcome(run_solver, stack, config)
+        if raised:
+            assert result in raised
+            continue
         for i, (records, reason) in enumerate(expected):
             np.testing.assert_array_equal(result.final[i], records[-1][0])
             # A diverged run is charged its whole budget; the others, the
             # iterations they ran.
             assert result.iterations[i] == (config.max_iters if reason == TERMINATION_MAX_ITERS else len(records) - 1)
             assert result.termination[i] == reason
+            assert not result.period[i] or reason == TERMINATION_MAX_ITERS
 
     # The stack of one: the full trace of the first instance.
     inst = instances[0]
@@ -697,6 +721,101 @@ def test_shrink_steps_count_the_reference_reductions():
         counts += reductions
     assert max(counts) > solvers.SHRINK_BLOCK
     assert not run_solver(stack, iht_config(max_iters=50)).shrink_steps.any()
+
+
+def assert_stack_matches_reference(instances, config):
+    """Run ``instances`` as one stack and each through ``reference_run``:
+    equal final iterates, iteration counts, terminations and shrink
+    reductions.  Returns the reference records of each slice."""
+    result = run_solver(stack_of(instances), config)
+    records = []
+    for i, inst in enumerate(instances):
+        reductions = []
+        recs, reason = reference_run(inst.A, inst.b, inst.k, config, reductions)
+        np.testing.assert_array_equal(result.final[i], recs[-1][0])
+        assert (result.iterations[i], result.termination[i]) == (len(recs) - 1, reason)
+        assert result.shrink_steps[i] == sum(reductions)
+        records.append(recs)
+    return records
+
+
+def supports(records):
+    return [np.flatnonzero(x).tolist() for x, *_ in records]
+
+
+def test_linesearch_gathers_survive_slices_leaving_the_stack():
+    # k = 3-6 over eight draws: slices of several |gamma| groups end at
+    # different iterations while others hold their supports across the
+    # leave, where gathers indexed by the old slice order would misindex.
+    instances = [sample_instance(20, 60, 3 + i % 4, 0.0, RngSpec(8100 + i)) for i in range(8)]
+    records = assert_stack_matches_reference(instances, niht_config(max_iters=400))
+    ends = {len(recs) - 1 for recs in records}
+    held = [supports(recs) for recs in records]
+    assert len(ends) > 4
+    assert any(len(s) - 1 > m and s[m - 1] == s[m] for m in ends for s in held)
+
+
+def test_linesearch_regathers_when_a_support_changes_after_a_long_hold():
+    # Slice 0 holds one support for 47 iterates and then leaves it.
+    instances = [sample_instance(20, 60, 6, 0.0, RngSpec(8105)), sample_instance(20, 60, 4, 0.0, RngSpec(8101))]
+    records = assert_stack_matches_reference(instances, niht_config(max_iters=400))
+    held, holds = 1, []
+    for before, after in zip(supports(records[0]), supports(records[0])[1:]):
+        held, holds = (held + 1, holds) if before == after else (1, holds + [held])
+    assert max(holds) >= 40
+
+
+def cycling_instance():
+    """IHT at alpha = 0.65 and 1,300 iterations cycles with period 2 from
+    iterate 177 on this draw."""
+    return sample_instance(40, 133, 8, 0.0, RngSpec(3, 3).substream(0, 0))
+
+
+def counting_steps(monkeypatch):
+    """Patch ``solvers._step`` to count its calls in the returned list."""
+    calls, step_ = [], solvers._step
+    monkeypatch.setattr(solvers, "_step", lambda *args: calls.append(1) or step_(*args))
+    return calls
+
+
+def test_cycling_slice_ends_with_the_trace_outcome_in_fewer_steps(monkeypatch):
+    inst, config = cycling_instance(), iht_config(alpha=0.65, max_iters=1300)
+    trace = run_solver(inst, config)
+    assert len(trace.iterates) == 1301
+    calls = counting_steps(monkeypatch)
+    result = run_solver(ProblemStack.of(inst), config)
+    assert result.final[0].tobytes() == trace.final.tobytes()
+    assert result.iterations[0] == trace.n_iterations == 1300
+    assert result.termination == [trace.termination_reason] == [TERMINATION_MAX_ITERS]
+    assert result.period[0] == 2 and len(calls) < 1300
+
+
+class CycleStopRan(Exception):
+    pass
+
+
+class UnusedAnchor:
+    """A ``CYCLE_ANCHOR`` that raises once the loop computes an anchor."""
+
+    def __rmod__(self, m):
+        raise CycleStopRan
+
+
+@pytest.mark.parametrize("problem, config, finish", [
+    (ProblemStack.of(cycling_instance()), niht_config(max_iters=1300), False),
+    (ProblemStack.of(cycling_instance()), iht_config(alpha=0.65, max_iters=1300), True),
+    (cycling_instance(), iht_config(alpha=0.65, max_iters=1300), False),
+], ids=["niht", "finish", "trace"])
+def test_cycle_stop_never_runs_for_niht_the_finish_or_a_trace(problem, config, finish, monkeypatch):
+    monkeypatch.setattr(solvers, "CYCLE_ANCHOR", UnusedAnchor())
+    with pytest.raises(CycleStopRan):
+        run_solver(ProblemStack.of(cycling_instance()), iht_config(alpha=0.65, max_iters=1300))
+    calls = counting_steps(monkeypatch)
+    result = run_solver(problem, config, finish=finish)
+    if finish:
+        # The cycle changes support every step, so the finish never tests it
+        # and the slice runs every step to the budget.
+        assert (result.termination, len(calls), result.period[0]) == ([TERMINATION_MAX_ITERS], 1300, 0)
 
 
 SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]
