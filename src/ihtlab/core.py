@@ -363,7 +363,7 @@ def _qr_solve(Q: np.ndarray, R: np.ndarray, rhs: list) -> list:
     return out
 
 
-def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
     """Split each right-hand side v into its least-squares coefficients on
     A_gamma and its residual in the complement of range(A_gamma).
 
@@ -371,21 +371,15 @@ def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> list[tuple[np.
     sides ``(..., m)``; a matrix is a stack of one.  Each slice is factored
     once by a thin QR, A_gamma = QR, and each v yields ``(y, w)`` with
     ``y = R^{-1} Q^T v`` and ``w = v - Q Q^T v``, slice by slice and each v
-    alone: a v's split does not depend on the other right-hand sides.  Raises
-    ``SingularMatrixError`` for the first slice whose R has a 2-norm condition
-    number (``np.linalg.cond``) above ``RANK_DEFICIENCY_CONDITION``.
+    alone: a v's split does not depend on the other right-hand sides.  Returns
+    ``(s, [(y, w), ...])``, s the ``(..., p)`` singular values of R, descending.
+    Raises ``SingularMatrixError`` for the first slice whose R has a 2-norm
+    condition number (``np.linalg.cond``) above ``RANK_DEFICIENCY_CONDITION``.
     """
     Q, R, rhs = _qr_factor(A_gamma, rhs)
-    _check_rank(R, np.linalg.svd(R, compute_uv=False))
-    return [(y, v - matvec(Q, c)) for v, c, y in _qr_solve(Q, R, rhs)]
-
-
-def pseudo_inverse_apply(A_gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Least-squares solution y of A_gamma y ~ v: the coefficients of
-    ``least_squares_split`` without the residual."""
-    Q, R, rhs = _qr_factor(A_gamma, [v])
-    _check_rank(R, np.linalg.svd(R, compute_uv=False))
-    return _qr_solve(Q, R, rhs)[0][2]
+    s = np.linalg.svd(R, compute_uv=False)
+    _check_rank(R, s)
+    return s, [(y, v - matvec(Q, c)) for v, c, y in _qr_solve(Q, R, rhs)]
 
 
 def objective(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:

@@ -36,10 +36,6 @@ class StabilityUndefinedError(NumericalDomainError):
     """The stability factor is undefined at the requested point."""
 
 
-class StationaryPointError(IhtLabError):
-    """The exact linesearch stepsize is 0/0: the iterate is stationary."""
-
-
 class ShrinkageLoopError(IhtLabError):
     """The stepsize shrinkage loop failed to exit within its guard budget."""
 

@@ -243,6 +243,11 @@ class ExperimentConfig:
         unknown = set(kwargs) - {f.name for f in fields(SolverConfig)}
         if unknown:
             raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
+        variant = kwargs.get("variant")
+        never_read = ("kappa", "c") if variant == VARIANT_IHT else ("alpha",) if variant == VARIANT_NIHT else ()
+        unread = [key for key in never_read if kwargs.get(key) is not None]
+        if unread:
+            raise ConfigError(f"solver keys {unread} are not read by variant {variant!r}")
         if alpha_override is not None:
             kwargs["alpha"] = alpha_override
         try:
@@ -431,7 +436,7 @@ def _distribution_trial(task) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, 
         U1 = np.ascontiguousarray((np.ascontiguousarray(U_R.mT) @ np.ascontiguousarray(Q.mT)).mT)
         del Q, R, U_R, rhs  # not needed past U1, where the SVD below peaks
     else:
-        [(y, w)] = least_squares_split(A_gamma, v)
+        _, [(y, w)] = least_squares_split(A_gamma, v)
     quad = vecdot(v, w) / z_norm2
     lhs_full = _norm(matvec(A_diff.mT, w)) / math.sqrt(z_norm2)
     columns = {

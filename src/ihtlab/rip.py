@@ -172,7 +172,8 @@ class TableRipProvider(RipBoundProvider):
 
     def _cell(self, knots: np.ndarray, value, axis: str) -> tuple[np.ndarray, np.ndarray]:
         value = np.asarray(value, dtype=float)
-        outside = (value < knots[0]) | (value > knots[-1])
+        # Written as "not inside" so that NaN, which compares false, is outside.
+        outside = ~((value >= knots[0]) & (value <= knots[-1]))
         if outside.any():
             raise NumericalDomainError(
                 f"{axis}={value[outside].flat[0]} outside table hull [{knots[0]}, {knots[-1]}] ({self.provider_id})"

@@ -43,9 +43,10 @@ import numpy as np
 # hard_threshold is imported for callers of ``solvers.hard_threshold``; the
 # kernel calls the unchecked forms, as k is checked when the stack is built.
 from .core import (
-    ProblemInstance, ProblemStack, SupportSet, _check_k, _hard_threshold, _top_mask, hard_threshold, matvec, vecdot,
+    ProblemInstance, ProblemStack, SupportSet, _hard_threshold, _top_mask, hard_threshold, least_squares_split, matvec,
+    vecdot,
 )
-from .errors import InvalidArgumentError, ShrinkageLoopError, StationaryPointError
+from .errors import InvalidArgumentError, ShrinkageLoopError, SingularMatrixError
 
 VARIANT_IHT = "iht"
 VARIANT_NIHT = "niht"
@@ -307,20 +308,6 @@ def _step(
     return _linesearch(X, G, A, k, config, steps, cache)
 
 
-def step(x, r, A, k, config: SolverConfig) -> tuple[float, bool, np.ndarray]:
-    """``_step`` on one instance, a stack of one: ``(alpha, used_shrinkage,
-    x_next)``.  Raises ``StationaryPointError`` when the restricted gradient
-    vanishes."""
-    x, r, A = (np.asarray(a, dtype=float)[None] for a in (x, r, A))
-    k = np.array([k])
-    _check_k(k, (1,), A.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        alpha, used, x_next, stationary = _step(x, r, A, k, config, np.zeros(1, dtype=int), {})
-    if stationary is not None and stationary[0]:
-        raise StationaryPointError("restricted gradient is zero; linesearch stepsize is 0/0")
-    return float(np.ravel(alpha)[0]), bool(np.ravel(used)[0]), x_next[0]
-
-
 def _certified_point(A, b, x, k, alpha, a_norms) -> np.ndarray | None:
     """The limit x̄ = A_Γ⁺b, zero off Γ, of constant-stepsize IHT from an
     iterate x whose support Γ has k indices, when it is certified, or None.
@@ -339,26 +326,36 @@ def _certified_point(A, b, x, k, alpha, a_norms) -> np.ndarray | None:
     By induction so is every later one: the iteration converges to x̄, which
     is an α-stable point.
 
+    x̂ and s come from ``core.least_squares_split``: a Householder QR of A_Γ,
+    c = Qᵀb and back substitution on R, with s the singular values of R.
+    Full rank is the package's rule, s_max/s_min <= ``RANK_DEFICIENCY_CONDITION``,
+    and the split's ``SingularMatrixError`` refuses the support.  The solve
+    is backward stable: x̂ is the exact least-squares solution for A_Γ and b
+    perturbed by n k u relative, column by column (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 20, Thm 20.3), and R = Qᵀ(A_Γ + ΔA)
+    carries the same ΔA into s.
+
     Rounding is covered by a stated slack, with u the unit roundoff.  The
     contraction test asks for α s_max² (1 + n k u) < 2, which covers the
     error of the computed s_max.  The margin test runs with d + 2ε in place
     of d, where ε = n k u (κ(2||x̂|| + (κ + 1)||ŵ||/s_max) + d) and
     κ = s_max/s_min.  The first term of ε is the first-order bound on the
-    distance between the computed x̂ and the exact x̄ of a backward-stable
-    least-squares solve whose backward error is n k u (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 20.1); ε then also exceeds
-    the rounding of d and of the test's own terms, which is relative n u.
-    Each term of the exact test moves by at most ε, or s_max max||a_j|| ε,
-    from the computed one, so the computed test on d + 2ε implies the exact
-    test for x̄, whose computed value x̂ is returned.
+    distance between x̂ and the exact x̄ that this backward error gives; ε
+    then also exceeds the rounding of d and of the test's own terms, which is
+    relative n u.  Each term of the exact test moves by at most ε, or
+    s_max max||a_j|| ε, from the computed one, so the computed test on d + 2ε
+    implies the exact test for x̄, whose computed value x̂ is returned.
     """
     gamma = np.flatnonzero(x)
     if len(gamma) != k:
         return None
     slack = A.shape[0] * k * np.finfo(float).eps / 2
     A_gamma = np.ascontiguousarray(A[:, gamma])
-    x_gamma, _, rank, s = np.linalg.lstsq(A_gamma, b, rcond=None)
-    if rank < k or not alpha * s[0] ** 2 * (1.0 + slack) < 2.0:
+    try:
+        s, [(x_gamma, _)] = least_squares_split(A_gamma, b)
+    except SingularMatrixError:
+        return None
+    if not alpha * s[0] ** 2 * (1.0 + slack) < 2.0:
         return None
     w = b - A_gamma @ x_gamma
     diff = x[gamma] - x_gamma

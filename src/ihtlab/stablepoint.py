@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SupportSet, all_supports, column_stacks, least_squares_split, matvec, pseudo_inverse_apply, restrict
-)
+from .core import SupportSet, all_supports, column_stacks, least_squares_split, matvec, restrict
 from .errors import InvalidArgumentError
 
 DEFAULT_STABILITY_TOL = 1e-8
@@ -54,7 +52,8 @@ def min_norm_solution(A: np.ndarray, b: np.ndarray, gamma: SupportSet) -> np.nda
     x = np.zeros(A.shape[1])
     if len(gamma) == 0:
         return x
-    x[gamma.as_array()] = pseudo_inverse_apply(restrict(A, gamma), np.asarray(b, dtype=float))
+    _, [(y, _)] = least_squares_split(restrict(A, gamma), np.asarray(b, dtype=float))
+    x[gamma.as_array()] = y
     return x
 
 
@@ -116,7 +115,7 @@ def stable_condition_terms(
     diff = lam.difference(gamma)
     A_diff = restrict(A, diff)
     v_signal = A_diff @ x_star[diff.as_array()]
-    (y_signal, w_signal), (y_noise, w_noise) = least_squares_split(restrict(A, gamma), v_signal, e)
+    _, [(y_signal, w_signal), (y_noise, w_noise)] = least_squares_split(restrict(A, gamma), v_signal, e)
     return StableConditionTerms(
         lhs_signal=float(np.linalg.norm(y_signal)),
         lhs_noise=float(np.linalg.norm(y_noise)),
@@ -147,7 +146,8 @@ def enumerate_stable_supports(
     for idx, A_gamma in column_stacks(A, all_supports(N, k)):
         rows = np.arange(len(idx))[:, None]
         x_bar = np.zeros((len(idx), N))
-        x_bar[rows, idx] = pseudo_inverse_apply(A_gamma, np.broadcast_to(b, (len(idx),) + b.shape))
+        _, [(y, _)] = least_squares_split(A_gamma, np.broadcast_to(b, (len(idx),) + b.shape))
+        x_bar[rows, idx] = y
         grad = matvec(A.T, b - matvec(A, x_bar))
         on_mask = np.zeros(x_bar.shape, dtype=bool)
         on_mask[rows, idx] = True

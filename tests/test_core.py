@@ -13,7 +13,6 @@ from ihtlab.core import (
     hard_threshold,
     least_squares_split,
     objective,
-    pseudo_inverse_apply,
     restrict,
     sample_gaussian_matrix,
     sample_noise,
@@ -131,25 +130,31 @@ class TestRestrict:
             restrict(np.eye(3), SupportSet((0, 3)))
 
 
-class TestPseudoInverseApply:
+def split_y(A, v):
+    """The least-squares coefficients y of ``least_squares_split``."""
+    _, [(y, _)] = least_squares_split(A, v)
+    return y
+
+
+class TestLeastSquaresCoefficients:
     def test_orthonormal_block(self):
         gen = RngSpec(2).generator()
         Q, _ = np.linalg.qr(gen.standard_normal((8, 3)))
         v = gen.standard_normal(8)
-        np.testing.assert_allclose(pseudo_inverse_apply(Q, v), Q.T @ v, atol=1e-12)
+        np.testing.assert_allclose(split_y(Q, v), Q.T @ v, atol=1e-12)
 
     def test_consistent_system(self):
         gen = RngSpec(3).generator()
         A = gen.standard_normal((8, 3))
         y0 = gen.standard_normal(3)
-        y = pseudo_inverse_apply(A, A @ y0)
+        y = split_y(A, A @ y0)
         np.testing.assert_allclose(y, y0, atol=1e-10)
 
     def test_normal_equations_oracle_extended_precision(self):
         gen = RngSpec(4).generator()
         A = gen.standard_normal((8, 3))
         v = gen.standard_normal(8)
-        y = pseudo_inverse_apply(A, v)
+        y = split_y(A, v)
         Al = A.astype(np.longdouble)
         vl = v.astype(np.longdouble)
         oracle = np.linalg.solve((Al.T @ Al).astype(float), (Al.T @ vl).astype(float))
@@ -160,26 +165,29 @@ class TestPseudoInverseApply:
         for _ in range(20):
             A = gen.standard_normal((10, 4))
             v = gen.standard_normal(10)
-            y = pseudo_inverse_apply(A, v)
+            y = split_y(A, v)
             assert np.linalg.norm(A.T @ (v - A @ y)) <= 1e-10 * np.linalg.norm(v)
+
+    def test_singular_values_are_those_of_r(self):
+        A = RngSpec(6).generator().standard_normal((3, 8, 2))
+        s, _ = least_squares_split(A, np.ones((3, 8)))
+        np.testing.assert_array_equal(s, np.linalg.svd(np.linalg.qr(A)[1], compute_uv=False))
 
     def test_rank_deficiency(self):
         A = np.ones((6, 2))
         with pytest.raises(SingularMatrixError) as excinfo:
-            pseudo_inverse_apply(A, np.ones(6))
+            split_y(A, np.ones(6))
         assert excinfo.value.condition > 1e12
 
-    @pytest.mark.parametrize("solve", [pseudo_inverse_apply, least_squares_split])
-    def test_right_hand_side_of_wrong_shape_raises(self, solve):
+    def test_right_hand_side_of_wrong_shape_raises(self):
         A = RngSpec(6).generator().standard_normal((3, 8, 2))
         for v in (np.ones(8), np.ones((3, 7)), np.ones((2, 8))):
             with pytest.raises(ShapeMismatchError):
-                solve(A, v)
+                least_squares_split(A, v)
 
-    @pytest.mark.parametrize("solve", [pseudo_inverse_apply, least_squares_split])
-    def test_more_columns_than_rows_raises(self, solve):
+    def test_more_columns_than_rows_raises(self):
         with pytest.raises(InvalidArgumentError, match="at least as many rows"):
-            solve(np.ones((2, 3)), np.ones(2))
+            least_squares_split(np.ones((2, 3)), np.ones(2))
 
 
 class TestLeastSquaresSplitStack:
@@ -187,12 +195,14 @@ class TestLeastSquaresSplitStack:
         gen = RngSpec(7).generator()
         A = gen.standard_normal((6, 9, 4))
         v, e = gen.standard_normal((6, 9)), gen.standard_normal((6, 9))
-        stacked = least_squares_split(A, v, e)
+        s, stacked = least_squares_split(A, v, e)
         for j in range(6):
-            for (y, w), (y_j, w_j) in zip(stacked, least_squares_split(A[j], v[j], e[j])):
+            s_j, lone = least_squares_split(A[j], v[j], e[j])
+            assert np.array_equal(s[j], s_j)
+            for (y, w), (y_j, w_j) in zip(stacked, lone):
                 assert np.array_equal(y[j], y_j) and np.array_equal(w[j], w_j)
         # The split of v does not depend on whether e comes with it.
-        ((y_v, w_v),) = least_squares_split(A, v)
+        _, [(y_v, w_v)] = least_squares_split(A, v)
         assert np.array_equal(stacked[0][0], y_v) and np.array_equal(stacked[0][1], w_v)
 
     @pytest.mark.parametrize("j", [0, 3, 5])
@@ -216,9 +226,9 @@ class TestLeastSquaresSplitStack:
         A[3] = 0.0
         v = gen.standard_normal((5, 8))
         with pytest.raises(SingularMatrixError) as alone:
-            pseudo_inverse_apply(A[1], v[1])
+            least_squares_split(A[1], v[1])
         with pytest.raises(SingularMatrixError) as stacked:
-            pseudo_inverse_apply(A, v)
+            least_squares_split(A, v)
         assert math.isfinite(stacked.value.condition)
         assert stacked.value.condition == alone.value.condition
 

@@ -49,7 +49,7 @@ def _separate_svd_columns(config, z, trials):
     A_gamma, A_diff = cols[..., :k], cols[..., k:]
     z_norm2 = float(z @ z)
     v = A_diff @ z
-    (y, w), (y_e, w_e) = least_squares_split(A_gamma, v, e)
+    _, [(y, w), (y_e, w_e)] = least_squares_split(A_gamma, v, e)
     quad = vecdot(v, w) / z_norm2
     lhs_42 = experiments._norm(matvec(A_diff.mT, w)) / math.sqrt(z_norm2)
     lhs_43 = experiments._norm(y_e)
@@ -147,6 +147,19 @@ class TestConfigValidation:
              "trials": 5, "master_seed": 0, "solver": {"variant": "iht", "alpha": 0.6, "lr": 1}}
         )
         with pytest.raises(ConfigError, match="unknown solver keys"):
+            config.solver_config()
+
+    @pytest.mark.parametrize("solver, key", [
+        ({"variant": "niht", "alpha": 5.0}, "alpha"),
+        ({"variant": "iht", "alpha": 0.6, "kappa": 1.2}, "kappa"),
+        ({"variant": "iht", "alpha": 0.6, "c": 0.1}, "c"),
+    ])
+    def test_solver_keys_the_variant_never_reads_rejected(self, solver, key):
+        config = ExperimentConfig.from_dict(
+            {"kind": "mc_transition", "n": 40, "delta_grid": [0.5], "rho_grid": [0.1],
+             "trials": 5, "master_seed": 0, "solver": solver}
+        )
+        with pytest.raises(ConfigError, match=f"solver keys \\['{key}'\\] are not read by variant"):
             config.solver_config()
 
     def test_unhashable_kind_rejected(self):

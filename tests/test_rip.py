@@ -163,6 +163,13 @@ class TestProviders:
         with pytest.raises(NumericalDomainError):
             provider.query(0.5, 1.5)
 
+    @pytest.mark.parametrize("delta, rho", [
+        (math.nan, 0.1), (0.5, math.nan), (np.array([0.5, math.nan]), 0.1), (0.5, np.array([0.1, math.nan])),
+    ])
+    def test_nan_is_outside_the_hull(self, delta, rho):
+        with pytest.raises(NumericalDomainError, match="nan outside table hull"):
+            default_provider().query(delta, rho)
+
     def test_monotonicity_violations_rejected(self, tmp_path):
         rows = ["0.1,0.0,0.0,0.5", "0.1,1.0,0.3,0.4", "0.9,0.0,0.0,0.5", "0.9,1.0,0.3,0.4"]
         with pytest.raises(TableFormatError):

@@ -16,10 +16,10 @@ from ihtlab.core import (
     sample_instance,
     top_mask,
 )
-from ihtlab.errors import InvalidArgumentError, ShrinkageLoopError, StationaryPointError
+from ihtlab.errors import InvalidArgumentError, ShrinkageLoopError, SingularMatrixError
 from ihtlab import solvers
 from ihtlab.rip import rip_exact
-from ihtlab.stablepoint import is_stable_point
+from ihtlab.stablepoint import is_stable_point, min_norm_solution
 from ihtlab.solvers import (
     DIVERGENCE_RATIO2,
     MAX_SHRINK_STEPS,
@@ -31,7 +31,6 @@ from ihtlab.solvers import (
     TERMINATION_STEP_TOL,
     check_iterate_inequalities,
     run_solver,
-    step,
 )
 
 
@@ -41,6 +40,17 @@ def iht_config(alpha=0.65, **kw):
 
 def niht_config(**kw):
     return SolverConfig(variant="niht", **kw)
+
+
+def lone_step(x, A, b, k, config):
+    """``solvers._step`` from x on the ProblemStack of one instance:
+    ``(alpha, used_shrinkage, x_next, stationary)``."""
+    stack = ProblemStack(np.asarray(A, dtype=float)[None], np.asarray(b, dtype=float)[None], np.array([k]))
+    X = np.asarray(x, dtype=float)[None]
+    R = (stack.A[0] @ X[0] - stack.b[0])[None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alpha, used, X_next, stationary = solvers._step(X, R, stack.A, stack.k, config, np.zeros(1, int), {})
+    return float(np.ravel(alpha)[0]), bool(np.ravel(used)[0]), X_next[0], stationary is not None and stationary[0]
 
 
 def brute_force_best_support(A, b, k):
@@ -77,9 +87,8 @@ class TestSolverConfig:
 class TestGihtStep:
     def test_fixed_point_of_consistent_system(self):
         inst = sample_instance(30, 60, 4, 0.0, RngSpec(1))
-        r = inst.A @ inst.x_star - inst.b
         for alpha in (0.1, 0.65, 1.3):
-            _, _, x_next = step(inst.x_star, r, inst.A, inst.k, iht_config(alpha=alpha))
+            _, _, x_next, _ = lone_step(inst.x_star, inst.A, inst.b, inst.k, iht_config(alpha=alpha))
             np.testing.assert_allclose(x_next, inst.x_star, atol=1e-12)
 
     def test_first_step_from_zero(self):
@@ -92,7 +101,7 @@ class TestGihtStep:
         x_star[[2, 7]] = [3.0, -2.0]
         b = A @ x_star
         x0 = np.zeros(12)
-        _, _, x_next = step(x0, A @ x0 - b, A, 2, iht_config(alpha=1.0))
+        _, _, x_next, _ = lone_step(x0, A, b, 2, iht_config(alpha=1.0))
         np.testing.assert_allclose(x_next, hard_threshold(A.T @ b, 2), atol=1e-14)
 
     def test_formula_oracle(self):
@@ -102,14 +111,14 @@ class TestGihtStep:
         x = gen.standard_normal(14)
         alpha = 0.37
         oracle = hard_threshold(x - alpha * (A.T @ (A @ x - b)), 5)
-        _, _, x_next = step(x, A @ x - b, A, 5, iht_config(alpha=alpha))
+        _, _, x_next, _ = lone_step(x, A, b, 5, iht_config(alpha=alpha))
         np.testing.assert_array_equal(x_next, oracle)
 
     def test_requires_positive_alpha(self):
         # The constant stepsize reaches the step only through a SolverConfig,
         # which refuses alpha <= 0 before any step is taken.
         with pytest.raises(InvalidArgumentError):
-            step(np.zeros(4), np.zeros(4), np.eye(4), 2, iht_config(alpha=0.0))
+            lone_step(np.zeros(4), np.eye(4), np.zeros(4), 2, iht_config(alpha=0.0))
 
 
 class TestRunIht:
@@ -189,14 +198,14 @@ class TestNihtStepsize:
         z = np.zeros(10)
         z[[0, 4]] = [0.25, 2.5]
         b = A @ z
-        alpha, used_shrinkage, _ = step(x, A @ x - b, A, 2, niht_config())
+        alpha, used_shrinkage, _, _ = lone_step(x, A, b, 2, niht_config())
         assert not used_shrinkage
         assert alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_stationary_signal_at_solution(self):
         inst = sample_instance(30, 60, 3, 0.0, RngSpec(8))
-        with pytest.raises(StationaryPointError):
-            step(inst.x_star, inst.A @ inst.x_star - inst.b, inst.A, inst.k, niht_config())
+        *_, stationary = lone_step(inst.x_star, inst.A, inst.b, inst.k, niht_config())
+        assert stationary
 
     def test_shrinkage_exit_inequality(self):
         # Force support changes and re-verify the loop exit condition.
@@ -206,11 +215,8 @@ class TestNihtStepsize:
             inst = sample_instance(24, 48, 3, 0.3, RngSpec(3000 + seed))
             gen = RngSpec(4000 + seed).generator()
             x = hard_threshold(gen.standard_normal(48), 3)
-            try:
-                alpha, used_shrinkage, x_next = step(x, inst.A @ x - inst.b, inst.A, inst.k, config)
-            except StationaryPointError:
-                continue
-            if not used_shrinkage:
+            alpha, used_shrinkage, x_next, stationary = lone_step(x, inst.A, inst.b, inst.k, config)
+            if stationary or not used_shrinkage:
                 continue
             diff = x_next - x
             denom = np.linalg.norm(inst.A @ diff) ** 2
@@ -404,6 +410,10 @@ def test_zero_norm_b_is_never_capped(scale, monkeypatch):
 # oracle for the shared iteration kernel.
 
 
+class ReferenceStationary(Exception):
+    """The reference linesearch's stepsize is 0/0: the iterate is stationary."""
+
+
 def reference_top_support(v, k):
     return SupportSet.from_iterable(np.argsort(-np.abs(v), kind="stable")[:k])
 
@@ -422,7 +432,7 @@ def reference_linesearch(x, gamma, A, b, k, config, reductions=None):
     den_vec = restrict(A, gamma) @ g_gamma
     den = float(den_vec @ den_vec)
     if num == 0.0 or den == 0.0:
-        raise StationaryPointError("0/0")
+        raise ReferenceStationary
     alpha = num / den
     x_trial = reference_threshold(x + alpha * g, k)
     if not np.all(np.isfinite(x_trial)) or SupportSet.support_of(x_trial) == gamma:
@@ -477,7 +487,7 @@ def reference_run(A, b, k, config, reductions=None):
                     gamma = reference_top_support(g0, k)
                 try:
                     alpha, used, x_next = reference_linesearch(x, gamma, A, b, k, config, reductions)
-                except StationaryPointError:
+                except ReferenceStationary:
                     reason = TERMINATION_STATIONARY
                     break
             records.append((x, alpha, objective(x), used))
@@ -923,6 +933,18 @@ def test_finish_refuses_rank_deficient_support():
     A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     a_norms = np.linalg.norm(A, axis=0)
     assert solvers._certified_point(A, np.array([1.0, 0.0]), np.array([0.5, 0.5, 0.0]), 2, 0.5, a_norms) is None
+
+
+def test_finish_refuses_a_support_past_the_rank_rule_of_every_least_squares_solve():
+    # cond(A_Γ) = 1e13: above core.RANK_DEFICIENCY_CONDITION, though LAPACK's
+    # gelsd (rcond = eps * max(n, k)) would count the rank as 2 and the margin
+    # holds, b being consistent with no off-support column.  The finish
+    # refuses the support as min_norm_solution does.
+    A = np.diag([1.0, 1e-13])
+    b = A @ np.ones(2)
+    assert solvers._certified_point(A, b, np.array([1.01, 1.0]), 2, 0.5, np.linalg.norm(A, axis=0)) is None
+    with pytest.raises(SingularMatrixError):
+        min_norm_solution(A, b, SupportSet((0, 1)))
 
 
 def test_finish_needs_a_full_support():
