@@ -1,10 +1,11 @@
 """Sparse-recovery laboratory for iterative hard thresholding.
 
-Subpackages: ``core`` (linear algebra and sampling), ``solvers`` (IHT and
+Modules: ``core`` (linear algebra and sampling), ``solvers`` (IHT and
 N-IHT), ``stablepoint`` (fixed-point verification), ``rip`` (restricted
 isometry constants and bound tables), ``asymptotics`` (tail bounds and
 distribution oracles), ``transitions`` (phase-transition curves and
-stability factors) and ``experiments`` (Monte Carlo harness and CLI).
+stability factors), ``experiments`` (Monte Carlo harness), ``cli`` (the
+``ihtlab`` command line) and ``errors`` (the exception hierarchy).
 """
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve, rip, tailbound, phase-bound, stability, mc-transition,
-mc-dist, mc-error.  Each accepts an optional JSON config plus flag overrides,
-writes CSV/JSON where asked, and prints a one-line summary.  Exit codes:
+mc-dist, mc-error.  Each takes its inputs as flags, and the three experiment
+subcommands (mc-*) also accept a JSON config that the flags override.  Each
+writes CSV/JSON where asked and prints a one-line summary.  Exit codes:
 0 success, 2 configuration error (also a request past an enumeration
 budget), 3 numerical-domain error, 64 unknown subcommand.
 """
@@ -61,6 +62,15 @@ USAGE = (
 )
 
 
+def _emit(out: Path | None, payload: dict, line: str) -> int:
+    """Write ``payload`` to ``out`` as strict JSON when ``out`` is given, print
+    ``line``, and return ``EXIT_OK``: the end of every JSON subcommand."""
+    if out:
+        write_json(out, payload)
+    print(line)
+    return EXIT_OK
+
+
 def _cmd_solve(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="ihtlab solve", description="Run one solver instance")
     parser.add_argument("--n", type=int, default=100)
@@ -93,20 +103,15 @@ def _cmd_solve(argv: list[str]) -> int:
     # A diverged iterate has no finite error; write_json records it as null.
     with np.errstate(over="ignore", invalid="ignore"):
         err = float(np.linalg.norm(trace.final - instance.x_star))
-    if args.out:
-        write_json(args.out, {
-            "error": err,
-            "iterations": trace.n_iterations,
-            "termination": trace.termination_reason,
-            "objective": trace.iterates[-1].objective,
-            "support": list(trace.iterates[-1].support.indices),
-            "x": [float(v) for v in trace.final],
-        })
-    print(
-        f"solve {args.variant}: error={err:.3e} iterations={trace.n_iterations} "
-        f"termination={trace.termination_reason}"
-    )
-    return EXIT_OK
+    return _emit(args.out, {
+        "error": err,
+        "iterations": trace.n_iterations,
+        "termination": trace.termination_reason,
+        "objective": trace.iterates[-1].objective,
+        "support": list(trace.iterates[-1].support.indices),
+        "x": [float(v) for v in trace.final],
+    }, f"solve {args.variant}: error={err:.3e} iterations={trace.n_iterations} "
+       f"termination={trace.termination_reason}")
 
 
 def _cmd_rip(argv: list[str]) -> int:
@@ -125,16 +130,11 @@ def _cmd_rip(argv: list[str]) -> int:
         constants = rip_exact(A, args.order)
     else:
         constants = rip_monte_carlo(A, args.order, args.trials, RngSpec(args.seed, 1))
-    if args.out:
-        write_json(args.out, {
-            "n": args.n, "N": args.N, "order": constants.s, "L": constants.L, "U": constants.U,
-            "method": constants.method, "general_position": constants.general_position,
-        })
-    print(
-        f"rip order={constants.s} L={constants.L:.6f} U={constants.U:.6f} "
-        f"method={constants.method} general_position={constants.general_position}"
-    )
-    return EXIT_OK
+    return _emit(args.out, {
+        "n": args.n, "N": args.N, "order": constants.s, "L": constants.L, "U": constants.U,
+        "method": constants.method, "general_position": constants.general_position,
+    }, f"rip order={constants.s} L={constants.L:.6f} U={constants.U:.6f} "
+       f"method={constants.method} general_position={constants.general_position}")
 
 
 def _cmd_tailbound(argv: list[str]) -> int:
@@ -149,20 +149,15 @@ def _cmd_tailbound(argv: list[str]) -> int:
     nu_u = tail_iu(inputs)
     nu_l = tail_il(inputs)
     f_res = tail_if(args.delta, args.rho)
-    if args.out:
-        write_json(args.out, {
-            "delta": args.delta, "rho": args.rho, "lambda": args.lam,
-            "nu_upper": nu_u.value, "nu_upper_residual": nu_u.residual,
-            "nu_lower": nu_l.value, "nu_lower_residual": nu_l.residual,
-            "f": f_res.value, "f_residual": f_res.residual,
-        })
-    print(
-        f"tailbound delta={args.delta} rho={args.rho} lambda={args.lam}: "
-        f"nu_U={nu_u.value:.12g} (resid {nu_u.residual:.2e}) "
-        f"nu_L={nu_l.value:.12g} (resid {nu_l.residual:.2e}) "
-        f"f={f_res.value:.12g} (resid {f_res.residual:.2e})"
-    )
-    return EXIT_OK
+    return _emit(args.out, {
+        "delta": args.delta, "rho": args.rho, "lambda": args.lam,
+        "nu_upper": nu_u.value, "nu_upper_residual": nu_u.residual,
+        "nu_lower": nu_l.value, "nu_lower_residual": nu_l.residual,
+        "f": f_res.value, "f_residual": f_res.residual,
+    }, f"tailbound delta={args.delta} rho={args.rho} lambda={args.lam}: "
+       f"nu_U={nu_u.value:.12g} (resid {nu_u.residual:.2e}) "
+       f"nu_L={nu_l.value:.12g} (resid {nu_l.residual:.2e}) "
+       f"f={f_res.value:.12g} (resid {f_res.residual:.2e})")
 
 
 def _cmd_phase_bound(argv: list[str]) -> int:
@@ -203,29 +198,17 @@ def _cmd_stability(argv: list[str]) -> int:
         else:
             alpha, interval = args.alpha, stepsize_interval_iht(args.delta, args.rho, provider, roots=roots)
         result = stability_factor_iht(args.delta, args.rho, alpha, roots=roots)
-        if args.out:
-            write_json(args.out, {
-                "variant": "iht", "delta": args.delta, "rho": args.rho, "alpha": alpha,
-                "a": result.a, "xi": result.xi, "alpha_interval": interval,
-            })
-        print(
-            f"stability iht delta={args.delta} rho={args.rho} alpha={alpha:.6g}: "
-            f"a={result.a:.6g} xi={result.xi:.6g} interval={interval}"
-        )
-    else:
-        result = stability_factor_niht(
-            args.delta, args.rho, args.kappa, provider, xi_variant=args.xi_variant
-        )
-        if args.out:
-            write_json(args.out, {
-                "variant": "niht", "delta": args.delta, "rho": args.rho, "kappa": args.kappa,
-                "xi_variant": args.xi_variant, "a": result.a, "xi": result.xi,
-            })
-        print(
-            f"stability niht delta={args.delta} rho={args.rho} kappa={args.kappa}: "
-            f"a={result.a:.6g} xi={result.xi:.6g} ({args.xi_variant})"
-        )
-    return EXIT_OK
+        return _emit(args.out, {
+            "variant": "iht", "delta": args.delta, "rho": args.rho, "alpha": alpha,
+            "a": result.a, "xi": result.xi, "alpha_interval": interval,
+        }, f"stability iht delta={args.delta} rho={args.rho} alpha={alpha:.6g}: "
+           f"a={result.a:.6g} xi={result.xi:.6g} interval={interval}")
+    result = stability_factor_niht(args.delta, args.rho, args.kappa, provider, xi_variant=args.xi_variant)
+    return _emit(args.out, {
+        "variant": "niht", "delta": args.delta, "rho": args.rho, "kappa": args.kappa,
+        "xi_variant": args.xi_variant, "a": result.a, "xi": result.xi,
+    }, f"stability niht delta={args.delta} rho={args.rho} kappa={args.kappa}: "
+       f"a={result.a:.6g} xi={result.xi:.6g} ({args.xi_variant})")
 
 
 _EXPERIMENT_EXTRA_FLAGS = {

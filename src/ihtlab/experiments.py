@@ -366,7 +366,7 @@ def _pmap(fn, tasks: list, workers: int):
     """Apply ``fn`` over tasks, in parallel when ``workers`` > 1.
 
     Results come back in task order, so the output is independent of the
-    worker count.  Each experiment reads ``workers`` once, from
+    worker count.  ``run_experiment`` reads ``workers`` once, from
     ``_worker_count``, before it starts any work.
     """
     if workers == 1 or len(tasks) <= 1:
@@ -492,7 +492,7 @@ def _norm(u: np.ndarray) -> np.ndarray:
     return np.sqrt(vecdot(u, u))
 
 
-def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
+def _distribution_check(config: ExperimentConfig, workers: int) -> tuple[dict, list[dict], dict]:
     """Validate the distributional identities behind the stable-point terms.
 
     Per trial with fresh Gaussian columns: the squared overlap ratio is
@@ -500,8 +500,6 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
     re-checked from the same draw (violation counts must be zero); and the
     three Rayleigh-quotient laws are KS-tested.
     """
-    if config.kind != KIND_DISTRIBUTION:
-        raise ConfigError("mc_distribution_check requires kind=mc_distribution")
     from .asymptotics import chi2_cdf, scaled_f_cdf
 
     n, k, r = config.n, config.k, config.overlap
@@ -516,7 +514,7 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
          keys[start : start + DISTRIBUTION_CHUNK])
         for start in range(0, config.trials, DISTRIBUTION_CHUNK)
     ]
-    chunks, rayleigh = zip(*_pmap(_distribution_trial, tasks, _worker_count()))
+    chunks, rayleigh = zip(*_pmap(_distribution_trial, tasks, workers))
     columns = _concatenated(chunks)
     r1, r2, r3, r3_ref = (np.concatenate(column) for column in zip(*rayleigh))
     m = config.trials
@@ -553,11 +551,7 @@ def mc_distribution_check(config: ExperimentConfig) -> ExperimentResult:
             "ks_two_sample_critical_99": ks_two_sample_critical(m, m),
         }
     )
-    result = ExperimentResult(
-        kind=config.kind, config=config.to_dict(), summary=summary, trial_columns=columns
-    )
-    _persist(result, config)
-    return result
+    return summary, [], columns
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +642,8 @@ def fifty_percent_contour(cells: list[dict]) -> list[dict]:
     return contour
 
 
-def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
+def _recovery_transition(config: ExperimentConfig, workers: int) -> tuple[dict, list[dict], dict]:
     """Empirical success map over a (delta, rho) grid at fixed n."""
-    if config.kind != KIND_TRANSITION:
-        raise ConfigError("mc_recovery_transition requires kind=mc_transition")
     solver_config = config.solver_config()  # fail fast on a bad solver section
     n = config.n
     tasks, cell_meta, cells = [], [], []
@@ -669,7 +661,7 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
             tasks.extend((config, solver_config, n, N, stack) for stack in _stacks(n, N, draws))
     if not tasks:
         raise ConfigError(f"n={n}: no cell of the grid satisfies 0 < 2k <= n <= N")
-    columns = _concatenated(_pmap(_transition_stack, tasks, _worker_count()))
+    columns = _concatenated(_pmap(_transition_stack, tasks, workers))
     # The valid cells' trials, one cell a row.
     per_cell = zip(*(columns[key].reshape(-1, config.trials) for key in ("success", "error")))
     for meta in cell_meta:
@@ -696,11 +688,7 @@ def mc_recovery_transition(config: ExperimentConfig) -> ExperimentResult:
         "trials": config.trials,
         "contour_50": fifty_percent_contour(cells),
     }
-    result = ExperimentResult(
-        kind=config.kind, config=config.to_dict(), summary=summary, cells=cells, trial_columns=columns
-    )
-    _persist(result, config)
-    return result
+    return summary, cells, columns
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +724,8 @@ def _error_stack(task) -> dict[str, np.ndarray]:
     }
 
 
-def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
+def _error_vs_xi(config: ExperimentConfig, workers: int) -> tuple[dict, list[dict], dict]:
     """Fraction of converged runs with error within the stability bound xi*sigma."""
-    if config.kind != KIND_ERROR_VS_XI:
-        raise ConfigError("mc_error_vs_xi requires kind=mc_error_vs_xi")
-    workers = _worker_count()
     n, delta, rho = config.n, config.delta, config.rho
     _check_range("delta", delta, 1.0)
     N, k = _cell_shape(n, delta, rho)
@@ -806,26 +791,25 @@ def mc_error_vs_xi(config: ExperimentConfig) -> ExperimentResult:
         "error_q90": float(np.quantile(errors, 0.9)) if len(errors) else None,
         "error_max": float(np.max(errors)) if len(errors) else None,
     }
-    result = ExperimentResult(
-        kind=config.kind, config=config.to_dict(), summary=summary, trial_columns=columns
-    )
-    _persist(result, config)
-    return result
+    return summary, [], columns
 
 
-def _persist(result: ExperimentResult, config: ExperimentConfig) -> None:
-    if config.output_path:
-        result.save(config.output_path)
-    if config.trial_csv_path:
-        result.save_trials_csv(config.trial_csv_path)
-
-
-RUNNERS = {
-    KIND_DISTRIBUTION: mc_distribution_check,
-    KIND_TRANSITION: mc_recovery_transition,
-    KIND_ERROR_VS_XI: mc_error_vs_xi,
+# Each kind's runner: ``(config, workers)`` to ``(summary, cells, trial columns)``.
+_RUNNERS = {
+    KIND_DISTRIBUTION: _distribution_check,
+    KIND_TRANSITION: _recovery_transition,
+    KIND_ERROR_VS_XI: _error_vs_xi,
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    return RUNNERS[config.kind](config)
+    """Run the experiment ``config`` describes, on ``_worker_count()`` workers
+    read once before any work, and write its result JSON to ``output_path``
+    and its trial CSV to ``trial_csv_path`` when each is set."""
+    summary, cells, columns = _RUNNERS[config.kind](config, _worker_count())
+    result = ExperimentResult(config.kind, config.to_dict(), summary, cells, columns)
+    if config.output_path:
+        result.save(config.output_path)
+    if config.trial_csv_path:
+        result.save_trials_csv(config.trial_csv_path)
+    return result

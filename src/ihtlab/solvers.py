@@ -108,6 +108,9 @@ class SolverConfig:
                 raise InvalidArgumentError(
                     f"N-IHT requires kappa > 1/(1-c); got kappa={self.kappa}, c={self.c}"
                 )
+        # An integer as ``operator.index`` takes one (numpy integers too), but not a bool.
+        if isinstance(self.max_iters, bool) or not hasattr(type(self.max_iters), "__index__"):
+            raise InvalidArgumentError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not self.max_iters >= 1:
             raise InvalidArgumentError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (self.step_tol >= 0 and self.residual_tol >= 0):

@@ -26,8 +26,6 @@ from ihtlab.asymptotics import (
 from ihtlab.core import RngSpec, SupportSet, sample_instance
 from ihtlab.experiments import (
     ExperimentConfig,
-    mc_distribution_check,
-    mc_error_vs_xi,
     run_experiment,
 )
 from ihtlab.rip import TableRipProvider, default_provider, rip_exact
@@ -137,7 +135,7 @@ def test_criterion_4_distributional_suite():
         {"kind": "mc_distribution", "n": 100, "k": 10, "overlap": 5,
          "trials": 10_000, "master_seed": 20240601, "sigma": 1.0}
     )
-    s = mc_distribution_check(config).summary
+    s = run_experiment(config).summary
     ks_keys = ("ks_f_ratio", "ks_r_quadratic", "ks_g_noise", "ks_s_noise",
                "ks_t_noise", "ks_rayleigh_full", "ks_rayleigh_inverse")
     ks_ok = all(s[key] <= s["ks_critical_99"] for key in ks_keys)
@@ -337,12 +335,12 @@ def test_criterion_9_noise_bound_compliance():
     provider = default_provider()
     rho_hat = rho_hat_iht(0.5, provider).rho_hat
     rho = rho_hat / 4
-    noisy = mc_error_vs_xi(ExperimentConfig.from_dict(
+    noisy = run_experiment(ExperimentConfig.from_dict(
         {"kind": "mc_error_vs_xi", "n": 400, "delta": 0.5, "rho": rho,
          "sigma": 0.1, "trials": 200, "master_seed": 190_000,
          "solver": {"variant": "iht", "max_iters": 4000}}
     )).summary
-    noiseless = mc_error_vs_xi(ExperimentConfig.from_dict(
+    noiseless = run_experiment(ExperimentConfig.from_dict(
         {"kind": "mc_error_vs_xi", "n": 400, "delta": 0.5, "rho": rho,
          "sigma": 0.0, "trials": 50, "master_seed": 191_000,
          "solver": {"variant": "iht", "max_iters": 4000}}

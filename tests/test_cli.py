@@ -9,6 +9,7 @@ import pytest
 
 import ihtlab
 from ihtlab import cli, experiments
+from ihtlab.asymptotics import TailInputs, tail_if, tail_il, tail_iu
 from ihtlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run_cli
 from ihtlab.experiments import ExperimentResult
 from ihtlab.rip import default_provider
@@ -26,6 +27,19 @@ def test_tailbound_prints_all_three_roots(capsys):
     assert run_cli(["tailbound", "--delta", "0.5", "--rho", "0.25", "--lambda", "0.75"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "nu_U=" in out and "nu_L=" in out and "f=" in out and "resid" in out
+
+
+def test_tailbound_writes_each_root_and_residual(tmp_path, capsys):
+    out = tmp_path / "tail.json"
+    argv = ["tailbound", "--delta", "0.5", "--rho", "0.25", "--lambda", "0.75", "--out", str(out)]
+    assert run_cli(argv) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    inputs = TailInputs(0.5, 0.25, 0.75)
+    roots = {"nu_upper": tail_iu(inputs), "nu_lower": tail_il(inputs), "f": tail_if(0.5, 0.25)}
+    expected = {"delta": 0.5, "rho": 0.25, "lambda": 0.75}
+    for key, root in roots.items():
+        expected[key], expected[f"{key}_residual"] = root.value, root.residual
+    assert payload == expected
 
 
 def test_tailbound_domain_violation_exits_2(capsys):

@@ -20,9 +20,6 @@ from ihtlab.experiments import (
     ks_critical_value,
     ks_statistic,
     ks_two_sample,
-    mc_distribution_check,
-    mc_error_vs_xi,
-    mc_recovery_transition,
     read_config,
     run_experiment,
     wilson_interval,
@@ -286,7 +283,7 @@ def dist_result():
         {"kind": "mc_distribution", "n": 100, "k": 10, "overlap": 5,
          "trials": 3000, "master_seed": 20240601, "sigma": 1.0}
     )
-    return mc_distribution_check(config)
+    return run_experiment(config)
 
 
 class TestDistributionCheck:
@@ -458,7 +455,7 @@ class TestDistributionCheck:
             {"kind": "mc_distribution", "n": 40, "k": 4, "overlap": 2,
              "trials": 2000, "master_seed": 5, "sigma": 1.0}
         )
-        assert mc_distribution_check(config).summary["trials"] == 2000
+        assert run_experiment(config).summary["trials"] == 2000
         assert built == [(0, 0)]  # stream 0, for the run's shared vectors
 
     def test_noiseless_config_skips_noise_terms(self):
@@ -466,7 +463,7 @@ class TestDistributionCheck:
             {"kind": "mc_distribution", "n": 40, "k": 4, "overlap": 2,
              "trials": 50, "master_seed": 1, "sigma": 0.0}
         )
-        summary = mc_distribution_check(config).summary
+        summary = run_experiment(config).summary
         assert "ks_g_noise" not in summary
         assert summary["violations_42"] == 0
 
@@ -478,7 +475,7 @@ class TestRecoveryTransition:
              "rho_grid": [0.04, 0.2, 0.44], "trials": 25, "master_seed": 5,
              "solver": {"variant": "iht", "alpha": 0.65, "max_iters": 800}}
         )
-        result = mc_recovery_transition(config)
+        result = run_experiment(config)
         rates = {c["rho"]: c["success_rate"] for c in result.cells}
         assert rates[0.04] == 1.0
         assert rates[0.44] <= 0.1
@@ -498,7 +495,7 @@ class TestRecoveryTransition:
              "rho_grid": [rho_hat / 2], "trials": 200, "master_seed": 15,
              "solver": {"variant": "iht", "alpha": 0.65, "max_iters": 2000}}
         )
-        result = mc_recovery_transition(config)
+        result = run_experiment(config)
         assert result.cells[0]["success_rate"] == 1.0
 
     def test_empirical_contour_above_transition_curve(self):
@@ -514,7 +511,7 @@ class TestRecoveryTransition:
              "master_seed": 16,
              "solver": {"variant": "iht", "alpha": 0.65, "max_iters": 1000}}
         )
-        result = mc_recovery_transition(config)
+        result = run_experiment(config)
         for entry in result.summary["contour_50"]:
             assert entry["rho_50"] is not None
             assert entry["rho_50"] > rho_hat_iht(entry["delta"], provider).rho_hat
@@ -525,7 +522,7 @@ class TestRecoveryTransition:
              "rho_grid": [0.04, 0.6], "trials": 5, "master_seed": 5,
              "solver": {"variant": "iht", "alpha": 0.5, "max_iters": 100}}
         )
-        result = mc_recovery_transition(config)
+        result = run_experiment(config)
         invalid = [c for c in result.cells if not c["valid"]]
         assert invalid and invalid[0]["success_rate"] is None
 
@@ -537,7 +534,7 @@ class TestErrorVsXi:
              "sigma": 0.1, "trials": 30, "master_seed": 6,
              "solver": {"variant": "iht", "max_iters": 3000}}
         )
-        result = mc_error_vs_xi(config)
+        result = run_experiment(config)
         assert result.summary["included"] >= 28
         assert result.summary["compliance_rate"] >= 0.95
         assert result.summary["xi"] > 0
@@ -548,7 +545,7 @@ class TestErrorVsXi:
              "sigma": 0.0, "trials": 10, "master_seed": 7,
              "solver": {"variant": "iht", "max_iters": 3000}}
         )
-        result = mc_error_vs_xi(config)
+        result = run_experiment(config)
         assert result.summary["error_bound"] == 1e-6
         assert result.summary["compliance_rate"] == 1.0
 
@@ -558,7 +555,7 @@ class TestErrorVsXi:
              "sigma": 0.1, "trials": 15, "master_seed": 8,
              "solver": {"variant": "niht", "max_iters": 3000}}
         )
-        result = mc_error_vs_xi(config)
+        result = run_experiment(config)
         assert result.summary["compliance_rate"] >= 0.9
 
     def test_sigma_scaling_of_errors(self):
@@ -569,7 +566,7 @@ class TestErrorVsXi:
                  "sigma": sigma, "trials": 40, "master_seed": 9,
                  "solver": {"variant": "iht", "max_iters": 3000}}
             )
-            summaries.append(mc_error_vs_xi(config).summary)
+            summaries.append(run_experiment(config).summary)
         ratio = summaries[1]["error_q50"] / summaries[0]["error_q50"]
         assert 1.5 <= ratio <= 2.5
         assert summaries[1]["error_bound"] == pytest.approx(2 * summaries[0]["error_bound"])
@@ -583,7 +580,7 @@ class TestErrorVsXi:
              "sigma": 0.1, "trials": 2, "master_seed": 1,
              "solver": {"variant": "iht", "max_iters": 100}}
         )
-        mc_error_vs_xi(config)
+        run_experiment(config)
         assert sorted(solves) == ["_if_root", "tail_il"]
 
     def test_unknown_solver_variant_is_config_error(self):
@@ -593,7 +590,7 @@ class TestErrorVsXi:
              "solver": {"variant": "cosamp", "max_iters": 100}}
         )
         with pytest.raises(ConfigError, match="unknown solver variant 'cosamp'"):
-            mc_error_vs_xi(config)
+            run_experiment(config)
 
     def test_stability_undefined_is_config_error(self):
         config = ExperimentConfig.from_dict(
@@ -602,7 +599,7 @@ class TestErrorVsXi:
              "solver": {"variant": "iht", "max_iters": 100}}
         )
         with pytest.raises(ConfigError):
-            mc_error_vs_xi(config)
+            run_experiment(config)
 
     def test_alpha_outside_interval_rejected(self):
         config = ExperimentConfig.from_dict(
@@ -611,7 +608,7 @@ class TestErrorVsXi:
              "solver": {"variant": "iht", "alpha": 0.99, "max_iters": 100}}
         )
         with pytest.raises(ConfigError):
-            mc_error_vs_xi(config)
+            run_experiment(config)
 
 
 STACKING_CONFIGS = {
@@ -726,7 +723,7 @@ def test_certified_finish_changes_no_mc_error_outcome(seed, monkeypatch):
             return out
 
         monkeypatch.setattr(experiments, "_solve_stack", recorded)
-        return mc_error_vs_xi(config).trial_columns, np.concatenate(finals)
+        return run_experiment(config).trial_columns, np.concatenate(finals)
 
     (on, final_on), (off, final_off) = run(True), run(False)
     assert set(on["termination"]) == {"stable_point"} and set(off["termination"]) == {"step_tol"}
@@ -747,7 +744,7 @@ def test_certified_trials_skip_the_stable_point_test(monkeypatch):
 
     monkeypatch.setenv(experiments.WORKERS_ENV_VAR, "1")
     monkeypatch.setattr(experiments, "_stability_test", no_test)
-    columns = mc_error_vs_xi(ExperimentConfig.from_dict(STACKING_CONFIGS["error"])).trial_columns
+    columns = run_experiment(ExperimentConfig.from_dict(STACKING_CONFIGS["error"])).trial_columns
     assert set(columns["termination"]) == {"stable_point"}
     assert columns["stable"].all()
 
@@ -756,7 +753,7 @@ def test_certified_trials_skip_the_stable_point_test(monkeypatch):
 def test_mc_error_finishes_iht_runs_without_a_residual_tolerance(name, finishes):
     # A residual tolerance is the user's own stopping rule: those runs, and
     # N-IHT's, end as they did before the finish.
-    columns = mc_error_vs_xi(ExperimentConfig.from_dict(STABLE_ORACLE_CONFIGS[name])).trial_columns
+    columns = run_experiment(ExperimentConfig.from_dict(STABLE_ORACLE_CONFIGS[name])).trial_columns
     assert ("stable_point" in columns["termination"]) == finishes
 
 
@@ -769,7 +766,7 @@ def test_mc_error_refuses_a_cell_without_room_before_any_work(n, monkeypatch):
     monkeypatch.setattr(experiments, "load_provider", no_provider)
     config = ExperimentConfig.from_dict(dict(STACKING_CONFIGS["error"], n=n))
     with pytest.raises(ConfigError, match=f"n={n}: the cell .* does not satisfy 0 < 2k <= n <= N"):
-        mc_error_vs_xi(config)
+        run_experiment(config)
 
 
 STABLE_ORACLE_CONFIGS = {
@@ -786,7 +783,7 @@ def test_stable_column_matches_per_trial_stable_point_check(name):
     # The stack-wide stable-point test gives, trial by trial, the verdict of
     # is_stable_point on each converged run's final iterate and its support.
     config = ExperimentConfig.from_dict(STABLE_ORACLE_CONFIGS[name])
-    result = mc_error_vs_xi(config)
+    result = run_experiment(config)
     alpha_lb = result.summary["alpha_lb"]
     columns = result.trial_columns
     solver_config = config.solver_config(alpha_override=alpha_lb if config.solver["variant"] == "iht" else None)
@@ -879,7 +876,7 @@ def test_result_json_embeds_config_and_version(tmp_path):
         {"kind": "mc_distribution", "n": 20, "k": 3, "overlap": 2, "trials": 2,
          "master_seed": 13, "output_path": str(out)}
     )
-    mc_distribution_check(config)
+    run_experiment(config)
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["config"]["master_seed"] == 13
     assert payload["config"]["kind"] == "mc_distribution"

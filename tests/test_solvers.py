@@ -83,6 +83,15 @@ class TestSolverConfig:
         with pytest.raises(InvalidArgumentError):
             SolverConfig(variant="omp")
 
+    @pytest.mark.parametrize("max_iters", [2.5, True, np.float64(3.0), "3"])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        # A float would reach range() and a bool would run as 0 or 1 iterations.
+        with pytest.raises(InvalidArgumentError, match="max_iters must be an integer"):
+            SolverConfig(variant="iht", alpha=0.5, max_iters=max_iters)
+
+    def test_max_iters_takes_numpy_integers(self):
+        assert SolverConfig(variant="niht", max_iters=np.int64(7)).max_iters == 7
+
 
 class TestGihtStep:
     def test_fixed_point_of_consistent_system(self):
