@@ -1,11 +1,15 @@
-"""Entropy, implicit tail-bound functions, chi-square/F oracles and the
+"""Entropy, implicit tail-bound functions, chi-square and F CDFs and the
 uniform asymptotics that back the large-deviation analysis.
 
 The three tail-bound functions are roots of strictly monotone equations.  They
 take scalars or arrays, and one vectorised, safeguarded Newton kernel
 (``_newton_root``) solves them all to float precision, or raises a
-``NumericalDomainError`` that names the point where it cannot.  Only the
-chi-square and F CDFs load ``scipy.special``, and only when called.
+``NumericalDomainError`` that names the point where it cannot.  The chi-square
+and F CDFs are the regularized incomplete gamma and beta functions in numpy:
+power series and continued fractions after Numerical Recipes (3rd ed.,
+sections 6.2 and 6.4) with the prefactors of DiDonato & Morris (ACM TOMS
+12(4), 1986), within 1e-13 absolute up to 200 degrees of freedom and 1e-12
+up to 4,000.
 """
 from __future__ import annotations
 
@@ -239,28 +243,252 @@ def _if_root(delta, rho, start=None) -> RootResult:
     )
 
 
-def chi2_cdf(x, dof):
-    """Chi-square CDF with ``dof`` degrees of freedom."""
-    x, dof = np.asarray(x, dtype=float), np.asarray(dof, dtype=float)
-    if np.any(x < 0):
-        raise InvalidArgumentError("chi-square CDF requires x >= 0")
-    if np.any(dof < 1):
-        raise InvalidArgumentError("degrees of freedom must be >= 1")
-    from scipy.special import gammainc
+# The incomplete gamma and beta functions behind the CDFs (NR is Numerical
+# Recipes, 3rd ed.).  Each series or continued fraction is summed to the depth
+# at which it has converged at its slowest point, found in scalar arithmetic;
+# a depth past CDF_MAX_ITERATIONS raises a NumericalDomainError naming it.
+CDF_MAX_ITERATIONS = 10_000
+_EPS = np.finfo(float).eps
+# A continued fraction has converged once two Lentz factors in a row lie
+# within this of one.
+_CF_TOL = 4.0 * _EPS
+# Coefficients B_2k / (2k (2k-1)), k = 1..7, of the Stirling series of mu below.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
-    return _unwrap(gammainc(dof / 2.0, x / 2.0))
+
+def _stirling_correction(a: float) -> float:
+    """mu(a) = ln Gamma(a) - (a - 1/2) ln a + a - ln(2 pi)/2 for a > 0, within
+    about 1e-15: the Stirling series in 1/a from a = 10, where its next term
+    is below 1e-16, reached by mu(a) = mu(a+1) + (a + 1/2) ln(1 + 1/a) - 1."""
+    shift = 0.0
+    while a < 10.0:
+        shift += (a + 0.5) * math.log1p(1.0 / a) - 1.0
+        a += 1.0
+    w = 1.0 / (a * a)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * w + c
+    return series / a + shift
+
+
+def _phi(t, r):
+    """phi(t) = t - ln(1+t) from t and r = 1 + t, both to full relative
+    precision: ln r keeps the digits that 1 + t loses as t nears -1."""
+    with np.errstate(divide="ignore"):
+        phi = t - np.log(r)
+    small = np.abs(t) < 0.25
+    phi[small] = _x_minus_log1p(t[small])
+    return phi
+
+
+def _not_converged(what: str, point: str):
+    raise NumericalDomainError(f"{what} not converged within {CDF_MAX_ITERATIONS} iterations at {point}")
+
+
+def _gamma_series(x, a: float):
+    """sum_n x^n / ((a+1)...(a+n)), so that P(a, x) = x^a e^-x / Gamma(a+1)
+    times it (NR 6.2.5), for 0 <= x < a + 1.  Its terms are counted at the
+    largest x, whose tail is the largest relative to its sum, and summed by
+    Horner's rule in x / (a+1), where no coefficient exceeds one."""
+    top = x.max()
+    term = total = 1.0
+    coefs = [1.0]
+    for n in range(1, CDF_MAX_ITERATIONS + 1):
+        term *= top / (a + n)
+        total += term
+        coefs.append(coefs[-1] * (a + 1.0) / (a + n))
+        if term <= _EPS * total:
+            break
+    else:
+        _not_converged("incomplete gamma series", f"a={a:.17g}, x={top:.17g}")
+    z = x / (a + 1.0)
+    s = np.full_like(x, coefs.pop())
+    for c in reversed(coefs):
+        s *= z
+        s += c
+    return s
+
+
+def _fraction_depth(what: str, point: str, b0: float, level) -> int:
+    """The depth n at which modified Lentz (NR 5.2) has converged on
+    1/(b0 + a1/(b1 + a2/(b2 + ...))), in scalar arithmetic, with
+    ``level(i) = (a_i, b_i)``: two levels in a row change it by at most
+    ``_CF_TOL``, so that rounding noise in one Lentz factor cannot end it.
+    A zero denominator becomes 1e-300, as in NR."""
+    d, c = 1.0 / b0, math.inf
+    settled = 0
+    for i in range(1, CDF_MAX_ITERATIONS + 1):
+        an, bn = level(i)
+        d = 1.0 / ((an * d + bn) or 1e-300)
+        c = (bn + an / c) or 1e-300
+        settled = settled + 1 if abs(d * c - 1.0) <= _CF_TOL else 0
+        if settled == 2:
+            return i
+    _not_converged(what, point)
+
+
+def _gamma_fraction(x, a: float):
+    """Q(a, x) / (x^a e^-x / Gamma(a)) as the continued fraction
+    1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))) (NR 6.2.7) for finite
+    x >= a + 1: its depth is found at the smallest x, where it converges
+    slowest, and every x is evaluated from that depth up."""
+    low = x.min()
+    n = _fraction_depth(
+        "incomplete gamma continued fraction", f"a={a:.17g}, x={low:.17g}",
+        low + 1.0 - a, lambda i: (-i * (i - a), low + 1.0 - a + 2 * i),
+    )
+    t = x + (2 * n + 1 - a)
+    for i in range(n, 0, -1):
+        np.divide(-i * (i - a), t, out=t)
+        t += x
+        t += 2 * i - 1 - a
+    return 1.0 / t
+
+
+def _gamma_p(x, a: float):
+    """Regularized lower incomplete gamma P(a, x) for x >= 0 and one a > 0.
+
+    The prefactor x^a e^-x / Gamma(a) is sqrt(a / 2 pi) exp(-a phi((x-a)/a)
+    - mu(a)), whose exponent carries no cancellation for large a, where
+    a ln x - x - ln Gamma(a) loses about eps a ln a.
+    """
+    p = np.ones_like(x)
+    finite = x < np.inf
+    body = x[finite]
+    front = math.sqrt(a / (2.0 * math.pi)) * np.exp(-a * _phi((body - a) / a, body / a) - _stirling_correction(a))
+    low = body < a + 1.0
+    high = ~low
+    value = np.empty_like(body)
+    if low.any():
+        value[low] = front[low] / a * _gamma_series(body[low], a)
+    if high.any():
+        value[high] = 1.0 - front[high] * _gamma_fraction(body[high], a)
+    p[finite] = value
+    return p
+
+
+def _beta_fraction(x, a: float, b: float):
+    """I_x(a, b) / (x^a (1-x)^b / (a B(a, b))) as the continued fraction
+    1/(1 + d1/(1 + d2/(1 + ...))) of NR 6.4.5 for x < (a+1)/(a+b+2): its
+    depth is found at the largest x, where it converges slowest, and every
+    x is evaluated from that depth up."""
+
+    def coef(j):  # d_j / x
+        m = j // 2
+        if j % 2:
+            return -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1))
+        return m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m))
+
+    top = x.max()
+    n = _fraction_depth(
+        "incomplete beta continued fraction", f"a={a:.17g}, b={b:.17g}, x={top:.17g}",
+        1.0, lambda j: (coef(j) * top, 1.0),
+    )
+    t = np.ones_like(x)
+    for j in range(n, 0, -1):
+        np.divide(x, t, out=t)
+        t *= coef(j)
+        t += 1.0
+    return 1.0 / t
+
+
+def _beta_front(x, y, a: float, b: float):
+    """x^a y^b / B(a, b), y = 1 - x, as sqrt(ab / (2 pi (a+b))) exp(-a phi(-lam/a)
+    - b phi(lam/b) - mu(a) - mu(b) + mu(a+b)) with lam = a - (a+b) x
+    (DiDonato & Morris's brcomp): no cancellation for large a and b."""
+    lam = a - (a + b) * x if a <= b else (a + b) * y - b
+    exponent = a * _phi(-lam / a, x * ((a + b) / a)) + b * _phi(lam / b, y * ((a + b) / b))
+    mu = _stirling_correction(a) + _stirling_correction(b) - _stirling_correction(a + b)
+    return math.sqrt(a * b / (2.0 * math.pi * (a + b))) * np.exp(-exponent - mu)
+
+
+def _beta_inc(x, y, a: float, b: float):
+    """Regularized incomplete beta I_x(a, b) for x in [0, 1], y = 1 - x to
+    full precision as well, and one pair a, b > 0: the continued fraction
+    below x = (a+1)/(a+b+2), else 1 - I_y(b, a), which keeps 1 - I accurate."""
+    front = _beta_front(x, y, a, b)
+    low = x < (a + 1.0) / (a + b + 2.0)
+    high = ~low
+    p = np.empty_like(x)
+    if low.any():
+        p[low] = front[low] / a * _beta_fraction(x[low], a, b)
+    if high.any():
+        p[high] = 1.0 - front[high] / b * _beta_fraction(y[high], b, a)
+    return p
+
+
+def _f_cdf(x, d1: float, d2: float):
+    """F(d1, d2) CDF of x >= 0 as I_u(d1/2, d2/2), u = d1 x / (d1 x + d2),
+    with 1 - u = d2 / (d1 x + d2) taken without cancellation."""
+    v = x * (d1 / d2)
+    with np.errstate(divide="ignore"):
+        return _beta_inc(1.0 / (1.0 + 1.0 / v), 1.0 / (1.0 + v), d1 / 2.0, d2 / 2.0)
+
+
+def _each_parameter(kernel, x, *params):
+    """``kernel(part, *p)`` over each distinct tuple ``p`` of the broadcast
+    parameters, as Python floats, on the 1-D part of ``x`` that shares it;
+    the result has the broadcast shape, or is a Python float."""
+    shape = np.broadcast_shapes(x.shape, *(p.shape for p in params))
+    flat = np.broadcast_to(x, shape).ravel()
+    if all(p.size == 1 for p in params):
+        out = kernel(flat, *(p.item() for p in params))
+    else:
+        keys = np.stack([np.broadcast_to(p, shape).ravel() for p in params])
+        values, group = np.unique(keys, axis=1, return_inverse=True)
+        out = np.empty(flat.shape)
+        for g, key in enumerate(values.T):
+            part = group == g
+            out[part] = kernel(flat[part], *key.tolist())
+    return _unwrap(out.reshape(shape))
+
+
+def _check_dof(*dofs):
+    for dof in dofs:
+        if not np.all(dof >= 1):
+            raise InvalidArgumentError("degrees of freedom must be >= 1")
+        if np.any(dof == np.inf):
+            raise InvalidArgumentError("degrees of freedom must be finite")
+
+
+def chi2_cdf(x, dof):
+    """Chi-square CDF with ``dof`` degrees of freedom, P(dof/2, x/2); exactly
+    0 at x = 0 and 1 at x = inf.  Arguments broadcast; NaN x, dof below one
+    or an infinite dof raise ``InvalidArgumentError``.
+
+    P(a, x) is summed as its power series below x = a + 1 and as 1 - Q(a, x)
+    from the continued fraction of Q above (Numerical Recipes, 3rd ed.,
+    section 6.2), with the prefactor of ``_gamma_p``.  It is within 1e-13
+    absolute of the exact value up to dof 200 and within 1e-12 up to dof
+    4000.  Each series or fraction runs to the depth its slowest point
+    needs, so a value can differ in its last bits with the other points of
+    the call; a depth past ``CDF_MAX_ITERATIONS`` raises
+    ``NumericalDomainError``.
+    """
+    x, dof = np.asarray(x, dtype=float), np.asarray(dof, dtype=float)
+    if not np.all(x >= 0):
+        raise InvalidArgumentError("chi-square CDF requires x >= 0")
+    _check_dof(dof)
+    return _each_parameter(_gamma_p, x / 2.0, dof / 2.0)
 
 
 def f_cdf(x, d1, d2):
-    """F-distribution CDF with (d1, d2) degrees of freedom."""
-    x, d1, d2 = (np.asarray(v, dtype=float) for v in (x, d1, d2))
-    if np.any(x < 0):
-        raise InvalidArgumentError("F CDF requires x >= 0")
-    if np.any(d1 < 1) or np.any(d2 < 1):
-        raise InvalidArgumentError("degrees of freedom must be >= 1")
-    from scipy.special import betainc
+    """F-distribution CDF with (d1, d2) degrees of freedom, I_u(d1/2, d2/2)
+    with u = d1 x / (d1 x + d2); exactly 0 at x = 0 and 1 at x = inf.
+    Arguments broadcast; NaN x, a dof below one or an infinite dof raise
+    ``InvalidArgumentError``.
 
-    return _unwrap(betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2)))
+    I_u(a, b) is the continued fraction of Numerical Recipes, 3rd ed.,
+    section 6.4, below u = (a+1)/(a+b+2) and 1 - I_{1-u}(b, a) above, so
+    that in the upper tail F is one less a tail computed to full relative
+    precision; its prefactor is DiDonato & Morris's (ACM TOMS 12(4), 1986).
+    Accuracy, depth and the iteration cap are as for ``chi2_cdf``.
+    """
+    x, d1, d2 = (np.asarray(v, dtype=float) for v in (x, d1, d2))
+    if not np.all(x >= 0):
+        raise InvalidArgumentError("F CDF requires x >= 0")
+    _check_dof(d1, d2)
+    return _each_parameter(_f_cdf, x, d1, d2)
 
 
 def scaled_f_cdf(x, k: int, n: int):

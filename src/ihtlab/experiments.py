@@ -172,6 +172,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
+        # A field left at its default is well typed; from_dict has typed the JSON, nulls too.
+        _check_types({f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not f.default})
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.master_seed < 0:

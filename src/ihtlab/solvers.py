@@ -36,6 +36,7 @@ limit x̄, the least-squares solution on the support (``_certified_point``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +97,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in (VARIANT_IHT, VARIANT_NIHT):
             raise InvalidArgumentError(f"unknown solver variant {self.variant!r}")
+        # A real number (numpy floats and integers too), not a bool; alpha may be None.
+        for name in ("alpha", "kappa", "c", "step_tol", "residual_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) or name == "alpha" and value is None):
+                raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
         if self.variant == VARIANT_IHT:
             if self.alpha is None or not 0 < self.alpha < math.inf:
                 raise InvalidArgumentError(f"constant-stepsize IHT requires a finite alpha > 0, got {self.alpha}")

@@ -1,11 +1,13 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from decimal import Decimal, localcontext
 
 from hypothesis import given, settings, strategies as st
-from scipy.special import betainc, gammainc, gammaincc, lambertw, xlog1py, xlogy
+from scipy.special import betainc, betaincc, gammainc, gammaincc, lambertw, xlog1py, xlogy
 
 from ihtlab import asymptotics
 from ihtlab.asymptotics import (
@@ -236,6 +238,40 @@ def test_root_residuals_on_grid():
     assert worst <= 2e-12
 
 
+# Degrees of freedom of the CDF tests: integer, half-integer and non-integer.
+SMALL_DOFS = (1, 1.5, 2, 3, 4.5, 5, 7.3, 10, 21, 45.5, 90, 91, 100, 137.2, 200)
+LARGE_DOFS = (201, 333.3, 500, 999, 1000, 2000.5, 4000)
+
+
+def chi2_points(dof):
+    """x from 0 through the bulk of the chi-square law to both far tails."""
+    x = np.concatenate([
+        [0.0, 1e-300], np.geomspace(1e-6, 0.5, 40) * dof,
+        dof + math.sqrt(2 * dof) * np.linspace(-6, 40, 300), [1e3 * dof, 1e300],
+    ])
+    return x[x >= 0]
+
+
+F_POINTS = np.concatenate([[0.0, 1e-300], np.geomspace(1e-8, 1e8, 300), np.linspace(0.02, 6, 300), [1e300]])
+
+
+def f_oracle(x, d1, d2):
+    """The F CDF from scipy's incomplete beta, taken on the side of 1/2 where
+    u = d1 x / (d1 x + d2) lies, so that its argument carries no cancellation."""
+    u, w = d1 * x / (d1 * x + d2), d2 / (d1 * x + d2)
+    return np.where(u < 0.5, betainc(d1 / 2, d2 / 2, u), betaincc(d2 / 2, d1 / 2, w))
+
+
+def f_exact(x, d1, d2):
+    """The F CDF for even d1, d2, exactly: with a = d1/2, b = d2/2 integers,
+    I_u(a, b) = sum_{j >= a} C(a+b-1, j) u^j (1-u)^(a+b-1-j), summed in
+    integers from x = p/q as sum_j C(n, j) (d1 p)^j (d2 q)^(n-j) / (d1 p + d2 q)^n."""
+    n = (d1 + d2) // 2 - 1
+    p, q = Fraction(float(x)).as_integer_ratio()
+    s, t = d1 * p, d2 * q
+    return float(Fraction(sum(math.comb(n, j) * s**j * t ** (n - j) for j in range(d1 // 2, n + 1)), (s + t) ** n))
+
+
 class TestCdfOracles:
     def test_chi2_closed_form_dof2(self):
         assert chi2_cdf(2 * math.log(2), 2) == pytest.approx(0.5, abs=1e-14)
@@ -243,7 +279,7 @@ class TestCdfOracles:
         np.testing.assert_allclose(chi2_cdf(x, 2), 1 - np.exp(-x / 2), atol=1e-13)
 
     def test_chi2_at_zero(self):
-        for dof in (1, 5, 10):
+        for dof in SMALL_DOFS + LARGE_DOFS:
             assert chi2_cdf(0.0, dof) == 0.0
 
     def test_f_median_equal_dof(self):
@@ -293,6 +329,81 @@ class TestCdfOracles:
         n, k = 60, 6
         x = 0.37
         assert scaled_f_cdf(x, k, n) == pytest.approx(f_cdf(x * (n - k + 1) / k, k, n - k + 1))
+
+
+class TestIncompleteGammaAndBeta:
+    @pytest.mark.parametrize("dofs, tol", [(SMALL_DOFS, 1e-13), (LARGE_DOFS, 1e-12)])
+    def test_chi2_matches_scipy(self, dofs, tol):
+        for dof in dofs:
+            x = chi2_points(dof)
+            assert np.max(np.abs(chi2_cdf(x, dof) - gammainc(dof / 2, x / 2))) <= tol, dof
+
+    @pytest.mark.parametrize("dofs, tol", [
+        ((1, 1.5, 3, 5, 7.3, 21, 45.5, 91, 137.2, 199), 1e-13),
+        ((1, 3, 45.5, 201, 999, 2000.5, 3999), 1e-12),
+    ])
+    def test_f_matches_scipy_at_odd_or_fractional_dof(self, dofs, tol):
+        for d1 in dofs:
+            for d2 in dofs:
+                assert np.max(np.abs(f_cdf(F_POINTS, d1, d2) - f_oracle(F_POINTS, d1, d2))) <= tol, (d1, d2)
+
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (2, 200), (200, 2), (4, 10), (10, 90), (20, 90), (50, 50), (200, 200)])
+    def test_f_matches_exact_sum_at_even_dof(self, d1, d2):
+        # scipy's betainc sums the same finite series here and strays by up to
+        # about 4e-13, so the oracle is the exact sum.
+        x = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 25), np.linspace(0.05, 4, 40)])
+        exact = np.array([f_exact(v, d1, d2) for v in x])
+        assert np.max(np.abs(f_cdf(x, d1, d2) - exact)) <= 1e-13
+
+    def test_exact_ends(self):
+        for dof in SMALL_DOFS + LARGE_DOFS:
+            assert f_cdf(0.0, dof, 7) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chi2_cdf(math.inf, 3) == 1.0
+            assert f_cdf(math.inf, 3, 4) == 1.0
+            assert f_cdf([0.0, math.inf], 4000, 1).tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (1.5, 2.0), (5.0, 45.5), (45.5, 5.0), (50.0, 50.0), (2000.0, 1.5)])
+    def test_beta_symmetry(self, a, b):
+        # Dyadic x, so that 1 - x is exact; both sides of the split (a+1)/(a+b+2).
+        x = np.arange(1, 4096) / 4096
+        total = asymptotics._beta_inc(x, 1 - x, a, b) + asymptotics._beta_inc(1 - x, x, b, a)
+        assert np.max(np.abs(total - 1.0)) <= 4e-15
+
+    def test_broadcast_matches_one_call_per_dof(self):
+        x = np.linspace(0.0, 30.0, 7)
+        dofs = np.array([1.0, 4.5, 10.0])
+        table = chi2_cdf(x[:, None], dofs)
+        assert table.shape == (7, 3)
+        for j, dof in enumerate(dofs):
+            np.testing.assert_allclose(table[:, j], chi2_cdf(x, dof), rtol=0, atol=1e-15)
+        assert np.allclose(f_cdf(1.0, [3, 4], [[5], [6]]), [[f_cdf(1.0, d1, d2) for d1 in (3, 4)] for d2 in (5, 6)])
+        assert chi2_cdf(np.empty(0), 3).shape == (0,)
+
+    @pytest.mark.parametrize("cdf, args, message", [
+        (chi2_cdf, (89.0, 90), "incomplete gamma series not converged within 3 iterations at a=45, x=44.5$"),
+        (chi2_cdf, (92.0, 90), "incomplete gamma continued fraction not converged within 3 iterations at a=45, x=46$"),
+        (f_cdf, (0.5, 10, 91), "incomplete beta continued fraction not converged within 3 iterations at a=5, b=45.5, x=0.052083333333333336$"),
+        (f_cdf, (2.0, 10, 91), "incomplete beta continued fraction not converged within 3 iterations at a=45.5, b=5, x=0.81981981981981977$"),
+    ])
+    def test_iteration_cap_raises_naming_the_point(self, monkeypatch, cdf, args, message):
+        monkeypatch.setattr(asymptotics, "CDF_MAX_ITERATIONS", 3)
+        with pytest.raises(NumericalDomainError, match=message):
+            cdf(*args)
+
+    @pytest.mark.parametrize("cdf, args, message", [
+        (chi2_cdf, (math.nan, 3), "chi-square CDF requires x >= 0"),
+        (f_cdf, ([1.0, math.nan], 3, 4), "F CDF requires x >= 0"),
+        (chi2_cdf, (1.0, math.inf), "degrees of freedom must be finite"),
+        (chi2_cdf, (1.0, math.nan), "degrees of freedom must be >= 1"),
+        (f_cdf, (1.0, 3, math.inf), "degrees of freedom must be finite"),
+        (f_cdf, (1.0, [3, math.inf], 4), "degrees of freedom must be finite"),
+        (f_cdf, (1.0, math.nan, 4), "degrees of freedom must be >= 1"),
+    ])
+    def test_refuses_nan_x_and_non_finite_dof(self, cdf, args, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            cdf(*args)
 
 
 class TestTemmeGamma:

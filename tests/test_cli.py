@@ -498,8 +498,16 @@ def test_cli_and_provider_load_no_scipy():
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
 
-def test_commands_but_mc_dist_run_with_scipy_blocked(tmp_path):
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
     # A None entry in sys.modules makes every import of scipy raise ImportError.
+    (tmp_path / "transition.json").write_text(json.dumps(
+        {"kind": "mc_transition", "n": 30, "delta_grid": [0.5], "rho_grid": [0.05], "trials": 2,
+         "master_seed": 1, "solver": {"variant": "iht", "alpha": 0.65, "max_iters": 300}}
+    ))
+    (tmp_path / "error.json").write_text(json.dumps(
+        {"kind": "mc_error_vs_xi", "n": 100, "delta": 0.5, "rho": 0.01, "sigma": 0.1,
+         "trials": 2, "master_seed": 1, "solver": {"variant": "iht", "max_iters": 500}}
+    ))
     code = """
 import sys
 sys.modules["scipy"] = None
@@ -513,6 +521,12 @@ for argv in (
     ["phase-bound", "--grid-points", "10", "--out", out + "/iht.csv"],
     ["phase-bound", "--variant", "niht", "--grid-points", "10", "--out", out + "/niht.csv"],
     ["stability", "--delta", "0.5", "--rho", "0.008"],
+    ["mc-dist", "--n", "40", "--k", "4", "--overlap", "2", "--sigma", "0", "--trials", "20", "--seed", "1",
+     "--out", out + "/dist0.json"],
+    ["mc-dist", "--n", "40", "--k", "4", "--overlap", "2", "--sigma", "1", "--trials", "20", "--seed", "1",
+     "--out", out + "/dist1.json"],
+    ["mc-transition", "--config", out + "/transition.json", "--out", out + "/transition-out.json"],
+    ["mc-error", "--config", out + "/error.json", "--out", out + "/error-out.json"],
 ):
     assert run_cli(argv) == 0, argv
 # The least-squares solves of the stable-point machinery are numpy's.
@@ -521,21 +535,6 @@ from ihtlab.stablepoint import enumerate_stable_supports, min_norm_solution
 inst = sample_instance(12, 20, 2, 0.1, RngSpec(1))
 assert enumerate_stable_supports(inst.A, inst.b, 2, 0.5)
 assert min_norm_solution(inst.A, inst.b, inst.true_support).any()
-"""
-    proc = run_python("-c", code, str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_mc_dist_runs_with_scipy_linalg_blocked(tmp_path):
-    # mc-dist needs scipy.special for its KS CDFs, and nothing of scipy.linalg.
-    code = """
-import sys
-sys.modules["scipy.linalg"] = None
-from ihtlab.cli import run_cli
-for sigma in ("0", "1"):
-    argv = ["mc-dist", "--n", "40", "--k", "4", "--overlap", "2", "--sigma", sigma, "--trials", "20",
-            "--seed", "1", "--out", sys.argv[1] + "/dist" + sigma + ".json"]
-    assert run_cli(argv) == 0, argv
 """
     proc = run_python("-c", code, str(tmp_path))
     assert proc.returncode == 0, proc.stderr

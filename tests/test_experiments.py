@@ -159,6 +159,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"solver keys \\['{key}'\\] are not read by variant"):
             config.solver_config()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("trials", True, "trials must be an integer, got True"),
+        ("n", "20", "n must be an integer, got '20'"),
+        ("sigma", False, "sigma must be a number, got False"),
+        ("output_path", 3, "output_path must be a string or null, got 3"),
+    ])
+    def test_direct_construction_types_its_fields(self, field, value, message):
+        # trials=2.5 used to crash in range(), trials=True to run one trial.
+        kwargs = {"kind": "mc_distribution", "n": 20, "k": 3, "overlap": 2, "trials": 2, "master_seed": 1}
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(ExperimentConfig(**kwargs))
+
     def test_unhashable_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown experiment kind"):
             ExperimentConfig.from_dict({"kind": []})

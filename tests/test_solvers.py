@@ -92,6 +92,22 @@ class TestSolverConfig:
     def test_max_iters_takes_numpy_integers(self):
         assert SolverConfig(variant="niht", max_iters=np.int64(7)).max_iters == 7
 
+    @pytest.mark.parametrize("variant, field", [
+        ("iht", "alpha"), ("niht", "kappa"), ("niht", "c"), ("iht", "step_tol"), ("iht", "residual_tol"),
+    ])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", [0.5]])
+    def test_float_fields_must_be_real_numbers(self, variant, field, value):
+        # A bool would run: alpha=True as stepsize 1, step_tol=True as a stop after one iteration.
+        kwargs = {"alpha": 0.5} if variant == "iht" else {}
+        kwargs[field] = value
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be a real number, got"):
+            SolverConfig(variant=variant, **kwargs)
+
+    def test_float_fields_take_numpy_numbers(self):
+        iht = SolverConfig(variant="iht", alpha=np.float64(0.5), step_tol=np.float32(1e-10), residual_tol=np.int64(0))
+        niht = SolverConfig(variant="niht", kappa=np.float64(1.2), c=np.float32(0.05))
+        assert (iht.alpha, niht.kappa) == (0.5, 1.2)
+
 
 class TestGihtStep:
     def test_fixed_point_of_consistent_system(self):
