@@ -19,6 +19,7 @@ import numpy as np
 
 from ihtlab.cli import EXIT_OK, run_mapped
 from ihtlab.rip import load_provider
+from ihtlab.solvers import SOLVER_FIELDS
 from ihtlab.transitions import default_delta_grid, grid_emit, write_grid_csv
 
 
@@ -26,7 +27,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("figure_grids"))
     parser.add_argument("--rip-table", type=str, default=None)
-    parser.add_argument("--kappa", type=float, default=1.1)
+    parser.add_argument("--kappa", type=float, default=SOLVER_FIELDS["kappa"].default)
     parser.add_argument("--delta", type=float, default=0.5, help="column for the stepsize grid")
     parser.add_argument("--grid-points", type=int, default=100)
     args = parser.parse_args(argv)

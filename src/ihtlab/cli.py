@@ -26,6 +26,7 @@ from .errors import (
     TableFormatError,
 )
 from .experiments import (
+    EXPERIMENT_FIELDS,
     KIND_DISTRIBUTION,
     KIND_ERROR_VS_XI,
     KIND_TRANSITION,
@@ -36,7 +37,7 @@ from .experiments import (
     write_json,
 )
 from .rip import load_provider, rip_exact, rip_monte_carlo
-from .solvers import SolverConfig, run_solver
+from .solvers import SOLVER_FIELDS, VARIANT_IHT, SolverConfig, run_solver
 from .transitions import (
     XI_NIHT_AS_PRINTED,
     XI_NIHT_VARIANTS,
@@ -71,31 +72,28 @@ def _emit(out: Path | None, payload: dict, line: str) -> int:
     return EXIT_OK
 
 
+# The Python type of a flag's value, by its row's JSON type; other flags take strings.
+_FLAG_TYPES = {"integer": int, "number": float, "number?": float}
+
+
 def _cmd_solve(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="ihtlab solve", description="Run one solver instance")
     parser.add_argument("--n", type=int, default=100)
     parser.add_argument("--N", type=int, default=200)
     parser.add_argument("--k", type=int, default=5)
     parser.add_argument("--sigma", type=float, default=0.0)
-    parser.add_argument("--variant", choices=["iht", "niht"], default="iht")
-    parser.add_argument("--alpha", type=float, default=0.65)
-    parser.add_argument("--kappa", type=float, default=1.1)
-    parser.add_argument("--c", type=float, default=0.05)
-    parser.add_argument("--max-iters", type=int, default=10_000)
-    parser.add_argument("--step-tol", type=float, default=1e-10)
+    # The solver flags of SOLVER_FIELDS, with their rows' defaults but for IHT at alpha 0.65.
+    for key, row in SOLVER_FIELDS.items():
+        if row.flag:
+            parser.add_argument(row.flag, dest=key, type=_FLAG_TYPES.get(row.type, str), default=row.default)
+    parser.set_defaults(variant=VARIANT_IHT, alpha=0.65)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--coefficient-model", default="gaussian")
     parser.add_argument("--out", type=Path, default=None, help="write the solution as JSON")
     args = parser.parse_args(argv)
     check_output_path("--out", args.out)
-    config = SolverConfig(
-        variant=args.variant,
-        alpha=args.alpha if args.variant == "iht" else None,
-        kappa=args.kappa,
-        c=args.c,
-        max_iters=args.max_iters,
-        step_tol=args.step_tol,
-    )
+    flags = {key: getattr(args, key) for key, row in SOLVER_FIELDS.items() if row.flag}
+    config = SolverConfig(**{**flags, "alpha": args.alpha if args.variant == VARIANT_IHT else None})
     instance = sample_instance(
         args.n, args.N, args.k, args.sigma, RngSpec(args.seed), args.coefficient_model
     )
@@ -163,7 +161,7 @@ def _cmd_tailbound(argv: list[str]) -> int:
 def _cmd_phase_bound(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="ihtlab phase-bound", description="Phase transition curve as CSV")
     parser.add_argument("--variant", choices=["iht", "niht"], default="iht")
-    parser.add_argument("--kappa", type=float, default=1.1)
+    parser.add_argument("--kappa", type=float, default=SOLVER_FIELDS["kappa"].default)
     parser.add_argument("--rip-table", type=str, default=None)
     parser.add_argument("--grid-points", type=int, default=100)
     parser.add_argument("--out", type=Path, required=True)
@@ -184,7 +182,7 @@ def _cmd_stability(argv: list[str]) -> int:
     parser.add_argument("--delta", type=float, required=True)
     parser.add_argument("--rho", type=float, required=True)
     parser.add_argument("--alpha", type=float, default=None, help="IHT stepsize; default interval midpoint")
-    parser.add_argument("--kappa", type=float, default=1.1)
+    parser.add_argument("--kappa", type=float, default=SOLVER_FIELDS["kappa"].default)
     parser.add_argument("--xi-variant", choices=list(XI_NIHT_VARIANTS), default=XI_NIHT_AS_PRINTED)
     parser.add_argument("--rip-table", type=str, default=None)
     parser.add_argument("--out", type=Path, default=None)
@@ -211,25 +209,13 @@ def _cmd_stability(argv: list[str]) -> int:
        f"a={result.a:.6g} xi={result.xi:.6g} ({args.xi_variant})")
 
 
-_EXPERIMENT_EXTRA_FLAGS = {
-    KIND_DISTRIBUTION: (("--k", int), ("--overlap", int)),
-    KIND_ERROR_VS_XI: (("--delta", float), ("--rho", float), ("--rip-table", str), ("--xi-variant", str)),
-    KIND_TRANSITION: (),
-}
-
-
 def _experiment_command(kind: str, prog: str, argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog=prog, description=f"Run a {kind} experiment")
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
-    # Each remaining flag's dest is the config key it overrides.
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", dest="master_seed", type=int)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--out", dest="output_path")
-    parser.add_argument("--trial-csv", dest="trial_csv_path")
-    for flag, flag_type in _EXPERIMENT_EXTRA_FLAGS[kind]:
-        parser.add_argument(flag, type=flag_type)
+    # The flag of each key the kind takes, whose dest is that key.
+    for key, row in EXPERIMENT_FIELDS.items():
+        if row.flag and kind in row.required + row.optional:
+            parser.add_argument(row.flag, dest=key, type=_FLAG_TYPES.get(row.type, str))
     overrides = vars(parser.parse_args(argv))
     config_path = overrides.pop("config")
     data: dict = {"kind": kind}

@@ -21,14 +21,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import _check_range
 from .core import (
+    COEFFICIENT_MODELS,
     ProblemStack,
     RngSpec,
     _check_rank,
@@ -42,16 +42,21 @@ from .core import (
 from .errors import ConfigError, IhtLabError, StabilityUndefinedError
 from .rip import load_provider
 from .solvers import (
+    JSON_TYPES,
+    SOLVER_FIELDS,
+    Field,
     SolverConfig,
     TERMINATION_MAX_ITERS,
     TERMINATION_STABLE_POINT,
     VARIANT_IHT,
-    VARIANT_NIHT,
+    _NONNEGATIVE,
+    check_fields,
     run_solver,
 )
 from .stablepoint import _stability_test
 from .transitions import (
     XI_NIHT_AS_PRINTED,
+    XI_NIHT_VARIANTS,
     _alpha_lb,
     _csv_rows,
     _roots,
@@ -87,39 +92,6 @@ DISTRIBUTION_CHUNK = 16
 # of one and holds no more memory than it would alone.
 SOLVER_STACK_BYTES = 1 << 20
 
-_FIELD_SETS = {
-    KIND_DISTRIBUTION: (
-        {"kind", "n", "k", "overlap", "trials", "master_seed"},
-        {"sigma", "output_path", "trial_csv_path"},
-    ),
-    KIND_TRANSITION: (
-        {"kind", "n", "delta_grid", "rho_grid", "trials", "master_seed", "solver"},
-        {"sigma", "coefficient_model", "output_path", "trial_csv_path"},
-    ),
-    KIND_ERROR_VS_XI: (
-        {"kind", "n", "delta", "rho", "trials", "master_seed", "solver", "sigma"},
-        {"rip_table", "xi_variant", "coefficient_model", "output_path", "trial_csv_path"},
-    ),
-}
-
-# Declared JSON type of each scalar key, at the top level or in the solver
-# section, checked before any value is used; true and false count as neither
-# integers nor numbers, and a number must be a finite float (JSON NaN and
-# Infinity are not, nor is an integer past the float range).
-_SCALAR_TYPES = {
-    **dict.fromkeys(("n", "k", "overlap", "trials", "master_seed", "max_iters"), ((int,), "an integer")),
-    **dict.fromkeys(
-        ("sigma", "delta", "rho", "kappa", "c", "step_tol", "residual_tol"), ((int, float), "a number")
-    ),
-    **dict.fromkeys(
-        ("rip_table", "xi_variant", "coefficient_model", "output_path", "trial_csv_path"),
-        ((str, type(None)), "a string or null"),
-    ),
-    "alpha": ((int, float, type(None)), "a number or null"),
-    "variant": ((str,), "a string"),
-}
-
-
 def check_output_path(name: str, path: str | Path | None) -> None:
     """``ConfigError`` naming ``name`` when ``path`` is given and cannot be
     written as a file: a directory, in no directory, too long, or with a NUL."""
@@ -137,104 +109,80 @@ def check_output_path(name: str, path: str | Path | None) -> None:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _check_types(section: dict, prefix: str = "") -> None:
-    for key in sorted(section.keys() & _SCALAR_TYPES.keys()):
-        allowed, expected = _SCALAR_TYPES[key]
-        value = section[key]
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ConfigError(f"{prefix}{key} must be {expected}, got {value!r}")
-        if float in allowed and value is not None and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{prefix}{key} must be finite, got {value!r}")
+_DIST, _TRANS, _ERROR = (KIND_DISTRIBUTION,), (KIND_TRANSITION,), (KIND_ERROR_VS_XI,)
+_UNIT = (lambda v, _: 0 < v <= 1, "lie in (0, 1]")
+
+# The keys of an experiment config, in the order ExperimentConfig declares
+# them: each key's type, rule, default, the kinds that require it and those
+# that also take it, and its flag on the mc-* subcommands of those kinds.
+EXPERIMENT_FIELDS = {
+    "kind": Field("string", KINDS, None, KINDS),
+    "n": Field("integer", None, None, KINDS, (), "--n"),
+    "trials": Field("integer", (lambda v, _: 1 <= v <= 2**32, "lie in [1, 2^32]"), None, KINDS, (), "--trials"),
+    "master_seed": Field("integer", _NONNEGATIVE, None, KINDS, (), "--seed"),
+    "sigma": Field("number", _NONNEGATIVE, 0.0, _ERROR, _DIST + _TRANS, "--sigma"),
+    "k": Field("integer", (lambda k, c: 0 < 2 * k <= c["n"], "satisfy 0 < 2k <= n"), None, _DIST, (), "--k"),
+    "overlap": Field("integer", (lambda r, c: 1 <= r <= c["k"], "lie in [1, k]"), None, _DIST, (), "--overlap"),
+    "delta": Field("number", _UNIT, None, _ERROR, (), "--delta"),
+    "rho": Field("number", None, None, _ERROR, (), "--rho"),
+    "delta_grid": Field("numbers", _UNIT, None, _TRANS),
+    "rho_grid": Field("numbers", _UNIT, None, _TRANS),
+    "solver": Field("object", lambda name, section: check_fields(
+        SOLVER_FIELDS, section, ConfigError, "solver", "variant", name + "."), None, _TRANS + _ERROR),
+    "rip_table": Field("string?", None, None, (), _ERROR, "--rip-table"),
+    "xi_variant": Field("string", XI_NIHT_VARIANTS, XI_NIHT_AS_PRINTED, (), _ERROR, "--xi-variant"),
+    "coefficient_model": Field("string", COEFFICIENT_MODELS, "gaussian", (), _TRANS + _ERROR),
+    "output_path": Field("string?", check_output_path, None, (), KINDS, "--out"),
+    "trial_csv_path": Field("string?", check_output_path, None, (), KINDS, "--trial-csv"),
+}
+
+# The default of every field but kind: a key left out, until __post_init__ sets its row's default.
+_UNSET = type("Unset", (), {"__repr__": lambda self: "<unset>"})()
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment; mirrors the JSON schema."""
+    """One experiment.  ``EXPERIMENT_FIELDS`` is the source of every field's rules, and
+    ``solvers.SOLVER_FIELDS`` of the solver section's; ``__post_init__`` checks them all,
+    so a config built here refuses what ``from_dict`` refuses."""
 
     kind: str
-    n: int
-    trials: int
-    master_seed: int
-    sigma: float = 0.0
-    k: int | None = None
-    overlap: int | None = None
-    delta: float | None = None
-    rho: float | None = None
-    delta_grid: tuple[float, ...] | None = None
-    rho_grid: tuple[float, ...] | None = None
-    solver: dict | None = None
-    rip_table: str | None = None
-    xi_variant: str = XI_NIHT_AS_PRINTED
-    coefficient_model: str = "gaussian"
-    output_path: str | None = None
-    trial_csv_path: str | None = None
+    n: int = _UNSET
+    trials: int = _UNSET
+    master_seed: int = _UNSET
+    sigma: float = _UNSET
+    k: int | None = _UNSET
+    overlap: int | None = _UNSET
+    delta: float | None = _UNSET
+    rho: float | None = _UNSET
+    delta_grid: tuple[float, ...] | None = _UNSET
+    rho_grid: tuple[float, ...] | None = _UNSET
+    solver: dict | None = _UNSET
+    rip_table: str | None = _UNSET
+    xi_variant: str = _UNSET
+    coefficient_model: str = _UNSET
+    output_path: str | None = _UNSET
+    trial_csv_path: str | None = _UNSET
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
-        # A field left at its default is well typed; from_dict has typed the JSON, nulls too.
-        _check_types({f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not f.default})
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        for key in ("delta_grid", "rho_grid"):
-            for value in getattr(self, key) or ():
-                if not 0 < value <= 1:
-                    raise ConfigError(f"{key} values must lie in (0, 1], got {value}")
-        for key in ("output_path", "trial_csv_path"):
-            check_output_path(key, getattr(self, key))
-        if not 0 <= self.sigma < math.inf:
-            raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if self.kind == KIND_DISTRIBUTION:
-            if not (self.k and self.overlap) or not 1 <= self.overlap <= self.k:
-                raise ConfigError("mc_distribution needs 1 <= overlap <= k")
-            if not 0 < 2 * self.k <= self.n:
-                raise ConfigError("mc_distribution needs 0 < 2k <= n")
-        if self.kind == KIND_TRANSITION:
-            if not self.delta_grid or not self.rho_grid:
-                raise ConfigError("mc_transition needs nonempty delta_grid and rho_grid")
-            self._require_solver()
-        if self.kind == KIND_ERROR_VS_XI:
-            if self.delta is None or self.rho is None:
-                raise ConfigError("mc_error_vs_xi needs delta and rho")
-            self._require_solver()
-
-    def _require_solver(self):
-        if not isinstance(self.solver, dict) or "variant" not in self.solver:
-            raise ConfigError("solver section with a 'variant' key is required")
-        _check_types(self.solver, "solver.")
+        given = {key: value for key, value in vars(self).items() if value is not _UNSET}
+        check_fields(EXPERIMENT_FIELDS, given, ConfigError, "config", "kind")
+        for key, row in EXPERIMENT_FIELDS.items():
+            value = given.get(key, row.default)
+            object.__setattr__(self, key, tuple(map(float, value)) if row.type == "numbers" and value else value)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config of a JSON object that names its kind; ``__post_init__`` checks all but its grids' JSON type."""
         if "kind" not in data:
             raise ConfigError("config is missing the 'kind' key")
-        kind = data["kind"]
-        if kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
-        required, optional = _FIELD_SETS[kind]
-        unknown = set(data) - required - optional
+        unknown = sorted(data.keys() - EXPERIMENT_FIELDS.keys())
         if unknown:
-            raise ConfigError(f"unknown config keys for kind {kind!r}: {sorted(unknown)}")
-        missing = required - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys for kind {kind!r}: {sorted(missing)}")
-        _check_types(data)
-        coerced = dict(data)
+            raise ConfigError(f"unknown config keys for kind {data['kind']!r}: {unknown}")
         for key in ("delta_grid", "rho_grid"):
-            grid = coerced.get(key)
-            if grid is None:
-                continue
-            # A JSON number: a float, or an int (not bool) that converts to one.
-            if not isinstance(grid, list) or not all(
-                isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max for v in grid
-            ):
-                raise ConfigError(f"{key} must be a list of numbers in the float range, got {grid!r}")
-            coerced[key] = tuple(map(float, grid))
-        try:
-            return cls(**coerced)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+            if key in data and not isinstance(data[key], list):
+                raise ConfigError(f"{key} must be {JSON_TYPES['numbers'][0]}, got {data[key]!r}")
+        return cls(**data)
 
     def to_dict(self) -> dict:
         raw = asdict(self)
@@ -242,14 +190,6 @@ class ExperimentConfig:
 
     def solver_config(self, alpha_override: float | None = None) -> SolverConfig:
         kwargs = dict(self.solver or {})
-        unknown = set(kwargs) - {f.name for f in fields(SolverConfig)}
-        if unknown:
-            raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
-        variant = kwargs.get("variant")
-        never_read = ("kappa", "c") if variant == VARIANT_IHT else ("alpha",) if variant == VARIANT_NIHT else ()
-        unread = [key for key in never_read if kwargs.get(key) is not None]
-        if unread:
-            raise ConfigError(f"solver keys {unread} are not read by variant {variant!r}")
         if alpha_override is not None:
             kwargs["alpha"] = alpha_override
         try:
@@ -729,14 +669,12 @@ def _error_stack(task) -> dict[str, np.ndarray]:
 def _error_vs_xi(config: ExperimentConfig, workers: int) -> tuple[dict, list[dict], dict]:
     """Fraction of converged runs with error within the stability bound xi*sigma."""
     n, delta, rho = config.n, config.delta, config.rho
-    _check_range("delta", delta, 1.0)
     N, k = _cell_shape(n, delta, rho)
     if not _valid_cell(n, N, k):
         raise ConfigError(f"n={n}: the cell N={N}, k={k} does not satisfy 0 < 2k <= n <= N")
     provider = load_provider(config.rip_table)
-    variant = config.solver["variant"]
     try:
-        if variant == VARIANT_IHT:
+        if config.solver["variant"] == VARIANT_IHT:
             roots = _roots(delta, rho)
             midpoint, interval = stepsize_midpoint_iht(delta, rho, provider, roots=roots)
             alpha = config.solver.get("alpha")
@@ -749,15 +687,13 @@ def _error_vs_xi(config: ExperimentConfig, workers: int) -> tuple[dict, list[dic
             solver_config = config.solver_config(alpha_override=alpha_lb)
             stability = stability_factor_iht(delta, rho, alpha_lb, roots=roots)
             rho_hat = rho_hat_iht(delta, provider).rho_hat
-        elif variant == VARIANT_NIHT:
+        else:
             solver_config = config.solver_config()
             stability = stability_factor_niht(
                 delta, rho, solver_config.kappa, provider, xi_variant=config.xi_variant
             )
             rho_hat = rho_hat_niht(delta, solver_config.kappa, provider).rho_hat
             alpha_lb = _alpha_lb(delta, rho, solver_config.kappa, provider)
-        else:
-            raise ConfigError(f"unknown solver variant {variant!r}")
     except StabilityUndefinedError as exc:
         raise ConfigError(f"stability factor undefined for this config: {exc}") from exc
 

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,43 +86,118 @@ FINISH_HOLD = 3
 CYCLE_ANCHOR = 64
 
 
+# One row of a config table: the key's JSON type (a key of JSON_TYPES), its
+# rule, its default, the kinds or solver variants that require it and those
+# that also take it, and the CLI flag that sets it.  A rule is the tuple of
+# the allowed values; or a test of the value and the section's values, with
+# the wording of what it asks (of each item, for a list); or a callable of the
+# key and the value that raises.  A null value meets every rule.
+Field = namedtuple("Field", "type rule default required optional flag", defaults=(None, None, (), (), None))
+
+# Each JSON type's wording and the Python types of its values in a config
+# document; a type name ending in "?" also takes null.  true and false are
+# neither integers nor numbers, a number is finite (no integer past the float
+# range either), and "numbers" holds JSON numbers in the float range, NaN left
+# to the rule.  A Python caller may also pass numpy numbers (PYTHON_TYPES).
+JSON_TYPES = {
+    "integer": ("an integer", int),
+    "number": ("a number", (int, float)),
+    "string": ("a string", str),
+    "object": ("an object", dict),
+    "numbers": ("a list of numbers in the float range, not empty", (list, tuple)),
+}
+PYTHON_TYPES = {**JSON_TYPES, "integer": ("an integer", numbers.Integral), "number": ("a number", numbers.Real)}
+
+
+def check_fields(table: dict, values: dict, error: type, noun: str, select: str | None = None,
+                 prefix: str = "", types: dict = JSON_TYPES) -> None:
+    """Raise ``error`` at the first rule of ``table`` that ``values`` breaks,
+    naming each key as ``prefix`` + key in the section ``noun``.  With
+    ``select``, the key whose value (a kind or a variant) picks the rows,
+    ``values`` must hold it, every key the pick requires and no key it does
+    not take.  Each value must then have its row's type and meet its rule."""
+
+    def check(key):
+        row, value = table[key], values[key]
+        name = row.type.rstrip("?")
+        if value is None and name != row.type:
+            return
+        wording, allowed = types[name]
+        typed = isinstance(value, allowed) and not isinstance(value, bool)
+        if name == "numbers":
+            typed = typed and value and all(
+                isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max for v in value)
+        if not typed:
+            raise error(f"{prefix}{key} must be {wording}{' or null' * (name != row.type)}, got {value!r}")
+        if name == "number" and not (
+                abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
+            raise error(f"{prefix}{key} must be finite, got {value!r}")
+        if row.rule is None:
+            return
+        if callable(row.rule):
+            row.rule(prefix + key, value)
+        elif callable(row.rule[0]):
+            test, wording = row.rule
+            for item in value if name == "numbers" else [value]:
+                if not test(item, values):
+                    raise error(f"{prefix}{key}{' values' * (name == 'numbers')} must {wording}, got {item!r}")
+        elif value not in row.rule:
+            raise error(f"unknown {noun} {key} {value!r}; choose from {row.rule}")
+
+    if select is not None:
+        if select not in values:
+            raise error(f"{noun} section with a {select!r} key is required")
+        check(select)
+        pick = values[select]
+        unknown = sorted(values.keys() - table.keys())
+        if unknown:
+            raise error(f"unknown {noun} keys for {select} {pick!r}: {unknown}")
+        unread = sorted(key for key in values if pick not in table[key].required + table[key].optional)
+        if unread:
+            raise error(f"{noun} keys {unread} are not read by {select} {pick!r}")
+        missing = sorted(key for key, row in table.items() if pick in row.required and key not in values)
+        if missing:
+            raise error(f"missing {noun} keys for {select} {pick!r}: {missing}")
+    for key in table:
+        if key in values and key != select:
+            check(key)
+
+
+_VARIANTS = (VARIANT_IHT, VARIANT_NIHT)
+_NONNEGATIVE = (lambda v, _: v >= 0, "be >= 0")
+
+# The keys of a solver section and of ``SolverConfig``: each key's type, rule,
+# default, the variants that read it, and its flag on ``ihtlab solve``.
+SOLVER_FIELDS = {
+    "variant": Field("string", _VARIANTS, None, _VARIANTS, (), "--variant"),
+    "alpha": Field("number?", (lambda v, _: v > 0, "be > 0"), None, (), (VARIANT_IHT,), "--alpha"),
+    "kappa": Field("number", None, 1.1, (), (VARIANT_NIHT,), "--kappa"),
+    "c": Field("number", (lambda v, _: 0 < v < 1, "lie in (0, 1)"), 0.05, (), (VARIANT_NIHT,), "--c"),
+    "max_iters": Field("integer", (lambda v, _: v >= 1, "be >= 1"), 10_000, (), _VARIANTS, "--max-iters"),
+    "step_tol": Field("number", _NONNEGATIVE, 1e-10, (), _VARIANTS, "--step-tol"),
+    "residual_tol": Field("number", _NONNEGATIVE, 0.0, (), _VARIANTS),
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """A solver's variant and parameters, each with the type, range and default of its ``SOLVER_FIELDS``
+    row (numpy numbers taken too); beyond the rows, IHT needs an alpha and N-IHT kappa (1 - c) > 1."""
+
     variant: str
-    alpha: float | None = None
-    kappa: float = 1.1
-    c: float = 0.05
-    max_iters: int = 10_000
-    step_tol: float = 1e-10
-    residual_tol: float = 0.0
+    alpha: float | None = SOLVER_FIELDS["alpha"].default
+    kappa: float = SOLVER_FIELDS["kappa"].default
+    c: float = SOLVER_FIELDS["c"].default
+    max_iters: int = SOLVER_FIELDS["max_iters"].default
+    step_tol: float = SOLVER_FIELDS["step_tol"].default
+    residual_tol: float = SOLVER_FIELDS["residual_tol"].default
 
     def __post_init__(self):
-        if self.variant not in (VARIANT_IHT, VARIANT_NIHT):
-            raise InvalidArgumentError(f"unknown solver variant {self.variant!r}")
-        # A real number (numpy floats and integers too), not a bool; alpha may be None.
-        for name in ("alpha", "kappa", "c", "step_tol", "residual_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) or name == "alpha" and value is None):
-                raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
-        if self.variant == VARIANT_IHT:
-            if self.alpha is None or not 0 < self.alpha < math.inf:
-                raise InvalidArgumentError(f"constant-stepsize IHT requires a finite alpha > 0, got {self.alpha}")
-        else:
-            if not 0 < self.c < 1:
-                raise InvalidArgumentError(f"N-IHT requires c in (0, 1), got {self.c}")
-            if self.kappa == math.inf:
-                raise InvalidArgumentError(f"N-IHT requires a finite kappa, got {self.kappa}")
-            if not self.kappa * (1.0 - self.c) > 1.0:
-                raise InvalidArgumentError(
-                    f"N-IHT requires kappa > 1/(1-c); got kappa={self.kappa}, c={self.c}"
-                )
-        # An integer as ``operator.index`` takes one (numpy integers too), but not a bool.
-        if isinstance(self.max_iters, bool) or not hasattr(type(self.max_iters), "__index__"):
-            raise InvalidArgumentError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if not self.max_iters >= 1:
-            raise InvalidArgumentError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.step_tol >= 0 and self.residual_tol >= 0):
-            raise InvalidArgumentError(f"tolerances must be nonnegative, got {self.step_tol}, {self.residual_tol}")
+        check_fields(SOLVER_FIELDS, vars(self), InvalidArgumentError, "solver", types=PYTHON_TYPES)
+        if self.variant == VARIANT_IHT and self.alpha is None:
+            raise InvalidArgumentError(f"constant-stepsize IHT requires a finite alpha > 0, got {self.alpha}")
+        if self.variant == VARIANT_NIHT and not self.kappa * (1.0 - self.c) > 1.0:
+            raise InvalidArgumentError(f"N-IHT requires kappa > 1/(1-c); got kappa={self.kappa}, c={self.c}")
 
 
 @dataclass(eq=False)

@@ -329,10 +329,13 @@ def test_solver_key_of_wrong_type_exits_2(tmp_path, capsys, key, value, expected
     ("mc-transition", "rho_grid", [0.05, float("nan")], "rho_grid values must lie in (0, 1]"),
     ("mc-transition", "n", 0, "n=0: no cell of the grid satisfies 0 < 2k <= n <= N"),
     ("mc-transition", "n", 1, "n=1: no cell of the grid satisfies 0 < 2k <= n <= N"),
-    ("mc-transition", "delta_grid", [], "mc_transition needs nonempty delta_grid and rho_grid"),
-    ("mc-transition", "rho_grid", [], "mc_transition needs nonempty delta_grid and rho_grid"),
+    ("mc-transition", "delta_grid", [], "delta_grid must be a list of numbers in the float range, not empty, got []"),
+    ("mc-transition", "rho_grid", [], "rho_grid must be a list of numbers in the float range, not empty, got []"),
     ("mc-transition", "solver", {"max_iters": 50}, "solver section with a 'variant' key is required"),
     ("mc-error", "solver", {"max_iters": 50}, "solver section with a 'variant' key is required"),
+    ("mc-error", "solver", {"variant": "iht", "kappa": 1.2}, "solver keys ['kappa'] are not read by variant 'iht'"),
+    ("mc-error", "xi_variant", "bogus", "unknown config xi_variant 'bogus'"),
+    ("mc-dist", "trials", 10**11, "trials must lie in [1, 2^32], got 100000000000"),
 ])
 def test_config_value_out_of_range_exits_2(tmp_path, capsys, command, key, value, message):
     cfg = tmp_path / "cfg.json"
@@ -384,6 +387,16 @@ def test_experiment_flags_set_their_config_keys(tmp_path, monkeypatch, command):
     }
 
 
+@pytest.mark.parametrize("variant", ["iht", "niht"])
+def test_mc_error_unknown_xi_variant_flag_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, variant):
+    # An IHT run never reads xi_variant, and used to exit 0 with the bad value in its config.
+    monkeypatch.setattr(experiments, "_error_stack", _no_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(VALID_CONFIGS["mc-error"], solver={"variant": variant})), encoding="utf-8")
+    assert run_cli(["mc-error", "--config", str(cfg), "--xi-variant", "bogus"]) == EXIT_CONFIG
+    assert "config error: unknown config xi_variant 'bogus'" in capsys.readouterr().err
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -393,7 +406,7 @@ NAN, INF = float("nan"), float("inf")
     pytest.param("mc-transition", {"solver": {"variant": "iht", "alpha": NAN}}, [],
                  "solver.alpha must be finite, got nan", id="mc-transition-alpha"),
     pytest.param("mc-dist", {"sigma": INF}, [], "sigma must be finite, got inf", id="mc-dist-sigma-infinity"),
-    pytest.param("solve", None, ["--alpha", "nan"], "requires a finite alpha > 0, got nan", id="solve-alpha"),
+    pytest.param("solve", None, ["--alpha", "nan"], "alpha must be finite, got nan", id="solve-alpha"),
     pytest.param("solve", None, ["--sigma", "nan"], "sigma must be finite and nonnegative, got nan",
                  id="solve-sigma"),
     pytest.param("stability", None, ["--delta", "0.5", "--rho", "0.008", "--alpha", "nan"],
@@ -404,7 +417,7 @@ NAN, INF = float("nan"), float("inf")
                  "kappa must be >= 1, got nan", id="stability-kappa"),
     pytest.param("phase-bound", None, ["--variant", "niht", "--kappa", "nan", "--out", "curve.csv"],
                  "kappa must be >= 1, got nan", id="phase-bound-kappa"),
-    pytest.param("solve", None, ["--variant", "niht", "--kappa", "inf"], "N-IHT requires a finite kappa, got inf",
+    pytest.param("solve", None, ["--variant", "niht", "--kappa", "inf"], "kappa must be finite, got inf",
                  id="solve-kappa-infinity"),
     pytest.param("stability", None, ["--variant", "niht", "--delta", "0.5", "--rho", "0.008", "--kappa", "inf"],
                  "kappa must be finite, got inf", id="stability-kappa-infinity"),

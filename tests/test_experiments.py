@@ -121,7 +121,7 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({"kind": "mc_distribution", "n": 40})
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="unknown experiment kind"):
+        with pytest.raises(ConfigError, match="unknown config kind 'mc_quantum'"):
             ExperimentConfig.from_dict({"kind": "mc_quantum"})
 
     def test_overlap_bounds(self):
@@ -139,12 +139,11 @@ class TestConfigValidation:
             )
 
     def test_bad_solver_keys_rejected(self):
-        config = ExperimentConfig.from_dict(
-            {"kind": "mc_transition", "n": 40, "delta_grid": [0.5], "rho_grid": [0.1],
-             "trials": 5, "master_seed": 0, "solver": {"variant": "iht", "alpha": 0.6, "lr": 1}}
-        )
         with pytest.raises(ConfigError, match="unknown solver keys"):
-            config.solver_config()
+            ExperimentConfig.from_dict(
+                {"kind": "mc_transition", "n": 40, "delta_grid": [0.5], "rho_grid": [0.1],
+                 "trials": 5, "master_seed": 0, "solver": {"variant": "iht", "alpha": 0.6, "lr": 1}}
+            )
 
     @pytest.mark.parametrize("solver, key", [
         ({"variant": "niht", "alpha": 5.0}, "alpha"),
@@ -152,12 +151,11 @@ class TestConfigValidation:
         ({"variant": "iht", "alpha": 0.6, "c": 0.1}, "c"),
     ])
     def test_solver_keys_the_variant_never_reads_rejected(self, solver, key):
-        config = ExperimentConfig.from_dict(
-            {"kind": "mc_transition", "n": 40, "delta_grid": [0.5], "rho_grid": [0.1],
-             "trials": 5, "master_seed": 0, "solver": solver}
-        )
         with pytest.raises(ConfigError, match=f"solver keys \\['{key}'\\] are not read by variant"):
-            config.solver_config()
+            ExperimentConfig.from_dict(
+                {"kind": "mc_transition", "n": 40, "delta_grid": [0.5], "rho_grid": [0.1],
+                 "trials": 5, "master_seed": 0, "solver": solver}
+            )
 
     @pytest.mark.parametrize("field, value, message", [
         ("trials", 2.5, "trials must be an integer, got 2.5"),
@@ -173,8 +171,46 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             run_experiment(ExperimentConfig(**kwargs))
 
+    @pytest.mark.parametrize("kind, changes, key", [
+        ("mc_transition", {"delta_grid": ("0.5",)}, "delta_grid"),
+        ("mc_transition", {"delta_grid": 0.5}, "delta_grid"),
+        ("mc_transition", {"rho_grid": (True,)}, "rho_grid"),
+        ("mc_distribution", {"delta": 0.5}, "delta"),
+        ("mc_distribution", {"solver": {"variant": "x"}}, "solver"),
+        ("mc_error_vs_xi", {"k": 3}, "k"),
+    ])
+    def test_direct_construction_refuses_what_from_dict_refuses(self, kind, changes, key):
+        # The first two used to raise a bare TypeError, the others were accepted.
+        [base] = [config for config in VALID_CONFIGS if config["kind"] == kind]
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**dict(base, **changes))
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("mc_error_vs_xi", "xi_variant", "bogus"),
+        ("mc_error_vs_xi", "xi_variant", None),
+        ("mc_error_vs_xi", "coefficient_model", "cauchy"),
+        ("mc_transition", "coefficient_model", "cauchy"),
+    ])
+    @pytest.mark.parametrize("variant", ["iht", "niht"])
+    def test_choice_fields_checked_when_built(self, kind, key, value, variant):
+        # xi_variant was read by N-IHT runs only, coefficient_model by the first trial.
+        [base] = [config for config in VALID_CONFIGS if config["kind"] == kind]
+        data = dict(base, solver={"variant": variant}, **{key: value})
+        if variant == "iht":
+            data["solver"]["alpha"] = 0.5
+        with pytest.raises(ConfigError, match=key if value is None else f"unknown config {key} '{value}'"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("trials", [0, 2**32 + 1, 10**11])
+    def test_trials_bounded_by_the_stream_key_space(self, trials):
+        # Trial ids key the streams as one 32-bit word; 10**11 trials used to end in a MemoryError.
+        [base] = [config for config in VALID_CONFIGS if config["kind"] == "mc_distribution"]
+        with pytest.raises(ConfigError, match=f"trials must lie in \\[1, 2\\^32\\], got {trials}"):
+            ExperimentConfig.from_dict(dict(base, trials=trials))
+        assert ExperimentConfig.from_dict(dict(base, trials=2**32)).trials == 2**32
+
     def test_unhashable_kind_rejected(self):
-        with pytest.raises(ConfigError, match="unknown experiment kind"):
+        with pytest.raises(ConfigError, match="kind must be a string, got \\[\\]"):
             ExperimentConfig.from_dict({"kind": []})
 
     @pytest.mark.parametrize("path", ["a" * 300, "a\0b.json"], ids=["name-too-long", "nul-byte"])
@@ -251,7 +287,7 @@ SOLVER_SECTIONS = st.dictionaries(
     st.sampled_from(["iht", "niht"]) | CONFIG_VALUES,
     max_size=5,
 ) | JSON_VALUES
-CONFIG_KEYS = sorted(set().union(*(r | o for r, o in experiments._FIELD_SETS.values())) - {"kind"}) + ["bogus"]
+CONFIG_KEYS = sorted(experiments.EXPERIMENT_FIELDS.keys() - {"kind"}) + ["bogus"]
 KEY_VALUES = {
     key: SOLVER_SECTIONS if key == "solver" else PATHS if key.endswith("path") else CONFIG_VALUES
     for key in CONFIG_KEYS
@@ -598,13 +634,12 @@ class TestErrorVsXi:
         assert sorted(solves) == ["_if_root", "tail_il"]
 
     def test_unknown_solver_variant_is_config_error(self):
-        config = ExperimentConfig.from_dict(
-            {"kind": "mc_error_vs_xi", "n": 100, "delta": 0.5, "rho": 0.004,
-             "sigma": 0.1, "trials": 5, "master_seed": 10,
-             "solver": {"variant": "cosamp", "max_iters": 100}}
-        )
         with pytest.raises(ConfigError, match="unknown solver variant 'cosamp'"):
-            run_experiment(config)
+            ExperimentConfig.from_dict(
+                {"kind": "mc_error_vs_xi", "n": 100, "delta": 0.5, "rho": 0.004,
+                 "sigma": 0.1, "trials": 5, "master_seed": 10,
+                 "solver": {"variant": "cosamp", "max_iters": 100}}
+            )
 
     def test_stability_undefined_is_config_error(self):
         config = ExperimentConfig.from_dict(

@@ -100,7 +100,7 @@ class TestSolverConfig:
         # A bool would run: alpha=True as stepsize 1, step_tol=True as a stop after one iteration.
         kwargs = {"alpha": 0.5} if variant == "iht" else {}
         kwargs[field] = value
-        with pytest.raises(InvalidArgumentError, match=f"{field} must be a real number, got"):
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be a number"):
             SolverConfig(variant=variant, **kwargs)
 
     def test_float_fields_take_numpy_numbers(self):
