@@ -41,13 +41,10 @@ from .solvers import SOLVER_FIELDS, VARIANT_IHT, SolverConfig, run_solver
 from .transitions import (
     XI_NIHT_AS_PRINTED,
     XI_NIHT_VARIANTS,
-    _roots,
     default_delta_grid,
     grid_emit,
     stability_factor_iht,
     stability_factor_niht,
-    stepsize_interval_iht,
-    stepsize_midpoint_iht,
     write_grid_csv,
 )
 
@@ -74,6 +71,15 @@ def _emit(out: Path | None, payload: dict, line: str) -> int:
 
 # The Python type of a flag's value, by its row's JSON type; other flags take strings.
 _FLAG_TYPES = {"integer": int, "number": float, "number?": float}
+
+
+def _variant_flags(args, unread: dict[str, tuple[str, ...]], **defaults) -> None:
+    """Refuse the flags (by dest) that ``unread`` lists for ``args.variant``, as a solver section
+    refuses a key its variant never reads; then fill ``defaults`` in for those left out (None)."""
+    given = [f"--{dest.replace('_', '-')}" for dest in unread.get(args.variant, ()) if getattr(args, dest) is not None]
+    if given:
+        raise ConfigError(f"flags {given} are not read by variant {args.variant!r}")
+    vars(args).update((dest, value) for dest, value in defaults.items() if getattr(args, dest) is None)
 
 
 def _cmd_solve(argv: list[str]) -> int:
@@ -161,11 +167,12 @@ def _cmd_tailbound(argv: list[str]) -> int:
 def _cmd_phase_bound(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="ihtlab phase-bound", description="Phase transition curve as CSV")
     parser.add_argument("--variant", choices=["iht", "niht"], default="iht")
-    parser.add_argument("--kappa", type=float, default=SOLVER_FIELDS["kappa"].default)
+    parser.add_argument("--kappa", type=float, default=None, help="N-IHT only")
     parser.add_argument("--rip-table", type=str, default=None)
     parser.add_argument("--grid-points", type=int, default=100)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    _variant_flags(args, {"iht": ("kappa",)}, kappa=SOLVER_FIELDS["kappa"].default)
     check_output_path("--out", args.out)
     provider = load_provider(args.rip_table)
     grid = default_delta_grid(args.grid_points)
@@ -181,26 +188,23 @@ def _cmd_stability(argv: list[str]) -> int:
     parser.add_argument("--variant", choices=["iht", "niht"], default="iht")
     parser.add_argument("--delta", type=float, required=True)
     parser.add_argument("--rho", type=float, required=True)
-    parser.add_argument("--alpha", type=float, default=None, help="IHT stepsize; default interval midpoint")
-    parser.add_argument("--kappa", type=float, default=SOLVER_FIELDS["kappa"].default)
-    parser.add_argument("--xi-variant", choices=list(XI_NIHT_VARIANTS), default=XI_NIHT_AS_PRINTED)
+    parser.add_argument("--alpha", type=float, default=None, help="IHT only; default interval midpoint")
+    parser.add_argument("--kappa", type=float, default=None, help="N-IHT only")
+    parser.add_argument("--xi-variant", choices=list(XI_NIHT_VARIANTS), default=None, help="N-IHT only")
     parser.add_argument("--rip-table", type=str, default=None)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
+    _variant_flags(args, {"iht": ("kappa", "xi_variant"), "niht": ("alpha",)},
+                   kappa=SOLVER_FIELDS["kappa"].default, xi_variant=XI_NIHT_AS_PRINTED)
     check_output_path("--out", args.out)
     provider = load_provider(args.rip_table)
     if args.variant == "iht":
-        roots = _roots(args.delta, args.rho)
-        if args.alpha is None:
-            alpha, interval = stepsize_midpoint_iht(args.delta, args.rho, provider, roots=roots)
-        else:
-            alpha, interval = args.alpha, stepsize_interval_iht(args.delta, args.rho, provider, roots=roots)
-        result = stability_factor_iht(args.delta, args.rho, alpha, roots=roots)
+        result = stability_factor_iht(args.delta, args.rho, provider, alpha=args.alpha)
         return _emit(args.out, {
-            "variant": "iht", "delta": args.delta, "rho": args.rho, "alpha": alpha,
-            "a": result.a, "xi": result.xi, "alpha_interval": interval,
-        }, f"stability iht delta={args.delta} rho={args.rho} alpha={alpha:.6g}: "
-           f"a={result.a:.6g} xi={result.xi:.6g} interval={interval}")
+            "variant": "iht", "delta": args.delta, "rho": args.rho, "alpha": result.alpha,
+            "a": result.a, "xi": result.xi, "alpha_interval": result.interval,
+        }, f"stability iht delta={args.delta} rho={args.rho} alpha={result.alpha:.6g}: "
+           f"a={result.a:.6g} xi={result.xi:.6g} interval={result.interval}")
     result = stability_factor_niht(args.delta, args.rho, args.kappa, provider, xi_variant=args.xi_variant)
     return _emit(args.out, {
         "variant": "niht", "delta": args.delta, "rho": args.rho, "kappa": args.kappa,

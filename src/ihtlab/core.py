@@ -382,17 +382,6 @@ def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> tuple[np.ndarr
     return s, [(y, v - matvec(Q, c)) for v, c, y in _qr_solve(Q, R, rhs)]
 
 
-def objective(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:
-    """Half squared residual norm 0.5*||Ax - b||^2."""
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if x.shape != (A.shape[1],) or b.shape != (A.shape[0],):
-        raise ShapeMismatchError(f"shapes disagree: A {A.shape}, x {x.shape}, b {b.shape}")
-    r = A @ x - b
-    return 0.5 * float(r @ r)
-
-
 def sample_gaussian_matrix(n: int, N: int, rng: RngSpec | np.random.Generator) -> np.ndarray:
     """n-by-N matrix with i.i.d. normal entries of mean 0 and variance 1/n."""
     if n < 1 or N < 1:

@@ -57,14 +57,11 @@ from .stablepoint import _stability_test
 from .transitions import (
     XI_NIHT_AS_PRINTED,
     XI_NIHT_VARIANTS,
-    _alpha_lb,
     _csv_rows,
-    _roots,
     rho_hat_iht,
     rho_hat_niht,
     stability_factor_iht,
     stability_factor_niht,
-    stepsize_midpoint_iht,
     write_grid_csv,
 )
 
@@ -124,7 +121,7 @@ EXPERIMENT_FIELDS = {
     "k": Field("integer", (lambda k, c: 0 < 2 * k <= c["n"], "satisfy 0 < 2k <= n"), None, _DIST, (), "--k"),
     "overlap": Field("integer", (lambda r, c: 1 <= r <= c["k"], "lie in [1, k]"), None, _DIST, (), "--overlap"),
     "delta": Field("number", _UNIT, None, _ERROR, (), "--delta"),
-    "rho": Field("number", None, None, _ERROR, (), "--rho"),
+    "rho": Field("number", (lambda v, _: 0 < v <= 0.5, "lie in (0, 1/2]"), None, _ERROR, (), "--rho"),
     "delta_grid": Field("numbers", _UNIT, None, _TRANS),
     "rho_grid": Field("numbers", _UNIT, None, _TRANS),
     "solver": Field("object", lambda name, section: check_fields(
@@ -675,17 +672,14 @@ def _error_vs_xi(config: ExperimentConfig, workers: int) -> tuple[dict, list[dic
     provider = load_provider(config.rip_table)
     try:
         if config.solver["variant"] == VARIANT_IHT:
-            roots = _roots(delta, rho)
-            midpoint, interval = stepsize_midpoint_iht(delta, rho, provider, roots=roots)
-            alpha = config.solver.get("alpha")
-            alpha_lb = midpoint if alpha is None else float(alpha)
-            if not interval[0] < alpha_lb < interval[1]:
+            stability = stability_factor_iht(delta, rho, provider, alpha=config.solver.get("alpha"))
+            alpha_lb, interval = float(stability.alpha), stability.interval
+            if interval is None or not interval[0] < alpha_lb < interval[1]:
                 raise ConfigError(
                     f"alpha={alpha_lb} outside the admissible interval {interval} "
                     f"at delta={delta}, rho={rho}"
                 )
             solver_config = config.solver_config(alpha_override=alpha_lb)
-            stability = stability_factor_iht(delta, rho, alpha_lb, roots=roots)
             rho_hat = rho_hat_iht(delta, provider).rho_hat
         else:
             solver_config = config.solver_config()
@@ -693,7 +687,7 @@ def _error_vs_xi(config: ExperimentConfig, workers: int) -> tuple[dict, list[dic
                 delta, rho, solver_config.kappa, provider, xi_variant=config.xi_variant
             )
             rho_hat = rho_hat_niht(delta, solver_config.kappa, provider).rho_hat
-            alpha_lb = _alpha_lb(delta, rho, solver_config.kappa, provider)
+            alpha_lb = stability.alpha
     except StabilityUndefinedError as exc:
         raise ConfigError(f"stability factor undefined for this config: {exc}") from exc
 

@@ -45,8 +45,13 @@ class TransitionResult:
 
 @dataclass(frozen=True)
 class StabilityResult:
+    """a and xi at the stepsize ``alpha``; for IHT also the admissible
+    stepsize ``interval`` (see ``stepsize_interval_iht``), None for N-IHT."""
+
     a: float
     xi: float
+    alpha: float
+    interval: tuple | None = None
 
 
 def _roots(delta, rho, f_start=None):
@@ -196,26 +201,15 @@ def stepsize_interval_iht(delta, rho, provider: RipBoundProvider, *, roots=None)
     return np.where(empty, np.nan, lo), np.where(empty, np.nan, hi)
 
 
-def stepsize_midpoint_iht(delta, rho, provider: RipBoundProvider, *, roots=None):
-    """The default IHT stepsize, the midpoint of the admissible interval, and
-    that interval.  An empty interval raises StabilityUndefinedError at one
-    point and gives NaN over arrays.  Reads the ``_roots`` of (delta, rho),
-    solved here if not given."""
-    interval = stepsize_interval_iht(delta, rho, provider, roots=roots)
-    if interval is None:
-        raise StabilityUndefinedError(f"empty admissible stepsize interval at delta={delta}, rho={rho}")
-    return 0.5 * (interval[0] + interval[1]), interval
-
-
-def _stability_core(delta, rho, alpha, one_plus_a: bool, roots=None):
+def _stability_core(delta, rho, alpha, one_plus_a: bool, roots):
     """a and xi at the effective lower stepsize alpha, over scalars or arrays,
-    from the ``_roots`` of (delta, rho), solved here if not given.
+    from the ``_roots`` of (delta, rho).
 
     The factor is undefined where alpha*(1-rho)*(1-IL) does not exceed
     sqrt(IF): a scalar point raises StabilityUndefinedError, arrays hold NaN.
     The two upper tail roots are solved only where it is defined.
     """
-    f_root, il = _roots(delta, rho) if roots is None else roots
+    f_root, il = roots
     sqrt_f = np.sqrt(f_root)
     scaled = alpha * (1.0 - rho) * (1.0 - il)
     defined = np.asarray(scaled > sqrt_f)
@@ -235,19 +229,29 @@ def _stability_core(delta, rho, alpha, one_plus_a: bool, roots=None):
     return _unwrap(a), _unwrap(np.sqrt(f_root * a**2 + a**2))
 
 
-def stability_factor_iht(delta, rho, alpha, *, roots=None) -> StabilityResult:
+def stability_factor_iht(delta, rho, provider: RipBoundProvider, *, alpha=None) -> StabilityResult:
     """Noise stability factor for IHT at stepsize alpha, over scalars or
-    arrays (see ``_stability_core``), from the ``_roots`` of (delta, rho),
-    solved here if not given.
+    arrays (see ``_stability_core``), by default at the midpoint of the
+    admissible interval: an empty one raises StabilityUndefinedError at one
+    point and gives NaN over arrays.
 
-    Requires a positive finite alpha strictly above the stable-point
-    threshold; over arrays a NaN alpha marks a point without a stepsize and
-    gives NaN, and an infinite one is refused as at one point.
+    A given alpha must be positive and finite and may lie outside the
+    interval, strictly above the stable-point threshold; over arrays a NaN
+    alpha marks a point without a stepsize and gives NaN, and an infinite one
+    is refused as at one point.
     """
-    values = np.asarray(alpha, dtype=float)
-    if np.any((values <= 0) | (values == np.inf)) or values.ndim == 0 and np.isnan(values):
-        raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")
-    return StabilityResult(*_stability_core(delta, rho, alpha, True, roots))
+    # The roots first: they refuse a (delta, rho) outside the domain before the provider sees it.
+    roots = _roots(delta, rho)
+    interval = stepsize_interval_iht(delta, rho, provider, roots=roots)
+    if alpha is None:
+        if interval is None:
+            raise StabilityUndefinedError(f"empty admissible stepsize interval at delta={delta}, rho={rho}")
+        alpha = 0.5 * (interval[0] + interval[1])
+    else:
+        values = np.asarray(alpha, dtype=float)
+        if np.any((values <= 0) | (values == np.inf)) or values.ndim == 0 and np.isnan(values):
+            raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")
+    return StabilityResult(*_stability_core(delta, rho, alpha, True, roots), alpha, interval)
 
 
 def stability_factor_niht(
@@ -259,7 +263,7 @@ def stability_factor_niht(
 ) -> StabilityResult:
     """Noise stability factor for N-IHT, over scalars or arrays (see ``_stability_core``).
 
-    The stepsize role is played by the guaranteed lower bound
+    The stepsize, returned as ``alpha``, is the guaranteed lower bound
     ``1/(kappa*(1+U(delta, 2*rho)))``.  ``xi_variant`` selects between the
     factor exactly as defined (``as_printed``, the default) and the variant
     carrying the extra ``(1+a)^2`` term that mirrors the IHT factor
@@ -272,7 +276,7 @@ def stability_factor_niht(
     # The roots first: they refuse a (delta, rho) outside the domain before the provider sees it.
     roots = _roots(delta, rho)
     alpha = _alpha_lb(delta, rho, kappa, provider)
-    return StabilityResult(*_stability_core(delta, rho, alpha, xi_variant == XI_NIHT_WITH_ONE_PLUS_A, roots))
+    return StabilityResult(*_stability_core(delta, rho, alpha, xi_variant == XI_NIHT_WITH_ONE_PLUS_A, roots), alpha)
 
 
 def default_delta_grid(num: int = 100) -> np.ndarray:
@@ -297,7 +301,7 @@ def grid_emit(
     provider: RipBoundProvider,
     delta_grid,
     rho_grid=None,
-    kappa: float = 1.1,
+    kappa: float | None = None,
     xi_variant: str = XI_NIHT_AS_PRINTED,
 ) -> list[str]:
     """Deterministic CSV rows (header first) for one curve or surface.
@@ -306,10 +310,13 @@ def grid_emit(
     (``xi_*``) carry ``delta,rho,xi``; the stepsize grid carries
     ``delta,rho,alpha_lo,alpha_hi``.  Points where a quantity is undefined
     emit empty fields.  A curve is one batched transition solve and a surface
-    one vectorised pass over its (delta, rho) points, delta-major.
+    one vectorised pass over its (delta, rho) points, delta-major.  The
+    N-IHT kinds read ``kappa``, the surfaces ``rho_grid``; neither has a default.
     """
     if kind not in GRID_KINDS:
         raise InvalidArgumentError(f"unknown grid kind {kind!r}; choose from {GRID_KINDS}")
+    if kappa is None and kind.endswith("_niht"):
+        raise InvalidArgumentError(f"grid kind {kind!r} requires a kappa")
     deltas = np.asarray(delta_grid, dtype=float)
     if kind in ("phase_iht", "phase_niht"):
         if kind == "phase_iht":
@@ -323,8 +330,7 @@ def grid_emit(
     if kind == "stepsize_iht":
         return _csv_rows("delta,rho,alpha_lo,alpha_hi", d, r, *stepsize_interval_iht(d, r, provider))
     if kind == "xi_iht":
-        roots = _roots(d, r)
-        xi = stability_factor_iht(d, r, stepsize_midpoint_iht(d, r, provider, roots=roots)[0], roots=roots).xi
+        xi = stability_factor_iht(d, r, provider).xi
     else:
         xi = stability_factor_niht(d, r, kappa, provider, xi_variant=xi_variant).xi
     return _csv_rows("delta,rho,xi", d, r, xi)

@@ -162,6 +162,39 @@ def test_stability_undefined_exits_3(capsys):
     assert run_cli(["stability", "--delta", "0.5", "--rho", "0.4", "--alpha", "0.5"]) == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("argv, variant, flags", [
+    (["stability", "--variant", "niht", "--delta", "0.5", "--rho", "0.008", "--alpha", "0.5"], "niht", ["--alpha"]),
+    (["stability", "--delta", "0.5", "--rho", "0.008", "--kappa", "3", "--xi-variant", "with_one_plus_a"], "iht",
+     ["--kappa", "--xi-variant"]),
+    (["stability", "--delta", "0.5", "--rho", "0.008", "--xi-variant", "as_printed"], "iht", ["--xi-variant"]),
+    (["phase-bound", "--variant", "iht", "--kappa", "3", "--out", "curve.csv"], "iht", ["--kappa"]),
+])
+def test_flags_the_variant_never_reads_exit_2(tmp_path, capsys, monkeypatch, argv, variant, flags):
+    # Each was accepted and ignored, as a solver section's unread key once was.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: flags {flags} are not read by variant {variant!r}\n"
+    assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("flags, solver", [
+    pytest.param([], {"variant": "iht"}, id="iht-midpoint"),
+    pytest.param(["--alpha", "0.6"], {"variant": "iht", "alpha": 0.6}, id="iht-given-alpha"),
+    pytest.param(["--variant", "niht", "--kappa", "1.1"], {"variant": "niht", "kappa": 1.1}, id="niht"),
+])
+def test_stability_and_mc_error_report_the_same_stepsize_and_xi(tmp_path, capsys, flags, solver):
+    point = ["--delta", "0.5", "--rho", "0.01"]
+    factor_path, error_path, cfg = tmp_path / "stability.json", tmp_path / "error.json", tmp_path / "cfg.json"
+    assert run_cli(["stability", *point, *flags, "--out", str(factor_path)]) == EXIT_OK
+    cfg.write_text(json.dumps(dict(VALID_CONFIGS["mc-error"], solver={**solver, "max_iters": 50})), encoding="utf-8")
+    assert run_cli(["mc-error", "--config", str(cfg), *point, "--out", str(error_path)]) == EXIT_OK
+    factor = json.loads(factor_path.read_text(encoding="utf-8"))
+    summary = json.loads(error_path.read_text(encoding="utf-8"))["summary"]
+    # The N-IHT factor's JSON carries kappa, not the stepsize 1/(kappa (1 + U(delta, 2 rho))).
+    alpha = factor.get("alpha", 1.0 / (1.1 * (1.0 + default_provider().query(0.5, 2 * 0.01))))
+    assert summary["alpha_lb"] == alpha and summary["xi"] == factor["xi"]
+
+
 def test_rip_monte_carlo_writes_json(tmp_path, capsys):
     out = tmp_path / "rip.json"
     argv = ["rip", "--method", "monte_carlo", "--trials", "50", "--seed", "3", "--out", str(out)]
@@ -222,7 +255,7 @@ def _no_work(*args, **kwargs):
     pytest.param(["rip"], "rip_exact", id="rip"),
     pytest.param(["tailbound", "--delta", "0.5", "--rho", "0.25"], "tail_iu", id="tailbound"),
     pytest.param(["phase-bound", "--grid-points", "10"], "grid_emit", id="phase-bound"),
-    pytest.param(["stability", "--delta", "0.5", "--rho", "0.008"], "_roots", id="stability"),
+    pytest.param(["stability", "--delta", "0.5", "--rho", "0.008"], "stability_factor_iht", id="stability"),
 ])
 @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-parent"])
 def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, work, missing):

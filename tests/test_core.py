@@ -12,7 +12,6 @@ from ihtlab.core import (
     SupportSet,
     hard_threshold,
     least_squares_split,
-    objective,
     restrict,
     sample_gaussian_matrix,
     sample_noise,
@@ -299,29 +298,6 @@ class TestRankCheck:
         with pytest.raises(SingularMatrixError) as excinfo:
             _check_rank(R, np.linalg.svd(R, compute_uv=False))
         assert excinfo.value.condition == math.inf
-
-
-class TestObjective:
-    def test_exact_solution_zero(self):
-        A = np.eye(3)
-        x = np.array([1.0, -2.0, 0.5])
-        assert objective(x, A, A @ x) == 0.0
-
-    def test_zero_point(self):
-        b = np.array([3.0, 4.0])
-        assert objective(np.zeros(2), np.eye(2), b) == pytest.approx(0.5 * 25.0)
-
-    def test_summation_oracle(self):
-        gen = RngSpec(6).generator()
-        A = gen.standard_normal((5, 7))
-        x = gen.standard_normal(7)
-        b = gen.standard_normal(5)
-        direct = 0.5 * sum((sum(A[i, j] * x[j] for j in range(7)) - b[i]) ** 2 for i in range(5))
-        assert objective(x, A, b) == pytest.approx(direct, rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            objective(np.zeros(3), np.eye(2), np.zeros(2))
 
 
 class TestGaussianMatrix:

@@ -209,6 +209,13 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(dict(base, trials=trials))
         assert ExperimentConfig.from_dict(dict(base, trials=2**32)).trials == 2**32
 
+    @pytest.mark.parametrize("rho", [0, -0.1, 0.6, 1.5])
+    def test_error_rho_outside_half_unit_interval_refused_when_built(self, rho):
+        # 0 and -0.1 used to pass the build and fail in the run, after the RIP table was read.
+        [base] = [config for config in VALID_CONFIGS if config["kind"] == "mc_error_vs_xi"]
+        with pytest.raises(ConfigError, match=f"rho must lie in \\(0, 1/2\\], got {rho}"):
+            ExperimentConfig.from_dict(dict(base, rho=rho))
+
     def test_unhashable_kind_rejected(self):
         with pytest.raises(ConfigError, match="kind must be a string, got \\[\\]"):
             ExperimentConfig.from_dict({"kind": []})

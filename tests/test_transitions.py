@@ -22,7 +22,6 @@ from ihtlab.transitions import (
     stability_factor_iht,
     stability_factor_niht,
     stepsize_interval_iht,
-    stepsize_midpoint_iht,
     write_grid_csv,
 )
 
@@ -117,50 +116,49 @@ class TestStabilityIht:
     def test_pole_as_alpha_approaches_lower_bound(self, provider):
         rho = 0.008
         lo, hi = stepsize_interval_iht(0.5, rho, provider)
-        xi_near = stability_factor_iht(0.5, rho, lo * (1 + 1e-9)).xi
-        xi_mid = stability_factor_iht(0.5, rho, 0.5 * (lo + hi)).xi
+        xi_near = stability_factor_iht(0.5, rho, provider, alpha=lo * (1 + 1e-9)).xi
+        xi_mid = stability_factor_iht(0.5, rho, provider, alpha=0.5 * (lo + hi)).xi
         assert xi_near > 1e3 * xi_mid
 
     def test_undefined_below_threshold(self, provider):
         rho = 0.008
         lo, _ = stepsize_interval_iht(0.5, rho, provider)
         with pytest.raises(StabilityUndefinedError):
-            stability_factor_iht(0.5, rho, 0.9 * lo)
+            stability_factor_iht(0.5, rho, provider, alpha=0.9 * lo)
 
     def test_anchor_value(self, provider):
-        lo, hi = stepsize_interval_iht(0.5, 0.008, provider)
-        result = stability_factor_iht(0.5, 0.008, 0.5 * (lo + hi))
+        result = stability_factor_iht(0.5, 0.008, provider)
         assert result.a == pytest.approx(4.3148886285921115, rel=1e-9)
         assert result.xi == pytest.approx(4.575175672932638, rel=1e-9)
 
     def test_sigma_never_enters(self, provider):
         # The factor is a function of (delta, rho, alpha) only; calling twice
         # gives the identical value (no hidden state, no noise argument).
-        a = stability_factor_iht(0.5, 0.008, 0.55)
-        b = stability_factor_iht(0.5, 0.008, 0.55)
+        a = stability_factor_iht(0.5, 0.008, provider, alpha=0.55)
+        b = stability_factor_iht(0.5, 0.008, provider, alpha=0.55)
         assert a.xi == b.xi and a.a == b.a
 
     def test_xi_decreasing_in_alpha_on_interval(self, provider):
         rho = 0.008
         lo, hi = stepsize_interval_iht(0.5, rho, provider)
         alphas = np.linspace(lo * 1.02, hi * 0.98, 25)
-        xis = [stability_factor_iht(0.5, rho, a).xi for a in alphas]
+        xis = [stability_factor_iht(0.5, rho, provider, alpha=a).xi for a in alphas]
         assert all(b < a for a, b in zip(xis, xis[1:]))
 
     def test_xi_dominates_a(self, provider):
-        result = stability_factor_iht(0.5, 0.008, 0.55)
+        result = stability_factor_iht(0.5, 0.008, provider, alpha=0.55)
         assert result.xi >= result.a
 
-    def test_infinite_alpha_in_array_refused(self):
+    def test_infinite_alpha_in_array_refused(self, provider):
         deltas, rhos = np.array([0.5, 0.5]), np.array([0.008, 0.008])
         with pytest.raises(InvalidArgumentError, match="positive and finite"):
-            stability_factor_iht(deltas, rhos, np.array([0.6, np.inf]))
+            stability_factor_iht(deltas, rhos, provider, alpha=np.array([0.6, np.inf]))
         with pytest.raises(InvalidArgumentError, match="positive and finite"):
-            stability_factor_iht(0.5, 0.008, np.inf)
+            stability_factor_iht(0.5, 0.008, provider, alpha=np.inf)
         # NaN still marks a point without a stepsize.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            xi = stability_factor_iht(deltas, rhos, np.array([0.6, np.nan])).xi
+            xi = stability_factor_iht(deltas, rhos, provider, alpha=np.array([0.6, np.nan])).xi
         assert np.isfinite(xi[0]) and np.isnan(xi[1])
 
 
@@ -181,7 +179,7 @@ class TestStabilityNiht:
         U = provider.query(0.5, 2 * rho)
         alpha = 1.0 / (1.0 + U)
         niht = stability_factor_niht(0.5, rho, 1.0, provider)
-        iht = stability_factor_iht(0.5, rho, alpha)
+        iht = stability_factor_iht(0.5, rho, provider, alpha=alpha)
         assert niht.a == pytest.approx(iht.a, rel=1e-12)
 
     def test_anchor_value(self, provider):
@@ -303,9 +301,8 @@ def test_stability_defined_exactly_where_expected(provider):
     for delta in (0.05, 0.3, 0.8):
         rho_hat = rho_hat_niht(delta, 1.1, provider).rho_hat
         for rho in np.linspace(0.001, 0.5, 12):
-            interval = stepsize_interval_iht(delta, float(rho), provider)
-            if interval is not None:
-                stability_factor_iht(delta, float(rho), 0.5 * (interval[0] + interval[1]))
+            if stepsize_interval_iht(delta, float(rho), provider) is not None:
+                stability_factor_iht(delta, float(rho), provider)
             if rho < rho_hat:
                 stability_factor_niht(delta, float(rho), 1.1, provider)
             else:
@@ -457,8 +454,7 @@ def test_xi_iht_grid_solves_each_shared_root_once(provider, monkeypatch):
 def test_xi_iht_rows_match_midpoint_then_stability(provider, points):
     deltas, rhos = default_delta_grid(points), np.linspace(0.001, 0.5, points)
     d, r = (v.ravel() for v in np.meshgrid(deltas, rhos, indexing="ij"))
-    # The composition of the public functions, each solving its own roots.
-    xi = stability_factor_iht(d, r, stepsize_midpoint_iht(d, r, provider)[0]).xi
+    xi = stability_factor_iht(d, r, provider).xi
     assert grid_emit("xi_iht", provider, deltas, rho_grid=rhos) == transitions._csv_rows("delta,rho,xi", d, r, xi)
 
 
@@ -468,19 +464,23 @@ ROOTS_POINTS = {
 }
 
 
-@pytest.mark.parametrize("quantity", ["lhs", "interval", "midpoint", "stability"])
+@pytest.mark.parametrize("quantity", ["lhs", "interval"])
 @pytest.mark.parametrize("point", ROOTS_POINTS)
 def test_shared_roots_give_the_same_bits(provider, quantity, point):
     delta, rho = ROOTS_POINTS[point]
-    alpha = np.where(np.asarray(rho) < 0.3, 0.55, np.nan)[()]
     compute = {
         "lhs": lambda **kw: lhs_stable(delta, rho, **kw),
         "interval": lambda **kw: stepsize_interval_iht(delta, rho, provider, **kw),
-        "midpoint": lambda **kw: stepsize_midpoint_iht(delta, rho, provider, **kw),
-        "stability": lambda **kw: stability_factor_iht(delta, rho, alpha, **kw),
     }[quantity]
     # A pickle holds every bit and every type of the result.
     assert pickle.dumps(compute(roots=transitions._roots(delta, rho))) == pickle.dumps(compute())
+
+
+@pytest.mark.parametrize("point", ROOTS_POINTS)
+def test_default_iht_stepsize_is_the_interval_midpoint_bit_for_bit(provider, point):
+    delta, rho = ROOTS_POINTS[point]
+    lo, hi = stepsize_interval_iht(delta, rho, provider)
+    assert pickle.dumps(stability_factor_iht(delta, rho, provider).alpha) == pickle.dumps(0.5 * (lo + hi))
 
 
 def count_upper_root_points(monkeypatch):
@@ -499,7 +499,7 @@ def count_upper_root_points(monkeypatch):
 @pytest.mark.parametrize("points", [5, 20])
 def test_xi_grid_solves_upper_roots_only_where_xi_is_defined(provider, monkeypatch, kind, points):
     counts = count_upper_root_points(monkeypatch)
-    rows = grid_emit(kind, provider, default_delta_grid(points), rho_grid=np.linspace(0.001, 0.5, points))
+    rows = grid_emit(kind, provider, default_delta_grid(points), rho_grid=np.linspace(0.001, 0.5, points), kappa=1.1)
     defined = sum(row.split(",")[2] != "" for row in rows[1:])
     assert 0 < defined < points * points
     # One solve for each of the two upper roots, at the defined points only.
@@ -511,7 +511,7 @@ def test_all_undefined_array_solves_no_upper_root(provider, monkeypatch):
     rhos = np.array([0.3, 0.4, 0.5])
     result = stability_factor_niht(np.full(3, 0.5), rhos, 1.1, provider)
     assert np.all(np.isnan(result.a)) and np.all(np.isnan(result.xi))
-    result = stability_factor_iht(np.full(3, 0.5), rhos, np.full(3, np.nan))
+    result = stability_factor_iht(np.full(3, 0.5), rhos, provider, alpha=np.full(3, np.nan))
     assert np.all(np.isnan(result.a)) and np.all(np.isnan(result.xi))
     assert counts == [0, 0, 0, 0]
 
@@ -519,12 +519,19 @@ def test_all_undefined_array_solves_no_upper_root(provider, monkeypatch):
 @pytest.mark.parametrize("kind", ["xi_iht", "xi_niht"])
 def test_xi_grid_refuses_rho_above_half(provider, kind):
     with pytest.raises(InvalidArgumentError, match=r"rho must lie in \(0, 1/2\], got"):
-        grid_emit(kind, provider, [0.5], rho_grid=[0.25, 0.6])
+        grid_emit(kind, provider, [0.5], rho_grid=[0.25, 0.6], kappa=1.1)
+
+
+@pytest.mark.parametrize("kind", ["phase_niht", "xi_niht"])
+def test_niht_grid_refuses_a_missing_kappa(provider, kind):
+    with pytest.raises(InvalidArgumentError, match=f"grid kind '{kind}' requires a kappa"):
+        grid_emit(kind, provider, [0.5], rho_grid=[0.25])
 
 
 def test_scalar_point_solves_upper_roots_once_and_returns_floats(provider, monkeypatch):
     counts = count_upper_root_points(monkeypatch)
-    for result in (stability_factor_iht(0.5, 0.008, 0.55), stability_factor_niht(0.5, 0.008, 1.1, provider)):
+    iht = stability_factor_iht(0.5, 0.008, provider, alpha=0.55)
+    for result in (iht, stability_factor_niht(0.5, 0.008, 1.1, provider)):
         assert type(result.a) is float and type(result.xi) is float
     assert counts == [1, 1, 1, 1]
 
@@ -577,7 +584,7 @@ def test_xi_surface_empty_fields_match_pointwise_definition(deltas, rhos):
         for (d, r), row in zip(points, rows):
             try:
                 if kind == "xi_iht":
-                    xi = stability_factor_iht(d, r, stepsize_midpoint_iht(d, r, provider)[0]).xi
+                    xi = stability_factor_iht(d, r, provider).xi
                 else:
                     xi = stability_factor_niht(d, r, 1.1, provider).xi
             except StabilityUndefinedError:
