@@ -74,12 +74,13 @@ _FLAG_TYPES = {"integer": int, "number": float, "number?": float}
 
 
 def _variant_flags(args, unread: dict[str, tuple[str, ...]], **defaults) -> None:
-    """Refuse the flags (by dest) that ``unread`` lists for ``args.variant``, as a solver section
-    refuses a key its variant never reads; then fill ``defaults`` in for those left out (None)."""
-    given = [f"--{dest.replace('_', '-')}" for dest in unread.get(args.variant, ()) if getattr(args, dest) is not None]
+    """Refuse the flags (by dest) that ``unread`` lists for ``args.variant``, as a solver section refuses
+    a key its variant never reads; then fill ``defaults`` in for the others left out (None)."""
+    skip = unread.get(args.variant, ())
+    given = [f"--{dest.replace('_', '-')}" for dest in skip if getattr(args, dest) is not None]
     if given:
         raise ConfigError(f"flags {given} are not read by variant {args.variant!r}")
-    vars(args).update((dest, value) for dest, value in defaults.items() if getattr(args, dest) is None)
+    vars(args).update((dest, v) for dest, v in defaults.items() if dest not in skip and getattr(args, dest) is None)
 
 
 def _cmd_solve(argv: list[str]) -> int:
@@ -88,18 +89,17 @@ def _cmd_solve(argv: list[str]) -> int:
     parser.add_argument("--N", type=int, default=200)
     parser.add_argument("--k", type=int, default=5)
     parser.add_argument("--sigma", type=float, default=0.0)
-    # The solver flags of SOLVER_FIELDS, with their rows' defaults but for IHT at alpha 0.65.
+    # The flag of each SOLVER_FIELDS row; one left out takes its row's default, but IHT's alpha is 0.65.
     for key, row in SOLVER_FIELDS.items():
-        if row.flag:
-            parser.add_argument(row.flag, dest=key, type=_FLAG_TYPES.get(row.type, str), default=row.default)
-    parser.set_defaults(variant=VARIANT_IHT, alpha=0.65)
+        parser.add_argument(row.flag, dest=key, type=_FLAG_TYPES.get(row.type, str))
+    parser.set_defaults(variant=VARIANT_IHT)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--coefficient-model", default="gaussian")
     parser.add_argument("--out", type=Path, default=None, help="write the solution as JSON")
     args = parser.parse_args(argv)
+    _variant_flags(args, {"iht": ("kappa", "c"), "niht": ("alpha",)}, alpha=0.65)
     check_output_path("--out", args.out)
-    flags = {key: getattr(args, key) for key, row in SOLVER_FIELDS.items() if row.flag}
-    config = SolverConfig(**{**flags, "alpha": args.alpha if args.variant == VARIANT_IHT else None})
+    config = SolverConfig(**{key: getattr(args, key) for key in SOLVER_FIELDS if getattr(args, key) is not None})
     instance = sample_instance(
         args.n, args.N, args.k, args.sigma, RngSpec(args.seed), args.coefficient_model
     )

@@ -190,10 +190,6 @@ class ProblemInstance:
         b = A @ x_star + e
         return cls(A=A, b=b, x_star=x_star, e=e, k=k, sigma=sigma)
 
-    def consistency_residual(self) -> float:
-        """Max-norm deviation of b from A x* + e; bounded by 1e-12*n by construction."""
-        return float(np.max(np.abs(self.A @ self.x_star + self.e - self.b), initial=0.0))
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemStack:
@@ -306,7 +302,10 @@ def all_supports(N: int, s: int):
 def column_stacks(A: np.ndarray, supports):
     """The column submatrices of A for the index tuples that ``supports``
     yields, in chunks of at most ``ENUMERATION_CHUNK``: pairs of the ``(S, s)``
-    index array and the C-ordered ``(S, n, s)`` stack of ``A[:, idx[j]]``."""
+    index array and the C-ordered ``(S, n, s)`` stack of ``A[:, idx[j]]``.
+    ``InvalidArgumentError`` when A holds a NaN or an infinity."""
+    if not np.isfinite(A).all():
+        raise InvalidArgumentError("the matrix A must be finite")
     supports = iter(supports)
     while chunk := list(islice(supports, ENUMERATION_CHUNK)):
         idx = np.array(chunk, dtype=np.intp)

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +133,10 @@ EXPERIMENT_FIELDS = {
     "trial_csv_path": Field("string?", check_output_path, None, (), KINDS, "--trial-csv"),
 }
 
-# The default of every field but kind: a key left out, until __post_init__ sets its row's default.
-_UNSET = type("Unset", (), {"__repr__": lambda self: "<unset>"})()
+# The default of every field but kind: a key left out, until __post_init__ sets its row's default, and
+# a key the kind does not take.  It is falsy, and unpickles to itself in the workers' copies of a config.
+_UNSET = type("Unset", (), {"__repr__": lambda _: "<unset>", "__bool__": lambda _: False,
+                            "__reduce__": lambda _: "_UNSET"})()
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,9 @@ class ExperimentConfig:
         given = {key: value for key, value in vars(self).items() if value is not _UNSET}
         check_fields(EXPERIMENT_FIELDS, given, ConfigError, "config", "kind")
         for key, row in EXPERIMENT_FIELDS.items():
-            value = given.get(key, row.default)
-            object.__setattr__(self, key, tuple(map(float, value)) if row.type == "numbers" and value else value)
+            if self.kind in row.required + row.optional:
+                value = given.get(key, row.default)
+                object.__setattr__(self, key, tuple(map(float, value)) if row.type == "numbers" and value else value)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -182,8 +185,9 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        raw = asdict(self)
-        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in raw.items()}
+        """The config as JSON, one key per table row: a grid as a list, null for a key the kind does not take."""
+        values = ((key, getattr(self, key)) for key in EXPERIMENT_FIELDS)
+        return {key: None if v is _UNSET else list(v) if isinstance(v, tuple) else v for key, v in values}
 
     def solver_config(self, alpha_override: float | None = None) -> SolverConfig:
         kwargs = dict(self.solver or {})
@@ -636,12 +640,11 @@ def _recovery_transition(config: ExperimentConfig, workers: int) -> tuple[dict, 
 
 def _error_stack(task) -> dict[str, np.ndarray]:
     """One stack's trial columns; a diverged trial has error inf and is neither converged nor stable.
-    IHT runs end at the certified stable point, unless a residual tolerance, the user's own stopping
-    rule, is set.  A certified x̄ is stable without a test: the certificate proves it alpha_lb-stable,
-    alpha_lb being the solver's alpha.  When other trials converged, one stable-point test covers the
-    stack, each final x̄ on its own support; x̄ = 0 is stable iff alpha_lb * max|A^T b| <= tol."""
+    IHT runs end at the certified stable point.  A certified x̄ is stable without a test: the certificate proves
+    it alpha_lb-stable, alpha_lb being the solver's alpha.  When other trials converged, one stable-point test
+    covers the stack, each final x̄ on its own support; x̄ = 0 is stable iff alpha_lb * max|A^T b| <= tol."""
     config, solver_config, alpha_lb, n, N, draws = task
-    finish = solver_config.variant == VARIANT_IHT and solver_config.residual_tol == 0
+    finish = solver_config.variant == VARIANT_IHT
     stack, _, result, errors = _solve_stack(config, solver_config, 4, n, N, draws, finish=finish)
     termination = np.array(result.termination)
     converged = termination != TERMINATION_MAX_ITERS

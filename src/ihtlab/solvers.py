@@ -55,7 +55,6 @@ VARIANT_IHT = "iht"
 VARIANT_NIHT = "niht"
 
 TERMINATION_STEP_TOL = "step_tol"
-TERMINATION_RESIDUAL_TOL = "residual_tol"
 TERMINATION_MAX_ITERS = "max_iters"
 TERMINATION_STATIONARY = "linesearch_fixed_support_stationary"
 TERMINATION_STABLE_POINT = "stable_point"
@@ -175,7 +174,6 @@ SOLVER_FIELDS = {
     "c": Field("number", (lambda v, _: 0 < v < 1, "lie in (0, 1)"), 0.05, (), (VARIANT_NIHT,), "--c"),
     "max_iters": Field("integer", (lambda v, _: v >= 1, "be >= 1"), 10_000, (), _VARIANTS, "--max-iters"),
     "step_tol": Field("number", _NONNEGATIVE, 1e-10, (), _VARIANTS, "--step-tol"),
-    "residual_tol": Field("number", _NONNEGATIVE, 0.0, (), _VARIANTS),
 }
 
 
@@ -190,7 +188,6 @@ class SolverConfig:
     c: float = SOLVER_FIELDS["c"].default
     max_iters: int = SOLVER_FIELDS["max_iters"].default
     step_tol: float = SOLVER_FIELDS["step_tol"].default
-    residual_tol: float = SOLVER_FIELDS["residual_tol"].default
 
     def __post_init__(self):
         check_fields(SOLVER_FIELDS, vars(self), InvalidArgumentError, "solver", types=PYTHON_TYPES)
@@ -558,8 +555,7 @@ def run_solver(
             # and residuals skips the per-slice masks.  X was finite, so a
             # non-finite X_next gives a non-finite step length.
             if (
-                config.residual_tol == 0 and config.step_tol < step_length.min()
-                and step_length.max() < math.inf and not capped.any()
+                config.step_tol < step_length.min() and step_length.max() < math.inf and not capped.any()
                 and not (finish and (wait == 0).any())
                 and not (cycles and (rr == anchor_rr).any())
             ):
@@ -569,8 +565,6 @@ def run_solver(
             diverged = ~np.isfinite(X).all(axis=1) | capped
             converged = step_length <= config.step_tol
             ended = diverged | converged
-            if config.residual_tol > 0:
-                ended |= np.sqrt(rr) <= config.residual_tol
             certified = np.zeros(len(X), dtype=bool)
             if finish:
                 for j in np.flatnonzero((wait == 0) & ~ended):
@@ -600,8 +594,7 @@ def run_solver(
                     TERMINATION_STATIONARY if stationary[j]
                     else TERMINATION_MAX_ITERS if diverged[j] or periodic[j]
                     else TERMINATION_STEP_TOL if converged[j]
-                    else TERMINATION_STABLE_POINT if certified[j]
-                    else TERMINATION_RESIDUAL_TOL
+                    else TERMINATION_STABLE_POINT
                 )
             # A diverged or periodic slice keeps its budget as its iteration count.
             X[diverged] = math.nan

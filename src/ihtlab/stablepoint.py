@@ -137,10 +137,13 @@ def enumerate_stable_supports(
     the minimum-norm solution on its support.  Chunks of supports are solved
     as one stack and tested together, and a report is built only for a
     stable support.  The combinatorial budget caps C(N, k) at
-    ``core.ENUMERATION_BUDGET``.
+    ``core.ENUMERATION_BUDGET``.  A NaN or an infinity in A or b raises
+    ``InvalidArgumentError``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise InvalidArgumentError("the vector b must be finite")
     N = A.shape[1]
     reports = []
     for idx, A_gamma in column_stacks(A, all_supports(N, k)):

@@ -70,6 +70,18 @@ def test_negative_seed_is_config_error(capsys, argv):
     assert "config error: seed and stream id must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant, defaults", [
+    ("iht", ["--alpha", "0.65"]), ("niht", ["--kappa", "1.1", "--c", "0.05"]),
+])
+def test_solve_flags_left_out_take_their_defaults(tmp_path, capsys, variant, defaults):
+    argv = ["solve", "--variant", variant, "--n", "30", "--N", "60", "--k", "2", "--seed", "3"]
+    outs = []
+    for extra in ([], defaults):
+        assert run_cli([*argv, *extra, "--out", str(tmp_path / f"{len(extra)}.json")]) == EXIT_OK
+        outs.append((tmp_path / f"{len(extra)}.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_solve_writes_json(tmp_path, capsys):
     out = tmp_path / "sol.json"
     code = run_cli(["solve", "--n", "40", "--N", "80", "--k", "2", "--alpha", "0.6",
@@ -168,6 +180,9 @@ def test_stability_undefined_exits_3(capsys):
      ["--kappa", "--xi-variant"]),
     (["stability", "--delta", "0.5", "--rho", "0.008", "--xi-variant", "as_printed"], "iht", ["--xi-variant"]),
     (["phase-bound", "--variant", "iht", "--kappa", "3", "--out", "curve.csv"], "iht", ["--kappa"]),
+    (["solve", "--variant", "niht", "--alpha", "0.5", "--out", "curve.csv"], "niht", ["--alpha"]),
+    (["solve", "--kappa", "3", "--out", "curve.csv"], "iht", ["--kappa"]),
+    (["solve", "--variant", "iht", "--alpha", "0.6", "--c", "0.1", "--kappa", "3"], "iht", ["--kappa", "--c"]),
 ])
 def test_flags_the_variant_never_reads_exit_2(tmp_path, capsys, monkeypatch, argv, variant, flags):
     # Each was accepted and ignored, as a solver section's unread key once was.
@@ -367,6 +382,8 @@ def test_solver_key_of_wrong_type_exits_2(tmp_path, capsys, key, value, expected
     ("mc-transition", "solver", {"max_iters": 50}, "solver section with a 'variant' key is required"),
     ("mc-error", "solver", {"max_iters": 50}, "solver section with a 'variant' key is required"),
     ("mc-error", "solver", {"variant": "iht", "kappa": 1.2}, "solver keys ['kappa'] are not read by variant 'iht'"),
+    ("mc-transition", "solver", {"variant": "niht", "residual_tol": 0.1},
+     "unknown solver keys for variant 'niht': ['residual_tol']"),
     ("mc-error", "xi_variant", "bogus", "unknown config xi_variant 'bogus'"),
     ("mc-dist", "trials", 10**11, "trials must lie in [1, 2^32], got 100000000000"),
 ])

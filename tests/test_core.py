@@ -408,7 +408,7 @@ class TestProblemInstance:
         x = sample_sparse_signal(40, 5, "gaussian", gen)
         e = sample_noise(20, 0.3, gen)
         inst = ProblemInstance.from_parts(A, x, e, k=5, sigma=0.3)
-        assert inst.consistency_residual() <= 1e-12 * inst.n
+        assert np.max(np.abs(inst.A @ inst.x_star + inst.e - inst.b), initial=0.0) <= 1e-12 * inst.n
         assert inst.true_support == SupportSet.support_of(x)
 
     def test_dimension_bounds(self):

@@ -1,7 +1,7 @@
 import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -156,6 +156,15 @@ class TestConfigValidation:
                 {"kind": "mc_transition", "n": 40, "delta_grid": [0.5], "rho_grid": [0.1],
                  "trials": 5, "master_seed": 0, "solver": solver}
             )
+
+    @pytest.mark.parametrize("kind", ["mc_transition", "mc_error_vs_xi"])
+    @pytest.mark.parametrize("variant", ["iht", "niht"])
+    def test_residual_tol_is_an_unknown_solver_key(self, kind, variant):
+        # A run goes to its limit: no solver key stops it on the residual.
+        [base] = [config for config in VALID_CONFIGS if config["kind"] == kind]
+        solver = {"variant": variant, "residual_tol": 0.1}
+        with pytest.raises(ConfigError, match=f"unknown solver keys for variant '{variant}': \\['residual_tol'\\]"):
+            ExperimentConfig.from_dict(dict(base, solver=solver))
 
     @pytest.mark.parametrize("field, value, message", [
         ("trials", 2.5, "trials must be an integer, got 2.5"),
@@ -317,6 +326,26 @@ CONFIG_DICTS = st.fixed_dictionaries(
         lambda keys: st.fixed_dictionaries({key: KEY_VALUES[key] for key in keys})
     ),
 )
+
+
+@pytest.mark.parametrize("base", VALID_CONFIGS, ids=lambda config: config["kind"])
+def test_replace_equals_from_dict_of_the_edited_dict(base):
+    # replace passes every field, also the keys the kind does not take, which stay unset.
+    config = replace(ExperimentConfig.from_dict(base), trials=3, output_path="out.json")
+    assert config == ExperimentConfig.from_dict(dict(base, trials=3, output_path="out.json"))
+
+
+@pytest.mark.parametrize("base", VALID_CONFIGS, ids=lambda config: config["kind"])
+def test_result_json_echoes_null_for_the_keys_the_kind_does_not_take(base, tmp_path):
+    # A key the kind does not take is echoed as null, not as its row's default.
+    out = tmp_path / "result.json"
+    run_experiment(ExperimentConfig.from_dict(dict(base, output_path=str(out))))
+    echo = json.loads(out.read_text(encoding="utf-8"))["config"]
+    assert echo.keys() == experiments.EXPERIMENT_FIELDS.keys()
+    rows = experiments.EXPERIMENT_FIELDS.items()
+    untaken = [key for key, row in rows if base["kind"] not in row.required + row.optional]
+    assert untaken and all(echo[key] is None for key in untaken)
+    assert all(echo[key] == value for key, value in base.items())
 
 
 @settings(max_examples=500, deadline=None)
@@ -805,10 +834,9 @@ def test_certified_trials_skip_the_stable_point_test(monkeypatch):
     assert columns["stable"].all()
 
 
-@pytest.mark.parametrize("name, finishes", [("error", True), ("niht", False), ("iht_residual_tol", False)])
+@pytest.mark.parametrize("name, finishes", [("error", True), ("niht", False)])
 def test_mc_error_finishes_iht_runs_without_a_residual_tolerance(name, finishes):
-    # A residual tolerance is the user's own stopping rule: those runs, and
-    # N-IHT's, end as they did before the finish.
+    # N-IHT runs end as they did before the finish.
     columns = run_experiment(ExperimentConfig.from_dict(STABLE_ORACLE_CONFIGS[name])).trial_columns
     assert ("stable_point" in columns["termination"]) == finishes
 
@@ -828,9 +856,6 @@ def test_mc_error_refuses_a_cell_without_room_before_any_work(n, monkeypatch):
 STABLE_ORACLE_CONFIGS = {
     "error": STACKING_CONFIGS["error"],
     "niht": dict(STACKING_CONFIGS["error"], solver={"variant": "niht", "max_iters": 500}),
-    # Runs that end on the residual tolerance, stable and not.
-    "iht_residual_tol": dict(STACKING_CONFIGS["error"], solver={"variant": "iht", "max_iters": 500,
-                                                               "residual_tol": 0.1}),
 }
 
 
@@ -854,8 +879,6 @@ def test_stable_column_matches_per_trial_stable_point_check(name):
         verdicts.append(report.is_stable)
     assert columns["converged"].all()
     assert columns["stable"].tolist() == verdicts
-    if name == "iht_residual_tol":
-        assert 0 < sum(verdicts) < config.trials
 
 
 TRIAL_CSV_CONFIGS = {

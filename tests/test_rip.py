@@ -92,6 +92,14 @@ class TestRipExact:
         with pytest.raises(BudgetExceededError):
             rip_exact(np.zeros((50, 200)), 6)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_refused(self, bad):
+        # min(inf, nan) keeps inf, so the eigenvalue range alone would not show such an entry.
+        A = sample_gaussian_matrix(6, 8, RngSpec(5))
+        A[2, 3] = bad
+        with pytest.raises(InvalidArgumentError, match="the matrix A must be finite"):
+            rip_exact(A, 2)
+
 
 class TestRipMonteCarlo:
     def test_single_trial(self):
@@ -114,6 +122,13 @@ class TestRipMonteCarlo:
         mc = rip_monte_carlo(A, 3, 50, RngSpec(12))
         assert mc.U <= exact.U + 1e-14
         assert mc.L <= exact.L + 1e-14
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_refused(self, bad):
+        A = sample_gaussian_matrix(6, 8, RngSpec(5))
+        A[2, 3] = bad
+        with pytest.raises(InvalidArgumentError, match="the matrix A must be finite"):
+            rip_monte_carlo(A, 2, 10, RngSpec(6))
 
 
 def write_table(path, rows, header="# rip-table v1; source=unit-test"):

@@ -25,7 +25,6 @@ from ihtlab.solvers import (
     MAX_SHRINK_STEPS,
     SolverConfig,
     TERMINATION_MAX_ITERS,
-    TERMINATION_RESIDUAL_TOL,
     TERMINATION_STABLE_POINT,
     TERMINATION_STATIONARY,
     TERMINATION_STEP_TOL,
@@ -93,7 +92,7 @@ class TestSolverConfig:
         assert SolverConfig(variant="niht", max_iters=np.int64(7)).max_iters == 7
 
     @pytest.mark.parametrize("variant, field", [
-        ("iht", "alpha"), ("niht", "kappa"), ("niht", "c"), ("iht", "step_tol"), ("iht", "residual_tol"),
+        ("iht", "alpha"), ("niht", "kappa"), ("niht", "c"), ("iht", "step_tol"),
     ])
     @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", [0.5]])
     def test_float_fields_must_be_real_numbers(self, variant, field, value):
@@ -104,7 +103,7 @@ class TestSolverConfig:
             SolverConfig(variant=variant, **kwargs)
 
     def test_float_fields_take_numpy_numbers(self):
-        iht = SolverConfig(variant="iht", alpha=np.float64(0.5), step_tol=np.float32(1e-10), residual_tol=np.int64(0))
+        iht = SolverConfig(variant="iht", alpha=np.float64(0.5), step_tol=np.float32(1e-10))
         niht = SolverConfig(variant="niht", kappa=np.float64(1.2), c=np.float32(0.05))
         assert (iht.alpha, niht.kappa) == (0.5, 1.2)
 
@@ -526,9 +525,6 @@ def reference_run(A, b, k, config, reductions=None):
             if step <= config.step_tol:
                 reason = TERMINATION_STEP_TOL
                 break
-            if config.residual_tol > 0 and np.linalg.norm(A @ x - b) <= config.residual_tol:
-                reason = TERMINATION_RESIDUAL_TOL
-                break
         records.append((x, math.nan, objective(x), False))
     return records, reason
 
@@ -570,7 +566,6 @@ def small_stacks(draw):
     common = dict(
         max_iters=draw(st.integers(1, 60)),
         step_tol=draw(st.sampled_from([0.0, 1e-10])),
-        residual_tol=draw(st.sampled_from([0.0, 1e-3])),
     )
     if draw(st.booleans()):
         config = iht_config(alpha=draw(st.sampled_from([0.01, 0.1, 0.3, 0.65, 1.0, 1e8])), **common)

@@ -203,6 +203,16 @@ class TestEnumerateStableSupports:
         with pytest.raises(BudgetExceededError):
             enumerate_stable_supports(A, np.zeros(40), 5, 1.0)
 
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_refused(self, where, bad):
+        # Unchecked, a NaN in A fails in the SVD and a NaN in b makes no support stable.
+        inst = sample_instance(8, 12, 2, 0.1, RngSpec(31))
+        A, b = inst.A.copy(), inst.b.copy()
+        (A[3] if where == "A" else b)[5] = bad
+        with pytest.raises(InvalidArgumentError, match=f" {where} must be finite"):
+            enumerate_stable_supports(A, b, 2, 0.5)
+
 
 def test_single_stable_support_at_scale_example():
     # Noiseless desk-scale instances: with the stepsize threshold evaluated
