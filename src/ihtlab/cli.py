@@ -73,13 +73,14 @@ def _emit(out: Path | None, payload: dict, line: str) -> int:
 _FLAG_TYPES = {"integer": int, "number": float, "number?": float}
 
 
-def _variant_flags(args, unread: dict[str, tuple[str, ...]], **defaults) -> None:
-    """Refuse the flags (by dest) that ``unread`` lists for ``args.variant``, as a solver section refuses
-    a key its variant never reads; then fill ``defaults`` in for the others left out (None)."""
-    skip = unread.get(args.variant, ())
+def _variant_flags(args, select: str, unread: dict[str, tuple[str, ...]], **defaults) -> None:
+    """Refuse the flags (by dest) that ``unread`` lists for the choice of flag ``select`` (a variant or rip's
+    method), as a solver section refuses a key its variant never reads; then fill ``defaults`` in for the others."""
+    choice = getattr(args, select)
+    skip = unread.get(choice, ())
     given = [f"--{dest.replace('_', '-')}" for dest in skip if getattr(args, dest) is not None]
     if given:
-        raise ConfigError(f"flags {given} are not read by variant {args.variant!r}")
+        raise ConfigError(f"flags {given} are not read by {select} {choice!r}")
     vars(args).update((dest, v) for dest, v in defaults.items() if dest not in skip and getattr(args, dest) is None)
 
 
@@ -97,7 +98,7 @@ def _cmd_solve(argv: list[str]) -> int:
     parser.add_argument("--coefficient-model", default="gaussian")
     parser.add_argument("--out", type=Path, default=None, help="write the solution as JSON")
     args = parser.parse_args(argv)
-    _variant_flags(args, {"iht": ("kappa", "c"), "niht": ("alpha",)}, alpha=0.65)
+    _variant_flags(args, "variant", {"iht": ("kappa", "c"), "niht": ("alpha",)}, alpha=0.65)
     check_output_path("--out", args.out)
     config = SolverConfig(**{key: getattr(args, key) for key in SOLVER_FIELDS if getattr(args, key) is not None})
     instance = sample_instance(
@@ -124,10 +125,11 @@ def _cmd_rip(argv: list[str]) -> int:
     parser.add_argument("--N", type=int, default=18)
     parser.add_argument("--order", type=int, default=4)
     parser.add_argument("--method", choices=["exact", "monte_carlo"], default="exact")
-    parser.add_argument("--trials", type=int, default=1000, help="supports sampled in monte_carlo mode")
+    parser.add_argument("--trials", type=int, help="supports sampled in monte_carlo mode (default 1000)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
+    _variant_flags(args, "method", {"exact": ("trials",)}, trials=1000)
     check_output_path("--out", args.out)
     A = sample_gaussian_matrix(args.n, args.N, RngSpec(args.seed))
     if args.method == "exact":
@@ -172,7 +174,7 @@ def _cmd_phase_bound(argv: list[str]) -> int:
     parser.add_argument("--grid-points", type=int, default=100)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    _variant_flags(args, {"iht": ("kappa",)}, kappa=SOLVER_FIELDS["kappa"].default)
+    _variant_flags(args, "variant", {"iht": ("kappa",)}, kappa=SOLVER_FIELDS["kappa"].default)
     check_output_path("--out", args.out)
     provider = load_provider(args.rip_table)
     grid = default_delta_grid(args.grid_points)
@@ -194,7 +196,7 @@ def _cmd_stability(argv: list[str]) -> int:
     parser.add_argument("--rip-table", type=str, default=None)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
-    _variant_flags(args, {"iht": ("kappa", "xi_variant"), "niht": ("alpha",)},
+    _variant_flags(args, "variant", {"iht": ("kappa", "xi_variant"), "niht": ("alpha",)},
                    kappa=SOLVER_FIELDS["kappa"].default, xi_variant=XI_NIHT_AS_PRINTED)
     check_output_path("--out", args.out)
     provider = load_provider(args.rip_table)

@@ -324,19 +324,6 @@ def vecdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _qr_factor(A_gamma, rhs) -> tuple[np.ndarray, np.ndarray, list]:
-    """Thin QR, A_gamma = QR, of a ``(..., m, p)`` stack, after checking it and its right-hand sides."""
-    A_gamma = np.asarray(A_gamma, dtype=float)
-    rhs = [np.asarray(v, dtype=float) for v in rhs]
-    if A_gamma.ndim < 2 or any(v.shape != A_gamma.shape[:-1] for v in rhs):
-        raise ShapeMismatchError(
-            f"expected matrices ({A_gamma.shape}) and vectors of shape {A_gamma.shape[:-1]}"
-        )
-    if A_gamma.shape[-1] > A_gamma.shape[-2]:
-        raise InvalidArgumentError("submatrix must have at least as many rows as columns")
-    return *np.linalg.qr(A_gamma), rhs
-
-
 def _check_rank(R: np.ndarray, s: np.ndarray) -> None:
     """Raise for the first slice whose 2-norm condition number, s[0]/s[-1] from R's singular values s
     as in ``np.linalg.cond`` (infinite for a zero on R's diagonal), exceeds ``RANK_DEFICIENCY_CONDITION``."""
@@ -349,20 +336,7 @@ def _check_rank(R: np.ndarray, s: np.ndarray) -> None:
             raise SingularMatrixError(float(cond[np.argmax(bad)]))
 
 
-def _qr_solve(Q: np.ndarray, R: np.ndarray, rhs: list) -> list:
-    """For each right-hand side v, the triple ``(v, c, y)`` with c = Q^T v and
-    y = R^{-1} c, one stacked solve per v."""
-    out = []
-    for v in rhs:
-        c = matvec(Q.mT, v)
-        # R is exactly upper triangular: gesv's partial pivoting swaps no row, its
-        # LU factors are I and R, and it back-substitutes on R, which _check_rank
-        # has found nonsingular (no zero diagonal, condition number <= 1e12).
-        out.append((v, c, np.linalg.solve(R, c[..., None])[..., 0]))
-    return out
-
-
-def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray, basis: bool = False) -> tuple:
     """Split each right-hand side v into its least-squares coefficients on
     A_gamma and its residual in the complement of range(A_gamma).
 
@@ -372,13 +346,36 @@ def least_squares_split(A_gamma: np.ndarray, *rhs: np.ndarray) -> tuple[np.ndarr
     ``y = R^{-1} Q^T v`` and ``w = v - Q Q^T v``, slice by slice and each v
     alone: a v's split does not depend on the other right-hand sides.  Returns
     ``(s, [(y, w), ...])``, s the ``(..., p)`` singular values of R, descending.
+    ``basis`` takes R = U_R diag(s) V^T with vectors (twice the time; s may move
+    in the last bits) and returns ``(s, U1, [(y, w), ...])``, U1 = Q U_R: at
+    m >= 2p LAPACK's ``dgesdd`` factors A_gamma through this same QR, so s and
+    U1 equal ``np.linalg.svd(A_gamma, full_matrices=False)``'s bit for bit.
     Raises ``SingularMatrixError`` for the first slice whose R has a 2-norm
     condition number (``np.linalg.cond``) above ``RANK_DEFICIENCY_CONDITION``.
     """
-    Q, R, rhs = _qr_factor(A_gamma, rhs)
-    s = np.linalg.svd(R, compute_uv=False)
+    A_gamma = np.asarray(A_gamma, dtype=float)
+    rhs = [np.asarray(v, dtype=float) for v in rhs]
+    if A_gamma.ndim < 2 or any(v.shape != A_gamma.shape[:-1] for v in rhs):
+        raise ShapeMismatchError(
+            f"expected matrices ({A_gamma.shape}) and vectors of shape {A_gamma.shape[:-1]}"
+        )
+    if A_gamma.shape[-1] > A_gamma.shape[-2]:
+        raise InvalidArgumentError("submatrix must have at least as many rows as columns")
+    Q, R = np.linalg.qr(A_gamma)
+    if basis:
+        U_R, s, _ = np.linalg.svd(R)
+    else:
+        s = np.linalg.svd(R, compute_uv=False)
     _check_rank(R, s)
-    return s, [(y, v - matvec(Q, c)) for v, c, y in _qr_solve(Q, R, rhs)]
+    # R is exactly upper triangular: gesv's partial pivoting swaps no row, its
+    # LU factors are I and R, and it back-substitutes on R, which _check_rank
+    # has found nonsingular (no zero diagonal, condition number <= 1e12).
+    pairs = ((v, matvec(Q.mT, v)) for v in rhs)
+    splits = [(np.linalg.solve(R, c[..., None])[..., 0], v - matvec(Q, c)) for v, c in pairs]
+    if not basis:
+        return s, splits
+    # U1 = Q U_R in dgesdd's column-major gemm; a C-order Q @ U_R sums in another order.
+    return s, np.ascontiguousarray((np.ascontiguousarray(U_R.mT) @ np.ascontiguousarray(Q.mT)).mT), splits
 
 
 def sample_gaussian_matrix(n: int, N: int, rng: RngSpec | np.random.Generator) -> np.ndarray:

@@ -31,9 +31,6 @@ from .core import (
     COEFFICIENT_MODELS,
     ProblemStack,
     RngSpec,
-    _check_rank,
-    _qr_factor,
-    _qr_solve,
     least_squares_split,
     matvec,
     sample_instance,
@@ -185,9 +182,9 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        """The config as JSON, one key per table row: a grid as a list, null for a key the kind does not take."""
+        """The config as JSON, which ``from_dict`` reads back: the keys the kind takes, a grid as a list."""
         values = ((key, getattr(self, key)) for key in EXPERIMENT_FIELDS)
-        return {key: None if v is _UNSET else list(v) if isinstance(v, tuple) else v for key, v in values}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values if v is not _UNSET}
 
     def solver_config(self, alpha_override: float | None = None) -> SolverConfig:
         kwargs = dict(self.solver or {})
@@ -345,8 +342,9 @@ def _distribution_trial(task) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, 
     trial, so the columns do not depend on chunking.
     The left-hand sides come from the thin QR of A_gamma, the right-hand sides
     of the noise bounds (4.3) and (4.4) from thin SVDs of A_gamma and of the
-    difference columns projected off its range.  LAPACK's ``dgesdd`` takes
-    A_gamma's SVD through this same QR at n >= 2k, so it is built from it here.
+    difference columns projected off its range.  A_gamma's SVD is the one
+    ``least_squares_split(basis=True)`` builds from that QR, which holds the
+    condition (n >= 2k) under which it equals LAPACK's ``dgesdd``.
     """
     config, z, z_ray, trials, keys = task
     n, k, r, sigma = config.n, config.k, config.overlap, config.sigma
@@ -371,13 +369,7 @@ def _distribution_trial(task) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, 
 
     v = A_diff @ z
     if sigma > 0:
-        Q, R, rhs = _qr_factor(A_gamma, [v, e])
-        U_R, s, _ = np.linalg.svd(R)
-        _check_rank(R, s)
-        (y, w), (y_e, w_e) = [(y, u - matvec(Q, c)) for u, c, y in _qr_solve(Q, R, rhs)]
-        # U1 = Q U_R in dgesdd's column-major gemm; a C-order Q @ U_R sums in another order.
-        U1 = np.ascontiguousarray((np.ascontiguousarray(U_R.mT) @ np.ascontiguousarray(Q.mT)).mT)
-        del Q, R, U_R, rhs  # not needed past U1, where the SVD below peaks
+        s, U1, [(y, w), (y_e, w_e)] = least_squares_split(A_gamma, v, e, basis=True)
     else:
         _, [(y, w)] = least_squares_split(A_gamma, v)
     quad = vecdot(v, w) / z_norm2

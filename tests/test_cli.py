@@ -217,6 +217,19 @@ def test_rip_monte_carlo_writes_json(tmp_path, capsys):
     assert json.loads(out.read_text(encoding="utf-8"))["method"] == "monte_carlo"
 
 
+def test_rip_trials_is_read_by_monte_carlo_alone(tmp_path, capsys):
+    # Exact mode once took --trials and dropped it.
+    out, default, thousand = tmp_path / "exact.json", tmp_path / "default.json", tmp_path / "1000.json"
+    assert run_cli(["rip", "--method", "exact", "--trials", "5", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: flags ['--trials'] are not read by method 'exact'\n"
+    assert not out.exists()
+    assert run_cli(["rip", "--method", "monte_carlo", "--trials", "0"]) == EXIT_CONFIG
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert run_cli(["rip", "--method", "monte_carlo", "--out", str(default)]) == EXIT_OK
+    assert run_cli(["rip", "--method", "monte_carlo", "--trials", "1000", "--out", str(thousand)]) == EXIT_OK
+    assert default.read_bytes() == thousand.read_bytes()
+
+
 def test_stability_niht_writes_json(tmp_path, capsys):
     out = tmp_path / "stab.json"
     argv = ["stability", "--variant", "niht", "--delta", "0.5", "--rho", "0.008",

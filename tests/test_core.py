@@ -18,7 +18,6 @@ from ihtlab.core import (
     sample_sparse_signal,
     top_mask,
     _check_rank,
-    _qr_factor,
 )
 from ihtlab.errors import InvalidArgumentError, ShapeMismatchError, SingularMatrixError
 
@@ -204,6 +203,25 @@ class TestLeastSquaresSplitStack:
         _, [(y_v, w_v)] = least_squares_split(A, v)
         assert np.array_equal(stacked[0][0], y_v) and np.array_equal(stacked[0][1], w_v)
 
+    @pytest.mark.parametrize("T, m, p", [(16, 100, 10), (16, 60, 16), (5, 60, 6), (3, 40, 20), (2, 33, 16),
+                                         (2, 64, 32)])
+    def test_basis_is_the_thin_svd_of_a_gamma(self, T, m, p):
+        # At m >= 2p dgesdd takes A's SVD through the same QR, so s and U1 are its bits.
+        gen = RngSpec(10).generator()
+        A = gen.standard_normal((T, m, p))
+        v, e = gen.standard_normal((T, m)), gen.standard_normal((T, m))
+        s, U1, splits = least_squares_split(A, v, e, basis=True)
+        U, s_svd, _ = np.linalg.svd(A, full_matrices=False)
+        assert np.array_equal(s, s_svd) and np.array_equal(U1, U)
+        _, plain = least_squares_split(A, v, e)
+        for (y, w), (y_0, w_0) in zip(splits, plain):
+            assert np.array_equal(y, y_0) and np.array_equal(w, w_0)
+        for j in range(T):
+            s_j, U1_j, lone = least_squares_split(A[j], v[j], e[j], basis=True)
+            assert np.array_equal(s[j], s_j) and np.array_equal(U1[j], U1_j)
+            for (y, w), (y_j, w_j) in zip(splits, lone):
+                assert np.array_equal(y[j], y_j) and np.array_equal(w[j], w_j)
+
     @pytest.mark.parametrize("j", [0, 3, 5])
     def test_duplicated_column_in_slice_j_raises_for_slice_j(self, j):
         gen = RngSpec(8).generator()
@@ -270,26 +288,21 @@ class TestRankCheck:
         assert stacked.value.condition == first
 
     def test_singular_values_with_vectors_give_the_same_decisions(self):
-        # mc-dist at sigma > 0 checks the singular values of R's SVD with
-        # vectors, whose ratio may differ from cond's in the last bits.
+        # The split with basis (mc-dist at sigma > 0) checks the singular values
+        # of R's SVD with vectors, whose ratio may differ from cond's in the last bits.
         A, v = _conditioned_stack(self.CONDS)
         cond = np.linalg.cond(np.linalg.qr(A)[1])
         assert np.all(np.abs(cond / RANK_DEFICIENCY_CONDITION - 1) > 1e-14)
         refused = cond > RANK_DEFICIENCY_CONDITION
-
-        def check(A_j, v_j):
-            _, R, _ = _qr_factor(A_j, [v_j])
-            _check_rank(R, np.linalg.svd(R)[1])
-
         for j in range(len(A)):
             if refused[j]:
                 with pytest.raises(SingularMatrixError) as excinfo:
-                    check(A[j], v[j])
+                    least_squares_split(A[j], v[j], basis=True)
                 assert excinfo.value.condition == pytest.approx(cond[j], rel=1e-14)
             else:
-                check(A[j], v[j])
+                least_squares_split(A[j], v[j], basis=True)
         with pytest.raises(SingularMatrixError) as stacked:
-            check(A, v)
+            least_squares_split(A, v, basis=True)
         assert stacked.value.condition == pytest.approx(cond[np.argmax(refused)], rel=1e-14)
 
     def test_zero_on_the_diagonal_is_infinitely_ill_conditioned(self):

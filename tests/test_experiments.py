@@ -336,16 +336,15 @@ def test_replace_equals_from_dict_of_the_edited_dict(base):
 
 
 @pytest.mark.parametrize("base", VALID_CONFIGS, ids=lambda config: config["kind"])
-def test_result_json_echoes_null_for_the_keys_the_kind_does_not_take(base, tmp_path):
-    # A key the kind does not take is echoed as null, not as its row's default.
+def test_result_json_config_echo_reads_back_as_the_config(base, tmp_path):
+    # The echo holds exactly the keys the kind takes, so from_dict reads it back.
     out = tmp_path / "result.json"
-    run_experiment(ExperimentConfig.from_dict(dict(base, output_path=str(out))))
+    config = ExperimentConfig.from_dict(dict(base, output_path=str(out)))
+    run_experiment(config)
     echo = json.loads(out.read_text(encoding="utf-8"))["config"]
-    assert echo.keys() == experiments.EXPERIMENT_FIELDS.keys()
     rows = experiments.EXPERIMENT_FIELDS.items()
-    untaken = [key for key, row in rows if base["kind"] not in row.required + row.optional]
-    assert untaken and all(echo[key] is None for key in untaken)
-    assert all(echo[key] == value for key, value in base.items())
+    assert echo.keys() == {key for key, row in rows if base["kind"] in row.required + row.optional}
+    assert ExperimentConfig.from_dict(echo) == config
 
 
 @settings(max_examples=500, deadline=None)
